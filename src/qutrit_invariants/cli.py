@@ -89,8 +89,7 @@ def cmd_count(args):
                              "method": "character inner squares", "conjecture": False})
         elif args.family == "lsl":
             max_n = args.max if args.max is not None else 12
-            step = 1
-            for n in range(0, max_n + 1, step):
+            for n in range(max_n + 1):
                 rep = counting.count_lsl(args.dim, n)
                 if rep.count or n == 0 or not args.nonzero:
                     rows.append(rep.as_dict())

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .contract import contract
 from .numdiff import numerical_rank, poly_jacobian
 from .tensors import build_structure_tensors
 
@@ -57,67 +58,81 @@ def _require_qutrit(coords):
         raise ValueError("local-unitary invariants require two qutrits")
 
 
+def _result(vals, R):
+    """Arrays over the batch axes, or plain floats for a single state."""
+    if R.ndim == 2:
+        return {k: float(v) for k, v in vals.items()}
+    return vals
+
+
 def _embedded(R):
-    """Correlation tensor in the defining representation, T[i, p, j, q]
+    """Correlation tensor in the defining representation, T[..., i, p, j, q]
     carrying (superscript, superscript-bar, subscript, subscript-bar)."""
-    return np.einsum('ab,aij,bpq->ipjq', R, _LAM, _LAM, optimize=True)
+    return contract('...ab,aij,bpq->...ipjq', R, _LAM, _LAM)
 
 
 def low_degree_blocks(r, rbar, R):
+    """Degree <= 3 invariants of r, rbar (..., 8) and R (..., 8, 8) with
+    shared leading batch axes: a dict of arrays over the batch axes, or of
+    floats for a single state's blocks."""
     d, f = _D, _F
     vals = {
-        "K000": 1.0,
-        "K200": r @ r,
-        "K020": rbar @ rbar,
-        "K002": np.sum(R * R),
-        "K300": np.einsum('abc,a,b,c->', d, r, r, r, optimize=True),
-        "K030": np.einsum('abc,a,b,c->', d, rbar, rbar, rbar, optimize=True),
-        "K111": r @ R @ rbar,
-        "K102": np.einsum('abc,a,bd,cd->', d, r, R, R, optimize=True),
-        "K012": np.einsum('abc,a,db,dc->', d, rbar, R, R, optimize=True),
-        "K003d": np.einsum('abc,xyz,ax,by,cz->', d, d, R, R, R, optimize=True),
-        "K003f": np.einsum('abc,xyz,ax,by,cz->', f, f, R, R, R, optimize=True),
+        "K000": np.ones(R.shape[:-2]),
+        "K200": contract('...a,...a->...', r, r),
+        "K020": contract('...a,...a->...', rbar, rbar),
+        "K002": contract('...ab,...ab->...', R, R),
+        "K300": contract('abc,...a,...b,...c->...', d, r, r, r),
+        "K030": contract('abc,...a,...b,...c->...', d, rbar, rbar, rbar),
+        "K111": contract('...a,...ab,...b->...', r, R, rbar),
+        "K102": contract('abc,...a,...bd,...cd->...', d, r, R, R),
+        "K012": contract('abc,...a,...db,...dc->...', d, rbar, R, R),
+        "K003d": contract('abc,xyz,...ax,...by,...cz->...', d, d, R, R, R),
+        "K003f": contract('abc,xyz,...ax,...by,...cz->...', f, f, R, R, R),
     }
-    return {k: float(v) for k, v in vals.items()}
+    return _result(vals, R)
 
 
 def quartic_blocks(r, rbar, R):
+    """The connected quartics of r, rbar (..., 8) and R (..., 8, 8) with
+    shared leading batch axes: a dict of arrays over the batch axes, or of
+    floats for a single state's blocks."""
     d, f = _D, _F
-    RtR = R.T @ R    # bar-bar
-    RRt = R @ R.T    # plain-plain
+    Rt = R.swapaxes(-1, -2)
+    RtR = Rt @ R    # bar-bar
+    RRt = R @ Rt    # plain-plain
     vals = {
         # one r, three R: the delta-coupled and the f/d-coupled chain
-        "K103": np.einsum('abc,ab,c->', d, RtR, R.T @ r, optimize=True),
-        "K103p": np.einsum('ABC,aA,bB,cC,d,abe,ecd->', f, R, R, R, r, f, d, optimize=True),
-        "K013": np.einsum('abc,ab,c->', d, RRt, R @ rbar, optimize=True),
-        "K013p": np.einsum('abc,aA,bB,cC,D,ABE,ECD->', f, R, R, R, rbar, f, d, optimize=True),
+        "K103": contract('abc,...ab,...dc,...d->...', d, RtR, R, r),
+        "K103p": contract('ABC,...aA,...bB,...cC,...d,abe,ecd->...', f, R, R, R, r, f, d),
+        "K013": contract('abc,...ab,...cd,...d->...', d, RRt, R, rbar),
+        "K013p": contract('abc,...aA,...bB,...cC,...D,ABE,ECD->...', f, R, R, R, rbar, f, d),
         # two r (or rbar), two R: delta- and d-coupled pairings
-        "K202a": r @ RRt @ r,
-        "K202b": np.einsum('abc,b,c->a', d, r, r, optimize=True) @ np.einsum('ade,de->a', d, RRt, optimize=True),
-        "K022a": rbar @ RtR @ rbar,
-        "K022b": np.einsum('abc,b,c->a', d, rbar, rbar, optimize=True) @ np.einsum('ade,de->a', d, RtR, optimize=True),
+        "K202a": contract('...a,...ab,...b->...', r, RRt, r),
+        "K202b": contract('abc,...b,...c,ade,...de->...', d, r, r, d, RRt),
+        "K022a": contract('...a,...ab,...b->...', rbar, RtR, rbar),
+        "K022b": contract('abc,...b,...c,ade,...de->...', d, rbar, rbar, d, RtR),
         # one r, one rbar, two R: both sides coupled by d or both by f
-        "K112d": np.einsum('abc,ABC,a,A,bB,cC->', d, d, r, rbar, R, R, optimize=True),
-        "K112f": np.einsum('abc,ABC,a,A,bB,cC->', f, f, r, rbar, R, R, optimize=True),
+        "K112d": contract('abc,ABC,...a,...A,...bB,...cC->...', d, d, r, rbar, R, R),
+        "K112f": contract('abc,ABC,...a,...A,...bB,...cC->...', f, f, r, rbar, R, R),
         # single invariants at mixed cubic-like gradings
-        "K121": np.einsum('ABC,A,B,c,cC->', d, rbar, rbar, r, R, optimize=True),
-        "K211": np.einsum('abc,a,b,C,cC->', d, r, r, rbar, R, optimize=True),
+        "K121": contract('ABC,...A,...B,...c,...cC->...', d, rbar, rbar, r, R),
+        "K211": contract('abc,...a,...b,...C,...cC->...', d, r, r, rbar, R),
     }
     T = _embedded(R)
     chains = {
         # label (m, n): superscript of factor 1 closes on the subscript of
         # factor m, its subscript on the superscript of factor n; the
         # bar-side indices always run in one cycle
-        "K004_33": np.einsum('ipjq,kqlr,jris,lskp->', T, T, T, T, optimize=True),
-        "K004_24": np.einsum('ipjq,kqir,mrks,jsmp->', T, T, T, T, optimize=True),
-        "K004_42": np.einsum('ipjq,jqkr,krls,lsip->', T, T, T, T, optimize=True),
-        "K004_22": np.einsum('ipjq,jqir,krls,lskp->', T, T, T, T, optimize=True),
-        "K004_32": np.einsum('ipjq,jqnr,mris,nsmp->', T, T, T, T, optimize=True),
-        "K004_x22": np.einsum('ipjq,jqlp,lrns,nsir->', T, T, T, T, optimize=True),
+        "K004_33": '...ipjq,...kqlr,...jris,...lskp->...',
+        "K004_24": '...ipjq,...kqir,...mrks,...jsmp->...',
+        "K004_42": '...ipjq,...jqkr,...krls,...lsip->...',
+        "K004_22": '...ipjq,...jqir,...krls,...lskp->...',
+        "K004_32": '...ipjq,...jqnr,...mris,...nsmp->...',
+        "K004_x22": '...ipjq,...jqlp,...lrns,...nsir->...',
     }
-    for k, v in chains.items():
-        vals[k] = v.real if np.iscomplexobj(v) else v
-    return {k: float(v) for k, v in vals.items()}
+    for k, spec in chains.items():
+        vals[k] = contract(spec, T, T, T, T).real
+    return _result(vals, R)
 
 
 def all_blocks(r, rbar, R):
@@ -149,7 +164,7 @@ def disconnected_two_cycle(coords):
     connected pure-R quartics."""
     _require_qutrit(coords)
     T = _embedded(coords.R)
-    val = np.einsum('ipjq,jqip->', T, T, optimize=True)
+    val = contract('ipjq,jqip->', T, T)
     return float(val.real) ** 2
 
 
@@ -161,7 +176,18 @@ def _pack(r, rbar, R):
 
 
 def _unpack(x):
-    return x[:8], x[8:16], x[16:].reshape(8, 8)
+    return x[..., :8], x[..., 8:16], x[..., 16:].reshape(x.shape[:-1] + (8, 8))
+
+
+def _label_values(labels, r, rbar, R):
+    """Stacked values (..., len(labels)) of the labelled invariants, from
+    only the block families the labels need."""
+    vals = {}
+    if not set(labels).isdisjoint(LOW_DEGREE_LABELS):
+        vals.update(low_degree_blocks(r, rbar, R))
+    if not set(labels).isdisjoint(ALL_QUARTIC_LABELS):
+        vals.update(quartic_blocks(r, rbar, R))
+    return np.stack([vals[l] for l in labels], axis=-1)
 
 
 def independence_test(states, labels, rel_threshold=1e-8, jacobian_points=2):
@@ -179,9 +205,11 @@ def independence_test(states, labels, rel_threshold=1e-8, jacobian_points=2):
         raise ValueError(f"unknown invariant labels: {unknown}")
     if len(states) < len(labels) + 5:
         raise ValueError("sample must exceed the label count by at least 5")
+    for st in states:
+        _require_qutrit(st.coords)
 
-    values = np.array([[all_invariants(st.coords)[l] for l in labels]
-                       for st in states])
+    ext = np.stack([st.coords.ext for st in states])
+    values = _label_values(labels, ext[:, 1:, 0], ext[:, 0, 1:], ext[:, 1:, 1:])
     col = np.linalg.norm(values, axis=0, keepdims=True)
     degenerate = [labels[i] for i in range(len(labels)) if col[0, i] == 0]
     colsafe = np.where(col == 0, 1.0, col)
@@ -190,8 +218,7 @@ def independence_test(states, labels, rel_threshold=1e-8, jacobian_points=2):
     degree = max(sum(GRADINGS[l]) for l in labels)
 
     def fn(x):
-        blocks = all_blocks(*_unpack(x))
-        return np.array([blocks[l] for l in labels])
+        return _label_values(labels, *_unpack(x))
 
     jac_ranks = []
     for st in states[:jacobian_points]:

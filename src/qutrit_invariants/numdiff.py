@@ -25,25 +25,38 @@ _WEIGHTS = {
 }
 
 
-def poly_jacobian(fn, x0, degree, h=0.25):
-    """Jacobian of ``fn`` (vector in, vector out) at ``x0``.
+# Stencil points per call of the evaluated map: large enough to amortize the
+# per-call overhead, small enough that peak memory does not grow with the
+# number of coordinates.
+_BLOCK = 64
 
-    ``fn`` must be polynomial of total degree <= ``degree`` in each
+
+def poly_jacobian(fn, x0, degree, h=0.25):
+    """Jacobian of ``fn`` at ``x0``.
+
+    ``fn`` maps an (M, n) stack of points to the (M, m) stack of its values
+    and must be polynomial of total degree <= ``degree`` (1 to 8) in each
     coordinate; the stencil then differentiates it exactly up to rounding.
+    All stencil points are evaluated in stacks of at most ``_BLOCK``.
     """
-    order = min(o for o in sorted(_WEIGHTS) if o >= degree)
+    if not 1 <= degree <= max(_WEIGHTS):
+        raise ValueError(f"stencil degree must be between 1 and {max(_WEIGHTS)}, "
+                         f"got {degree}")
+    order = min(o for o in _WEIGHTS if o >= degree)
     weights = [(o, float(w)) for o, w in _WEIGHTS[order].items()]
     x0 = np.asarray(x0, dtype=float)
-    f0 = np.asarray(fn(x0), dtype=float)
-    jac = np.zeros((f0.size, x0.size))
-    for j in range(x0.size):
-        acc = np.zeros_like(f0)
-        for offset, w in weights:
-            x = x0.copy()
-            x[j] += offset * h
-            acc += w * np.asarray(fn(x), dtype=float)
-        jac[:, j] = acc / h
-    return jac
+    n, k = x0.size, len(weights)
+    # point j * k + i moves coordinate j by the i-th offset
+    points = np.tile(x0, (n * k, 1))
+    points[np.arange(n * k), np.repeat(np.arange(n), k)] += np.tile(
+        [offset * h for offset, _ in weights], n)
+    values = np.concatenate([np.asarray(fn(points[s:s + _BLOCK]), dtype=float)
+                             for s in range(0, n * k, _BLOCK)])
+    values = values.reshape(n, k, -1)
+    acc = np.zeros((n, values.shape[-1]))
+    for i, (_, w) in enumerate(weights):
+        acc += w * values[:, i]
+    return (acc / h).T
 
 
 def numerical_rank(matrix, rel_threshold=1e-8, normalize_rows=False):

@@ -14,6 +14,7 @@ from itertools import permutations
 
 import numpy as np
 
+from .contract import contract
 from .numdiff import numerical_rank, poly_jacobian
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -45,31 +46,38 @@ def w_matrix(ext):
     """One-sided transfer matrix: raise/lower with the metric on both
     slots of the coordinate matrix and contract the bar side."""
     ext = np.asarray(ext, dtype=float)
-    return ext @ ETA @ ext.T @ ETA
+    return ext @ ETA @ ext.swapaxes(-1, -2) @ ETA
 
 
 def w_matrix_bar(ext):
     """The partner acting on the other side; isospectral to w_matrix."""
     ext = np.asarray(ext, dtype=float)
-    return ext.T @ ETA @ ext @ ETA
+    return ext.swapaxes(-1, -2) @ ETA @ ext @ ETA
 
 
 def q_invariants(ext):
     """Trace invariants of the transfer matrix plus the coordinate-matrix
-    determinant, computed both directly and by the epsilon contraction."""
+    determinant, computed both directly and by the epsilon contraction.
+
+    ``ext`` is one (4, 4) coordinate matrix or a stack (..., 4, 4); the
+    values are floats for one matrix and arrays over the stack otherwise.
+    """
     ext = np.asarray(ext, dtype=float)
     w = w_matrix(ext)
     w2 = w @ w
-    eps_form = np.einsum('abcd,pqrs,ap,bq,cr,ds->', _EPS4, _EPS4,
-                         ext, ext, ext, ext, optimize=True) / 24.0
-    return {
-        "Q2": float(np.trace(w)),
-        "Q4": float(np.trace(w2)),
-        "Q6": float(np.trace(w2 @ w)),
-        "Q8": float(np.trace(w2 @ w2)),
-        "Q4t": float(np.linalg.det(ext)),
-        "Q4t_eps": float(eps_form),
+    eps_form = contract('abcd,pqrs,...ap,...bq,...cr,...ds->...', _EPS4, _EPS4,
+                        ext, ext, ext, ext)
+    vals = {
+        "Q2": np.trace(w, axis1=-2, axis2=-1),
+        "Q4": np.trace(w2, axis1=-2, axis2=-1),
+        "Q6": np.trace(w2 @ w, axis1=-2, axis2=-1),
+        "Q8": np.trace(w2 @ w2, axis1=-2, axis2=-1),
+        "Q4t": np.linalg.det(ext),
+        "Q4t_eps": eps_form / 24.0,
     }
+    if ext.ndim == 2:
+        return {k: float(v) for k, v in vals.items()}
+    return vals
 
 
 def q2_expansion(coords):
@@ -119,26 +127,20 @@ def expansion_residuals(coords):
     }
 
 
-def q4tilde_expansion_residual(coords):
-    _require_qubits(coords)
-    return abs(float(np.linalg.det(coords.ext)) - q4tilde_expansion(coords))
-
-
 def dependence_jacobian_rank(coords, rel_threshold=1e-8):
     """Rank of the Jacobian of (Q2, Q4, Q6, Q8, Q4t) over the fifteen free
     coordinates of a normalized state; the expected value is 4, witnessing
     one polynomial relation tying Q8 to the others."""
     _require_qubits(coords)
-    ext0 = np.asarray(coords.ext, dtype=float).copy()
+    flat0 = np.asarray(coords.ext, dtype=float).reshape(-1)
 
     def fn(x):
-        ext = ext0.copy()
-        flat = ext.reshape(-1)
-        flat[1:] = x
-        q = q_invariants(ext)
-        return np.array([q["Q2"], q["Q4"], q["Q6"], q["Q8"], q["Q4t"]])
+        flat = np.tile(flat0, (len(x), 1))
+        flat[:, 1:] = x
+        q = q_invariants(flat.reshape(-1, 4, 4))
+        return np.stack([q[k] for k in ("Q2", "Q4", "Q6", "Q8", "Q4t")], axis=-1)
 
-    jac = poly_jacobian(fn, ext0.reshape(-1)[1:], degree=8, h=0.25)
+    jac = poly_jacobian(fn, flat0[1:], degree=8, h=0.25)
     return numerical_rank(jac, rel_threshold, normalize_rows=True)
 
 

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from qutrit_invariants import lu_invariants, numdiff
 from qutrit_invariants.lu_invariants import (
     ALL_QUARTIC_LABELS,
     GRADINGS,
@@ -13,6 +16,7 @@ from qutrit_invariants.lu_invariants import (
     low_degree_invariants,
     quartic_invariants,
 )
+from qutrit_invariants.numdiff import poly_jacobian
 from qutrit_invariants.states import (
     BipartiteState,
     apply_local,
@@ -187,3 +191,68 @@ def test_ranks_never_exceed_combinatorial_counts():
     quartic_count = sum(count_graded_quartics(*g) for g in GRADED_COLUMNS)
     rep = independence_test(STATES, QUARTIC_LABELS, jacobian_points=0)
     assert rep["value_rank"] <= quartic_count
+
+
+def test_stacked_blocks_match_per_state_loop():
+    states = STATES[:30]
+    ext = np.stack([st.coords.ext for st in states])
+    stacked = all_blocks(ext[:, 1:, 0], ext[:, 0, 1:], ext[:, 1:, 1:])
+    assert set(stacked) == set(GRADINGS)
+    for i, st in enumerate(states):
+        single = all_invariants(st.coords)
+        for k, v in single.items():
+            assert stacked[k].shape == (30,)
+            assert rel(stacked[k][i], v) < 1e-12, k
+
+
+def test_single_state_values_are_floats():
+    vals = all_invariants(STATES[3].coords)
+    assert all(type(v) is float for v in vals.values())
+
+
+def test_poly_jacobian_exact_on_batched_polynomial():
+    # 20 coordinates at degree 4: 80 stencil points, more than one block
+    a = np.linspace(-1.0, 1.0, 20)
+
+    def fn(x):
+        return np.stack([np.sum(x * x, axis=-1),
+                         x[:, 0] * x[:, 1] * x[:, 2] * x[:, 3],
+                         (x @ a) ** 3], axis=-1)
+
+    x0 = np.random.default_rng(9).standard_normal(20)
+    expected = np.zeros((3, 20))
+    expected[0] = 2 * x0
+    expected[1, :4] = [x0[1] * x0[2] * x0[3], x0[0] * x0[2] * x0[3],
+                       x0[0] * x0[1] * x0[3], x0[0] * x0[1] * x0[2]]
+    expected[2] = 3 * (x0 @ a) ** 2 * a
+    jac = poly_jacobian(fn, x0, degree=4)
+    assert np.abs(jac - expected).max() < 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("degree", [0, 9])
+def test_poly_jacobian_rejects_unsupported_degree(degree):
+    with pytest.raises(ValueError, match="between 1 and 8"):
+        poly_jacobian(lambda x: x, np.zeros(3), degree=degree)
+
+
+def test_independence_test_block_calls_do_not_grow_with_labels(monkeypatch):
+    calls = {}
+
+    def counted(name):
+        fn = getattr(lu_invariants, name)
+
+        def wrapped(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    for name in ("low_degree_blocks", "quartic_blocks"):
+        monkeypatch.setattr(lu_invariants, name, counted(name))
+    counts = []
+    for labels in (QUARTIC_LABELS[:2], QUARTIC_LABELS):
+        calls.clear()
+        independence_test(STATES, labels, jacobian_points=1)
+        counts.append(dict(calls))
+    # one call for the values matrix, one per stencil block of 80 * 4 points
+    assert counts[0] == counts[1] == {
+        "quartic_blocks": 1 + math.ceil(80 * 4 / numdiff._BLOCK)}

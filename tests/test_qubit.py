@@ -4,7 +4,6 @@ import pytest
 from qutrit_invariants.qubit import (
     dependence_jacobian_rank,
     expansion_residuals,
-    q4tilde_expansion_residual,
     q8_relation_residual,
     q_invariants,
     w_matrix,
@@ -53,7 +52,7 @@ def test_expansions_on_random_states():
 
 def test_q4tilde_oracle_cases():
     mm = BipartiteState.from_rho(np.eye(4) / 4, 2, 2)
-    assert q4tilde_expansion_residual(mm.coords) < 1e-15
+    assert expansion_residuals(mm.coords)["Q4t"] < 1e-15
     rng = np.random.default_rng(3)
     psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     psi /= np.linalg.norm(psi)
@@ -61,7 +60,7 @@ def test_q4tilde_oracle_cases():
     chi /= np.linalg.norm(chi)
     prod = BipartiteState.from_rho(
         np.kron(np.outer(psi, psi.conj()), np.outer(chi, chi.conj())), 2, 2)
-    assert q4tilde_expansion_residual(prod.coords) < 1e-14
+    assert expansion_residuals(prod.coords)["Q4t"] < 1e-14
 
 
 def test_invariance_under_local_sl():
@@ -88,3 +87,15 @@ def test_rejects_qutrit_coords():
     st = random_state(3, 3, 0)
     with pytest.raises(ValueError):
         expansion_residuals(st.coords)
+
+
+def test_stacked_q_invariants_match_per_state_loop():
+    rng = np.random.default_rng(6)
+    exts = [random_state(2, 2, rng).coords.ext for _ in range(30)]
+    stacked = q_invariants(np.stack(exts))
+    for i, ext in enumerate(exts):
+        single = q_invariants(ext)
+        assert all(type(v) is float for v in single.values())
+        for k, v in single.items():
+            assert stacked[k].shape == (30,)
+            assert abs(stacked[k][i] - v) <= 1e-12 * abs(v), k
