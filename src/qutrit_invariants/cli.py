@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 
 import numpy as np
@@ -24,21 +26,32 @@ EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 
 
-def _emit(report, out_path):
-    text = json.dumps(report, indent=2, sort_keys=True)
+def _error(message):
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT
+
+
+def _emit(report, out_path, code=EXIT_OK):
+    """Write the report and return ``code``; a report holding NaN or
+    Infinity (from extreme input values) is not written, and the input
+    error code is returned instead."""
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        return _error(f"report has a non-finite value ({exc})")
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+    return code
 
 
 def cmd_invariants(args):
     try:
         state = states.load_state(args.state)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(exc)
     dims = (state.dimA, state.dimB)
     diag = states.physicality(state)
     report = {
@@ -59,7 +72,12 @@ def cmd_invariants(args):
             "abs_C3^(1/3)": abs(c3) ** (1.0 / 3.0),
             "abs_C6^(1/6)": abs(c6) ** (1.0 / 6.0),
         }
-        report["C3_expansion_residual"] = lsl_qutrit.cubic_expansion_residual(state)
+        try:
+            residual = lsl_qutrit.cubic_expansion_residual(state)
+        except ValueError as exc:  # the expansion holds on unit trace only
+            residual = None
+            report["warnings"].append(f"C3 expansion residual not evaluated: {exc}")
+        report["C3_expansion_residual"] = residual
     elif dims == (2, 2):
         q = qubit.q_invariants(state.coords.ext)
         report["invariants"] = q
@@ -72,11 +90,8 @@ def cmd_invariants(args):
         }
         report["expansion_residuals"] = qubit.expansion_residuals(state.coords)
     else:
-        print(f"error: unsupported dimensions {dims}; expected (3,3) or (2,2)",
-              file=sys.stderr)
-        return EXIT_INPUT
-    _emit(report, args.out)
-    return EXIT_OK
+        return _error(f"unsupported dimensions {dims}; expected (3,3) or (2,2)")
+    return _emit(report, args.out)
 
 
 def cmd_count(args):
@@ -104,14 +119,13 @@ def cmd_count(args):
         else:
             raise ValueError(f"unknown family {args.family}")
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(exc)
     for row in rows:
         label = row.get("grading", row.get("degree"))
         flag = "  CONJECTURE" if row.get("conjecture") else ""
         print(f"{label:>8}  {row['count']:>8}  {row['method']}{flag}")
     if args.out:
-        _emit({"family": args.family, "rows": rows, "seed": args.seed}, args.out)
+        return _emit({"family": args.family, "rows": rows, "seed": args.seed}, args.out)
     return EXIT_OK
 
 
@@ -121,15 +135,20 @@ def _verify_tensors(args):
     residuals = dict(cyclic_identity_check(t))
     rng = np.random.default_rng(args.seed)
     ratio_dev = 0.0
+    near_singular = 0
     for _ in range(args.trials):
-        H = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        H = states.ginibre(rng, 3)
         H = (H + H.conj().T) / 2
         coords = states.to_single_coords(H, 3)
         cubic, det = det_from_dtilde(coords)
-        ratio_dev = max(ratio_dev, abs(cubic / det - 1.5) if abs(det) > 1e-9 else 0.0)
+        if abs(det) > 1e-9:
+            ratio_dev = max(ratio_dev, abs(cubic / det - 1.5))
+        else:
+            near_singular += 1
     residuals["cubic_determinant_ratio_deviation_from_1.5"] = ratio_dev
     tol = args.tol if args.tol is not None else 1e-10
-    return residuals, max(residuals.values()) <= tol
+    ok = max(residuals.values()) <= tol
+    return dict(residuals, skipped_near_singular=near_singular), ok
 
 
 def _verify_algebra(args):
@@ -147,17 +166,20 @@ def _verify_algebra(args):
 
 
 def _verify_expansion(args):
+    # one generator draws every qutrit state, then every qubit state, in
+    # blocks of consecutive states
     rng = np.random.default_rng(args.seed)
     tol = args.tol if args.tol is not None else 1e-10
+    blocks = [stop - start for start, stop in monotones.trial_blocks(args.trials)]
     worst3 = 0.0
-    for _ in range(args.trials):
-        worst3 = max(worst3, lsl_qutrit.cubic_expansion_residual(
-            states.random_state(3, 3, rng)))
+    for n in blocks:
+        res = lsl_qutrit.cubic_expansion_residual(states.random_state(3, 3, rng, size=n))
+        worst3 = max(worst3, float(res.max()))
     worstq = {"Q2": 0.0, "Q4": 0.0, "Q4t": 0.0, "Q4t_eps": 0.0}
-    for _ in range(args.trials):
-        res = qubit.expansion_residuals(states.random_state(2, 2, rng).coords)
+    for n in blocks:
+        res = qubit.expansion_residuals(states.random_state(2, 2, rng, size=n).coords)
         for k in worstq:
-            worstq[k] = max(worstq[k], res[k])
+            worstq[k] = max(worstq[k], float(res[k].max()))
     cert = {"seed": args.seed, "trials": args.trials,
             "max_cubic_expansion_residual": worst3,
             "max_qubit_expansion_residuals": worstq}
@@ -179,11 +201,24 @@ def _verify_monotone(args):
             "proper_margin": control["proper_margin"],
         },
     }
-    ok = (not report["violations"]
+    ok = (report["min_margin"] is not None
+          and not report["violations"]
           and scan["max_violation"] <= 1e-12
           and control["raw_margin"] < -1e-9
           and control["proper_margin"] >= -tol)
     return cert, ok
+
+
+def _verify_args_error(args):
+    """Why the verify arguments cannot run, or None."""
+    if args.trials < 1:
+        return f"--trials must be at least 1, got {args.trials}"
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        return f"--workers must be between 1 and {cpus} (the CPU count), got {args.workers}"
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        return f"--tol must be a finite non-negative number, got {args.tol}"
+    return None
 
 
 def cmd_verify(args):
@@ -196,13 +231,14 @@ def cmd_verify(args):
     try:
         runner = suites[args.suite]
     except KeyError:
-        print(f"error: unknown suite {args.suite}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(f"unknown suite {args.suite}")
+    problem = _verify_args_error(args)
+    if problem:
+        return _error(problem)
     cert, ok = runner(args)
     report = {"suite": args.suite, "seed": args.seed, "trials": args.trials,
               "passed": bool(ok), "certificate": cert}
-    _emit(report, args.out)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return _emit(report, args.out, EXIT_OK if ok else EXIT_VIOLATION)
 
 
 def build_parser():

@@ -37,3 +37,9 @@ def contract(spec, *operands):
     core_shapes = tuple(op.shape[op.ndim - len(t.lstrip(".")):]
                         for t, op in zip(terms, operands))
     return np.einsum(spec, *operands, optimize=_path(spec, core_shapes))
+
+
+def per_state(value, operand):
+    """``value`` as a Python float when it was computed from one matrix
+    ``operand`` (no batch axes), or unchanged as the array over the batch."""
+    return float(value) if operand.ndim == 2 else value

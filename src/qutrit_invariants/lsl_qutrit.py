@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contract import per_state
 from .lu_invariants import low_degree_invariants
 from .numdiff import numerical_rank
+from .states import coordinate_action, random_local_sl
 from .tensors import build_structure_tensors
 
 _T3 = build_structure_tensors(3)
 _DT = _T3.dtilde
-_LAM_EXT = _T3.lam_ext
-_NORM = np.array([3.0] + [2.0] * 8)
 
 DET_TOL = 1e-10
 
@@ -36,11 +36,11 @@ class InducedMap:
     source: np.ndarray
 
 
-def _coordinate_action(X, Y):
-    """Matrix of rho -> X rho Y^dag on the extended coordinate basis."""
-    moved = np.einsum('ij,ajk,lk->ail', X, _LAM_EXT, Y.conj(), optimize=True)
-    m = np.einsum('ail,bli->ba', moved, _LAM_EXT, optimize=True)
-    return m / _NORM[:, None]
+def _real_action(m, what):
+    imag = np.abs(m.imag).max()
+    if imag > 1e-12:
+        raise ValueError(f"{what} has imaginary residue {imag:.2e}")
+    return np.ascontiguousarray(m.real)
 
 
 def induce_map(A, tol=DET_TOL):
@@ -49,23 +49,15 @@ def induce_map(A, tol=DET_TOL):
     det = np.linalg.det(A)
     if abs(det - 1) > tol:
         raise ValueError(f"determinant must be 1 (got {det})")
-    m = _coordinate_action(A, A)
-    imag = np.abs(m.imag).max()
-    if imag > 1e-12:
-        raise ValueError(f"induced map has imaginary residue {imag:.2e}")
-    return InducedMap(np.ascontiguousarray(m.real), A)
+    return InducedMap(_real_action(coordinate_action(A, A, 3), "induced map"), A)
 
 
 def induced_generator(X):
     """Derivative of the induced map along A(t) = exp(tX) at t = 0,
     computed exactly from rho -> X rho + rho X^dag."""
-    X = np.asarray(X, dtype=complex)
-    moved = np.einsum('ij,ajk->aik', X, _LAM_EXT) \
-        + np.einsum('aij,kj->aik', _LAM_EXT, X.conj())
-    m = np.einsum('ail,bli->ba', moved, _LAM_EXT, optimize=True)
-    m = m / _NORM[:, None]
-    assert np.abs(m.imag).max() < 1e-12
-    return m.real
+    eye = np.eye(3)
+    m = coordinate_action(X, eye, 3) + coordinate_action(eye, X, 3)
+    return _real_action(m, "induced generator")
 
 
 def dtilde_preservation_residual(m):
@@ -166,7 +158,6 @@ def build_algebra(seed=0, trials=20):
         ratios_F.append(float(c))
         deriv_res = max(deriv_res, np.abs(GF - c * gen.F[a]).max())
 
-    from .states import random_local_sl  # local import avoids a cycle
     rng = np.random.default_rng(seed)
     omega = np.exp(2j * np.pi / 3)
     triality = homomorphism = preservation = 0.0
@@ -200,23 +191,40 @@ def build_algebra(seed=0, trials=20):
 # ---------------------------------------------------------------------------
 # Degree-3 and degree-6 invariants of the product group
 
+# dtilde is exactly symmetric in all three slots (tensors spreads every
+# sorted index triple over its permutations), so any slot can be moved last
+# by a reshape alone.
+_DT_FLAT = _DT.reshape(-1)
+_DT_1_2 = _DT.reshape(9, 81)
+_DT_2_1 = _DT.reshape(81, 9)
+
+
+def _dressed(ext):
+    """a[..., x, z, y] = dtilde_abc ext_ax ext_by ext_cz for a coordinate
+    matrix (9, 9) or a stack (..., 9, 9), as three batched matrix products;
+    a is symmetric in its last three slots."""
+    batch = ext.shape[:-2]
+    a = (ext.swapaxes(-1, -2) @ _DT_1_2).reshape(batch + (81, 9))  # (x, b), c
+    a = (a @ ext).reshape(batch + (9, 9, 9))                          # x, b, z
+    a = a.swapaxes(-1, -2).reshape(batch + (81, 9)) @ ext            # (x, z), y
+    return a.reshape(batch + (9, 9, 9))
+
+
 def cubic_invariant(ext):
     """Triple contraction of two copies of the symmetric tensor with three
-    copies of the bipartite coordinate matrix."""
-    a = np.tensordot(_DT, ext, axes=([0], [0]))
-    a = np.tensordot(a, ext, axes=([0], [0]))
-    a = np.tensordot(a, ext, axes=([0], [0]))
-    return float(np.tensordot(a, _DT, axes=([0, 1, 2], [0, 1, 2])))
+    copies of the bipartite coordinate matrix: a float for one (9, 9)
+    matrix, an array over the stack for (..., 9, 9)."""
+    ext = np.asarray(ext, dtype=float)
+    return per_state(_dressed(ext).reshape(ext.shape[:-2] + (729,)) @ _DT_FLAT, ext)
 
 
 def sextic_invariant(ext):
     """Degree-6 invariant with crossed bar-side matchings, evaluated by
-    staged pairwise contractions (cost ~9^5)."""
-    a = np.tensordot(_DT, ext, axes=([0], [0]))
-    a = np.tensordot(a, ext, axes=([0], [0]))
-    a = np.tensordot(a, ext, axes=([0], [0]))  # a[xb, yb, zb], symmetric
-    b = np.tensordot(a, _DT, axes=([1, 2], [0, 1]))
-    return float(np.trace(b @ b))
+    staged pairwise contractions (cost ~9^5); a float for one (9, 9)
+    matrix, an array over the stack for (..., 9, 9)."""
+    ext = np.asarray(ext, dtype=float)
+    b = _dressed(ext).reshape(ext.shape[:-2] + (9, 81)) @ _DT_2_1
+    return per_state(np.einsum('...xw,...wx->...', b, b), ext)
 
 
 def sextic_by_matching(ext, first_group):
@@ -248,9 +256,10 @@ CUBIC_CONSTANT_TERM = 1.0 / 324.0
 
 def cubic_expansion_residual(state):
     """Residual of the cubic invariant against its expansion in the
-    local-unitary invariants, valid for trace-normalized states."""
+    local-unitary invariants, valid for trace-normalized states: a float,
+    or an array over a stacked state."""
     c = state.coords
-    if abs(c.trace_entry - 1.0 / 9.0) > 1e-8:
+    if np.any(np.abs(c.trace_entry - 1.0 / 9.0) > 1e-8):
         raise ValueError("expansion requires a trace-normalized state")
     k = low_degree_invariants(c)
     expansion = (k["K003d"]

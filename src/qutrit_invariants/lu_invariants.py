@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contract import contract
+from .contract import contract, per_state
 from .numdiff import numerical_rank, poly_jacobian
 from .tensors import build_structure_tensors
 
@@ -60,9 +60,7 @@ def _require_qutrit(coords):
 
 def _result(vals, R):
     """Arrays over the batch axes, or plain floats for a single state."""
-    if R.ndim == 2:
-        return {k: float(v) for k, v in vals.items()}
-    return vals
+    return {k: per_state(v, R) for k, v in vals.items()}
 
 
 def _embedded(R):

@@ -5,7 +5,9 @@ through singular value decompositions sharing the right unitary, which
 makes completeness exact by construction.  For a functional F built as
 |invariant|^(1/degree) the concavity margin F(rho) - p1 F(rho1') -
 p2 F(rho2') must be nonnegative; trials are independently seeded per
-index so runs are reproducible and order-independent.
+index so runs are reproducible and order-independent.  Trials run in
+blocks of consecutive indices: each trial still draws from its own
+generator, and the linear algebra of the whole block runs on stacks.
 """
 
 from __future__ import annotations
@@ -16,13 +18,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lsl_qutrit, qubit
-from .states import BipartiteState, random_local_unitary, random_state
+from .states import BipartiteState, ginibre, hs_state, special_unitary
+from .states import random_state  # noqa: F401  (the benchmark traces it here)
 
 DEGENERATE_P = 1e-14
+SINGULAR_EPS = 1e-3
+
+# Trials per block: enough to amortize the per-call cost of the stacked
+# linear algebra, few enough that memory does not grow with the trial
+# count.  A block is also the unit of work of the worker pool, so what a
+# block computes never depends on the number of workers.
+TRIAL_BLOCK = 64
 
 
 @dataclass(frozen=True)
 class MeasurementPair:
+    """Two measurement operators with their factors; every field may carry
+    the same leading batch axes (a stack of pairs)."""
+
     E1: np.ndarray
     E2: np.ndarray
     U1: np.ndarray
@@ -31,30 +44,78 @@ class MeasurementPair:
     singular_values: np.ndarray  # entries of the first diagonal factor
 
     def completeness_residual(self):
-        dim = self.E1.shape[0]
-        total = self.E1.conj().T @ self.E1 + self.E2.conj().T @ self.E2
-        return float(np.abs(total - np.eye(dim)).max())
+        """Largest deviation of E1^dag E1 + E2^dag E2 from the identity,
+        over the whole stack."""
+        total = sum(E.conj().swapaxes(-1, -2) @ E for E in (self.E1, self.E2))
+        return float(np.abs(total - np.eye(self.E1.shape[-1])).max())
 
 
-def sample_measurement(dim, seed, eps=1e-3):
+def _measurement_draws(dim, rng, eps):
+    """The random numbers of one pair in sampling order: the Gaussian
+    matrices of U1, U2 and V, then the singular values."""
+    Z = np.stack([ginibre(rng, dim) for _ in range(3)])
+    return Z, rng.uniform(eps, 1.0 - eps, size=dim)
+
+
+def _pair_from_draws(Z, sv):
+    U = special_unitary(Z)
+    return assemble_measurement(U[..., 0, :, :], U[..., 1, :, :], U[..., 2, :, :], sv)
+
+
+def sample_measurement(dim, seed, eps=SINGULAR_EPS):
     """Random two-outcome pair; singular values stay in (eps, 1 - eps) so
     bulk trials keep both branch probabilities away from zero (the singular
     limits are exercised separately by explicit boundary cases)."""
     if dim not in (2, 3):
         raise ValueError("local dimension must be 2 or 3")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    U1 = random_local_unitary(dim, rng)
-    U2 = random_local_unitary(dim, rng)
-    V = random_local_unitary(dim, rng)
-    sv = rng.uniform(eps, 1.0 - eps, size=dim)
-    return assemble_measurement(U1, U2, V, sv)
+    return _pair_from_draws(*_measurement_draws(dim, rng, eps))
 
 
 def assemble_measurement(U1, U2, V, singular_values):
+    """The pair U1 diag(s) V, U2 diag(sqrt(1 - s^2)) V; the arguments may
+    carry the same leading batch axes."""
     sv = np.asarray(singular_values, dtype=float)
-    D1 = np.diag(sv)
-    D2 = np.diag(np.sqrt(1.0 - sv ** 2))
-    return MeasurementPair(U1 @ D1 @ V, U2 @ D2 @ V, U1, U2, V, sv)
+    c = np.sqrt(1.0 - sv ** 2)
+    return MeasurementPair((U1 * sv[..., None, :]) @ V, (U2 * c[..., None, :]) @ V,
+                           U1, U2, V, sv)
+
+
+def _kron(X, Y):
+    """Kronecker products of square matrices over broadcast batch axes."""
+    n, m = X.shape[-1], Y.shape[-1]
+    K = X[..., :, None, :, None] * Y[..., None, :, None, :]
+    return K.reshape(K.shape[:-4] + (n * m, n * m))
+
+
+def _branches(state, pair, on_a):
+    """Both branches of measuring a state, or each state of a stack, on side
+    A where ``on_a`` holds and on side B elsewhere.
+
+    Returns the branch probabilities (..., 2), the mask of degenerate
+    branches (probability below DEGENERATE_P) and the branch states as a
+    (..., 2)-stacked state, each divided by its probability unless
+    degenerate.
+    """
+    dimA, dimB = state.dimA, state.dimB
+    E = np.stack([pair.E1, pair.E2], axis=-3)
+    side_a = np.broadcast_to(np.asarray(on_a)[..., None], E.shape[:-2])
+    ops = np.empty(E.shape[:-2] + state.rho.shape[-2:], dtype=complex)
+    if side_a.any():
+        ops[side_a] = _kron(E[side_a], np.eye(dimB))
+    if not side_a.all():
+        ops[~side_a] = _kron(np.eye(dimA), E[~side_a])
+    out = ops @ state.rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)
+    p = np.trace(out, axis1=-2, axis2=-1).real
+    degenerate = p < DEGENERATE_P
+    out = out / np.where(degenerate, 1.0, p)[..., None, None]
+    return p, degenerate, BipartiteState.from_rho(out, dimA, dimB)
+
+
+def _on_a(side):
+    if side not in ("A", "B"):
+        raise ValueError("side must be 'A' or 'B'")
+    return side == "A"
 
 
 def apply_measurement(state, pair, side="A"):
@@ -63,53 +124,50 @@ def apply_measurement(state, pair, side="A"):
     The operator acts on one subsystem only.  A branch with probability
     below 1e-14 is flagged degenerate by returning None for its state.
     """
-    if side == "A":
-        ops = [np.kron(E, np.eye(state.dimB)) for E in (pair.E1, pair.E2)]
-    elif side == "B":
-        ops = [np.kron(np.eye(state.dimA), E) for E in (pair.E1, pair.E2)]
-    else:
-        raise ValueError("side must be 'A' or 'B'")
-    branches = []
-    for op in ops:
-        out = op @ state.rho @ op.conj().T
-        p = float(np.trace(out).real)
-        if p < DEGENERATE_P:
-            branches.append((p, None))
-        else:
-            branches.append((p, BipartiteState.from_rho(out / p,
-                                                        state.dimA, state.dimB)))
-    return branches
+    p, degenerate, branches = _branches(state, pair, _on_a(side))
+    return [(float(p[k]), None if degenerate[k] else branches[k]) for k in range(2)]
+
+
+def _margins(state, pair, on_a, functional):
+    """Concavity margins of a state or a stack of states, NaN for a trial
+    with a degenerate branch."""
+    p, degenerate, branches = _branches(state, pair, on_a)
+    ext = np.concatenate([state.coords.ext[..., None, :, :], branches.coords.ext],
+                         axis=-3)
+    F = functional(ext)
+    margin = F[..., 0] - (p * F[..., 1:]).sum(axis=-1)
+    return np.where(degenerate.any(axis=-1), np.nan, margin)
 
 
 def concavity_trial(state, pair, functional, side="A"):
     """Margin F(rho) - sum_i p_i F(rho_i'); None with a reason when a
     branch is degenerate."""
-    branches = apply_measurement(state, pair, side)
-    if any(st is None for _, st in branches):
+    margin = float(_margins(state, pair, _on_a(side), functional))
+    if np.isnan(margin):
         return None, "degenerate branch probability"
-    margin = functional(state) - sum(p * functional(st) for p, st in branches)
     return margin, None
 
 
 # ---------------------------------------------------------------------------
-# Monotone functionals
+# Monotone functionals: each maps a coordinate matrix (..., d^2, d^2), or a
+# stack of them, to its values over the stack.
 
-def _c3_monotone(state):
-    return abs(lsl_qutrit.cubic_invariant(state.coords.ext)) ** (1.0 / 3.0)
-
-
-def _c6_monotone(state):
-    return abs(lsl_qutrit.sextic_invariant(state.coords.ext)) ** (1.0 / 6.0)
+def _c3_monotone(ext):
+    return np.abs(lsl_qutrit.cubic_invariant(ext)) ** (1.0 / 3.0)
 
 
-def _c3_raw(state):
+def _c6_monotone(ext):
+    return np.abs(lsl_qutrit.sextic_invariant(ext)) ** (1.0 / 6.0)
+
+
+def _c3_raw(ext):
     # deliberate wrong-exponent control: homogeneity 3 instead of 1
-    return lsl_qutrit.cubic_invariant(state.coords.ext)
+    return lsl_qutrit.cubic_invariant(ext)
 
 
 def _q_monotone(key, power):
-    def fn(state):
-        return abs(qubit.q_invariants(state.coords.ext)[key]) ** power
+    def fn(ext):
+        return np.abs(qubit.q_invariants(ext)[key]) ** power
     return fn
 
 
@@ -132,47 +190,54 @@ def monotone_functional(name):
                          f"choose from {sorted(MONOTONE_FUNCTIONALS)}") from None
 
 
-def _run_chunk(args):
-    name, seed, indices = args
+def trial_blocks(trials):
+    """(start, stop) of each block of consecutive trial indices."""
+    return [(s, min(s + TRIAL_BLOCK, trials)) for s in range(0, trials, TRIAL_BLOCK)]
+
+
+def _run_block(args):
+    """Margins of trials start..stop-1, NaN for a skipped trial."""
+    name, seed, start, stop = args
     dim, functional = monotone_functional(name)
-    margins = []
-    skipped = 0
-    for i in indices:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        state = random_state(dim, dim, rng)
-        pair = sample_measurement(dim, rng)
-        side = "A" if rng.uniform() < 0.5 else "B"
-        margin, reason = concavity_trial(state, pair, functional, side)
-        if margin is None:
-            skipped += 1
-            margins.append(np.nan)
-        else:
-            margins.append(margin)
-    return margins, skipped
+    D = dim * dim
+    n = stop - start
+    G = np.empty((n, D, D), dtype=complex)
+    Z = np.empty((n, 3, dim, dim), dtype=complex)
+    sv = np.empty((n, dim))
+    on_a = np.empty(n, dtype=bool)
+    for k in range(n):
+        # each trial's own draws, in the order of random_state,
+        # sample_measurement and the side choice
+        rng = np.random.default_rng(np.random.SeedSequence((seed, start + k)))
+        G[k] = ginibre(rng, D)
+        Z[k], sv[k] = _measurement_draws(dim, rng, SINGULAR_EPS)
+        on_a[k] = rng.uniform() < 0.5
+    return _margins(hs_state(G, dim, dim), _pair_from_draws(Z, sv), on_a, functional)
 
 
 def run_trials(name, trials, seed, workers=1, tol=1e-9):
     """Monte-Carlo concavity sweep; the report is a JSON-ready dict.
 
-    Each trial derives its own generator from (seed, index), so the result
-    is identical for any worker count.  Violating trials are listed with
-    their seeds for reproduction.
+    Each trial derives its own generator from (seed, index), and a pool of
+    workers maps over whole blocks of trials, so the result is identical
+    for any worker count.  Violating trials are listed with their seeds for
+    reproduction.
     """
-    indices = list(range(trials))
+    monotone_functional(name)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    jobs = [(name, seed, start, stop) for start, stop in trial_blocks(trials)]
+    workers = min(workers, len(jobs))
     if workers > 1:
-        chunks = [indices[k::workers] for k in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, [(name, seed, ch) for ch in chunks]))
-        margins = [np.nan] * trials
-        skipped = 0
-        for ch, (vals, sk) in zip(chunks, parts):
-            skipped += sk
-            for i, v in zip(ch, vals):
-                margins[i] = v
+            parts = list(pool.map(_run_block, jobs))
     else:
-        margins, skipped = _run_chunk((name, seed, indices))
-    margins = np.asarray(margins)
-    valid = margins[~np.isnan(margins)]
+        parts = [_run_block(job) for job in jobs]
+    margins = np.concatenate(parts)
+    skipped = np.isnan(margins)
+    valid = margins[~skipped]
     violations = [
         {"trial": int(i), "seed": [int(seed), int(i)], "margin": float(margins[i])}
         for i in np.nonzero(margins < -tol)[0]
@@ -182,8 +247,8 @@ def run_trials(name, trials, seed, workers=1, tol=1e-9):
         "trials": trials,
         "seed": int(seed),
         "tolerance": tol,
-        "skipped_degenerate": int(skipped),
-        "min_margin": float(valid.min()) if valid.size else float("nan"),
+        "skipped_degenerate": int(skipped.sum()),
+        "min_margin": float(valid.min()) if valid.size else None,
         "violations": violations,
     }
 

@@ -14,7 +14,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .contract import contract
+from .contract import contract, per_state
 from .numdiff import numerical_rank, poly_jacobian
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -75,34 +75,45 @@ def q_invariants(ext):
         "Q4t": np.linalg.det(ext),
         "Q4t_eps": eps_form / 24.0,
     }
-    if ext.ndim == 2:
-        return {k: float(v) for k, v in vals.items()}
-    return vals
+    return {k: per_state(v, ext) for k, v in vals.items()}
+
+
+def _dot(u, v):
+    return np.einsum('...a,...a->...', u, v)
+
+
+def _quad(u, M, v):
+    return np.einsum('...a,...ab,...b->...', u, M, v)
 
 
 def q2_expansion(coords):
-    """Block expansion of Q2 for a trace-normalized state:
-    1/16 - r.r - rbar.rbar + sum R^2."""
+    """Block expansion of Q2 for a trace-normalized state (or each state of
+    a stack): 1/16 - r.r - rbar.rbar + sum R^2."""
     _require_qubits(coords)
     r, rbar, R = coords.r, coords.rbar, coords.R
-    return 1.0 / 16.0 - r @ r - rbar @ rbar + float(np.sum(R * R))
+    return per_state(1.0 / 16.0 - _dot(r, r) - _dot(rbar, rbar)
+                  + np.sum(R * R, axis=(-2, -1)), coords.ext)
 
 
 def q4_expansion(coords):
-    """Block expansion of Q4 for a trace-normalized state."""
+    """Block expansion of Q4 for a trace-normalized state (or each state of
+    a stack)."""
     _require_qubits(coords)
     r, rbar, R = coords.r, coords.rbar, coords.R
-    RRt = R @ R.T
-    return (float(np.trace(RRt @ RRt))
-            + (r @ r) ** 2 + (rbar @ rbar) ** 2
-            - 2.0 * (r @ RRt @ r) - 2.0 * (rbar @ (R.T @ R) @ rbar)
-            + (r @ R @ rbar)
-            - (r @ r) / 8.0 - (rbar @ rbar) / 8.0 + 1.0 / 256.0)
+    Rt = R.swapaxes(-1, -2)
+    RRt = R @ Rt
+    rr, bb = _dot(r, r), _dot(rbar, rbar)
+    return per_state(np.trace(RRt @ RRt, axis1=-2, axis2=-1)
+                  + rr ** 2 + bb ** 2
+                  - 2.0 * _quad(r, RRt, r) - 2.0 * _quad(rbar, Rt @ R, rbar)
+                  + _quad(r, R, rbar)
+                  - rr / 8.0 - bb / 8.0 + 1.0 / 256.0, coords.ext)
 
 
 def q4tilde_expansion(coords):
     """Block expansion of the coordinate-matrix determinant for a
-    trace-normalized state: det(R)/4 minus half the double-cross coupling.
+    trace-normalized state (or each state of a stack): det(R)/4 minus half
+    the double-cross coupling.
 
     The minus sign is forced by the determinant itself (block expansion of
     the 4x4 coordinate matrix with the standard epsilon orientation) and is
@@ -110,13 +121,14 @@ def q4tilde_expansion(coords):
     """
     _require_qubits(coords)
     r, rbar, R = coords.r, coords.rbar, coords.R
-    cross = np.einsum('ijk,pqr,i,jp,kq,r->', _EPS3, _EPS3,
-                      r, R, R, rbar, optimize=True)
-    return float(np.linalg.det(R)) / 4.0 - cross / 2.0
+    cross = contract('ijk,pqr,...i,...jp,...kq,...r->...', _EPS3, _EPS3,
+                     r, R, R, rbar)
+    return per_state(np.linalg.det(R) / 4.0 - cross / 2.0, coords.ext)
 
 
 def expansion_residuals(coords):
-    """Residuals of the three block expansions against the direct values."""
+    """Residuals of the three block expansions against the direct values:
+    floats for a single state, arrays over a stacked state."""
     _require_qubits(coords)
     q = q_invariants(coords.ext)
     return {

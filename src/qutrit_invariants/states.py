@@ -3,8 +3,9 @@
 A state of local dimensions (dA, dB) is carried both as a dense density
 matrix and as the real (dA^2 x dB^2) coordinate matrix over the extended
 Hermitian bases (identity in slot 0), related by trace inner products.
-Sampling of states and of local transformations is deterministic given a
-seed.
+Either may be a stack with leading batch axes, (..., D, D) and
+(..., dA^2, dB^2).  Sampling of states and of local transformations is
+deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contract import contract
 from .tensors import build_structure_tensors
 
 HERMITICITY_TOL = 1e-10
@@ -36,7 +38,7 @@ def _norms(dim):
 class StateCoords:
     """Real coordinates of a bipartite Hermitian operator.
 
-    ``ext[a, b]`` multiplies basis element a (x) b with index 0 the
+    ``ext[..., a, b]`` multiplies basis element a (x) b with index 0 the
     identity; the one-sided blocks and the correlation block are views.
     """
 
@@ -46,19 +48,21 @@ class StateCoords:
 
     @property
     def r(self):
-        return self.ext[1:, 0]
+        return self.ext[..., 1:, 0]
 
     @property
     def rbar(self):
-        return self.ext[0, 1:]
+        return self.ext[..., 0, 1:]
 
     @property
     def R(self):
-        return self.ext[1:, 1:]
+        return self.ext[..., 1:, 1:]
 
     @property
     def trace_entry(self):
-        return float(self.ext[0, 0])
+        """Tr(rho) / (dimA dimB): a float, or an array over a stack."""
+        t = self.ext[..., 0, 0]
+        return float(t) if t.ndim == 0 else t
 
 
 @dataclass(frozen=True)
@@ -72,24 +76,33 @@ class BipartiteState:
     def from_rho(cls, rho, dimA, dimB):
         return cls(dimA, dimB, rho, to_coords(rho, dimA, dimB))
 
+    def __getitem__(self, index):
+        """A state, or a smaller stack, taken from a stacked state."""
+        return BipartiteState(self.dimA, self.dimB, self.rho[index],
+                              StateCoords(self.dimA, self.dimB, self.coords.ext[index]))
+
 
 def to_coords(rho, dimA, dimB):
-    """Extract the real coordinate matrix of a Hermitian ``rho``.
+    """Extract the real coordinate matrix of a Hermitian ``rho``, or of
+    each matrix of a stack (..., D, D).
 
     ext[a, b] = Tr(rho (l_a x l_b)) / (n_a n_b) with n_0 = dim and n_a = 2
-    otherwise, so ext[0, 0] = Tr(rho) / (dimA dimB).
+    otherwise, so ext[0, 0] = Tr(rho) / (dimA dimB).  Every matrix must be
+    finite and Hermitian.
     """
     rho = np.asarray(rho, dtype=complex)
     D = dimA * dimB
-    if rho.shape != (D, D):
+    if rho.shape[-2:] != (D, D):
         raise ValueError(f"expected a {D}x{D} matrix for dims ({dimA},{dimB})")
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian (residual {herm:.2e})")
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix has non-finite entries")
+    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    if (herm > HERMITICITY_TOL).any():
+        raise ValueError(f"matrix is not Hermitian (residual {herm.max():.2e})")
     lamA = build_structure_tensors(dimA).lam_ext
     lamB = build_structure_tensors(dimB).lam_ext
-    rho4 = rho.reshape(dimA, dimB, dimA, dimB)
-    ext = np.einsum('ipjq,aji,bqp->ab', rho4, lamA, lamB, optimize=True)
+    rho4 = rho.reshape(rho.shape[:-2] + (dimA, dimB, dimA, dimB))
+    ext = contract('...ipjq,aji,bqp->...ab', rho4, lamA, lamB)
     ext = ext.real / np.outer(_norms(dimA), _norms(dimB))
     return StateCoords(dimA, dimB, ext)
 
@@ -121,29 +134,52 @@ def from_single_coords(coords, dim):
     return (rho + rho.conj().T) / 2.0
 
 
-def random_state(dimA, dimB, seed):
-    """Hilbert-Schmidt ensemble state G G^dag / Tr(G G^dag)."""
+def ginibre(rng, dim):
+    """Complex Gaussian dim x dim matrix: the real parts are drawn first,
+    then the imaginary parts.  Every sampler draws through this, so a
+    sample's draws do not depend on how samples are stacked."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def hs_state(G, dimA, dimB):
+    """The Hilbert-Schmidt state G G^dag / Tr(G G^dag) of a complex
+    Gaussian G, or the stacked states of a stack G (..., D, D)."""
+    W = G @ G.conj().swapaxes(-1, -2)
+    rho = W / np.trace(W, axis1=-2, axis2=-1).real[..., None, None]
+    return BipartiteState.from_rho(rho, dimA, dimB)
+
+
+def random_state(dimA, dimB, seed, size=None):
+    """Hilbert-Schmidt ensemble state; with ``size``, a stack of that many
+    states drawn one after another from the same generator, equal to
+    ``size`` single calls on it."""
     rng = _rng(seed)
     D = dimA * dimB
-    G = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    W = G @ G.conj().T
-    rho = W / np.trace(W).real
-    return BipartiteState.from_rho(rho, dimA, dimB)
+    if size is None:
+        return hs_state(ginibre(rng, D), dimA, dimB)
+    G = np.empty((size, D, D), dtype=complex)
+    for k in range(size):
+        G[k] = ginibre(rng, D)
+    return hs_state(G, dimA, dimB)
+
+
+def special_unitary(Z):
+    """Haar-ish special unitary of a complex Gaussian Z, or of each matrix of
+    a stack (..., d, d): QR with phase fixing, determinant set to 1."""
+    Q, R = np.linalg.qr(Z)
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    Q = Q * (diag / np.abs(diag))[..., None, :]
+    return Q / (np.linalg.det(Q) ** (1.0 / Z.shape[-1]))[..., None, None]
 
 
 def random_local_unitary(dim, seed):
     """Haar-ish special unitary: QR with phase fixing, determinant set to 1."""
-    rng = _rng(seed)
-    Z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    Q, R = np.linalg.qr(Z)
-    Q = Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
-    return Q / np.linalg.det(Q) ** (1.0 / dim)
+    return special_unitary(ginibre(_rng(seed), dim))
 
 
 def random_local_sl(dim, seed):
     """Random unit-determinant complex matrix (Gaussian entries rescaled)."""
-    rng = _rng(seed)
-    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    A = ginibre(_rng(seed), dim)
     return A / np.linalg.det(A) ** (1.0 / dim)
 
 
@@ -163,16 +199,15 @@ def apply_local(state, A, B, renormalize=True):
     return BipartiteState.from_rho(rho, state.dimA, state.dimB)
 
 
-def local_coordinate_map(A, dim):
-    """Real (dim^2 x dim^2) matrix of rho -> A rho A^dag on the extended
-    coordinate basis of one subsystem; index 0 is the identity direction."""
-    A = np.asarray(A, dtype=complex)
+def coordinate_action(X, Y, dim):
+    """Complex (dim^2 x dim^2) matrix m of rho -> X rho Y^dag on the extended
+    coordinate basis of one subsystem: X l_a Y^dag = sum_b m[b, a] l_b, with
+    index 0 the identity direction.  It is real up to rounding when Y = X,
+    and for sums such as the generator action X rho + rho X^dag."""
     lam = build_structure_tensors(dim).lam_ext
-    moved = np.einsum('ij,ajk,lk->ail', A, lam, A.conj(), optimize=True)
-    m = np.einsum('ail,bli->ba', moved, lam, optimize=True)
-    m = m / _norms(dim)[:, None]
-    assert np.abs(m.imag).max() < 1e-12
-    return m.real
+    m = contract('ij,ajk,lk,bli->ba', np.asarray(X, dtype=complex), lam,
+                 np.conj(np.asarray(Y, dtype=complex)), lam)
+    return m / _norms(dim)[:, None]
 
 
 def physicality(state, tol=1e-10):

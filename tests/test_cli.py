@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -118,8 +119,89 @@ def test_byte_identical_reports(mm33, tmp_path):
     main(["invariants", mm33, "--seed", "4", "--out", str(out1)])
     main(["invariants", mm33, "--seed", "4", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+    # three trial blocks, so the two-worker run does start a pool
     out3, out4 = tmp_path / "c.json", tmp_path / "d.json"
-    main(["verify", "monotone", "--trials", "30", "--seed", "2", "--out", str(out3)])
-    main(["verify", "monotone", "--trials", "30", "--seed", "2",
-          "--workers", "2", "--out", str(out4)])
+    main(["verify", "monotone", "--trials", "150", "--seed", "2", "--out", str(out3)])
+    workers = str(min(2, os.cpu_count() or 1))
+    main(["verify", "monotone", "--trials", "150", "--seed", "2",
+          "--workers", workers, "--out", str(out4)])
     assert out3.read_bytes() == out4.read_bytes()
+
+
+def _strict(text):
+    def refuse(token):
+        raise ValueError(f"non-finite token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("suite", ["monotone", "expansion", "tensors", "algebra"])
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_rejects_vacuous_trials(suite, trials, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["verify", suite, "--trials", trials, "--out", str(out)]) == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_worker_bounds_start_no_process(monkeypatch, capsys):
+    from qutrit_invariants import monotones
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(monotones, "ProcessPoolExecutor", no_pool)
+    cpus = os.cpu_count() or 1
+    for workers in (0, -1, cpus + 1, 10 ** 9):
+        assert main(["verify", "monotone", "--trials", "10",
+                     "--workers", str(workers)]) == 2
+        assert "--workers" in capsys.readouterr().err
+    # one block of trials needs no pool, whatever the worker count
+    assert main(["verify", "monotone", "--trials", "10",
+                 "--workers", str(min(2, cpus))]) == 0
+
+
+def test_verify_rejects_non_finite_tolerance(capsys):
+    assert main(["verify", "expansion", "--trials", "5", "--tol", "nan"]) == 2
+    assert main(["verify", "expansion", "--trials", "5", "--tol", "-1"]) == 2
+
+
+def test_verify_tensors_counts_skipped_samples(tmp_path):
+    out = tmp_path / "cert.json"
+    assert main(["verify", "tensors", "--trials", "50", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())["certificate"]
+    assert cert["skipped_near_singular"] == 0
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 2)])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_invariants_rejects_non_finite_files(dims, bad, tmp_path, capsys):
+    D = dims[0] * dims[1]
+    re = (np.eye(D) / D).tolist()
+    text = json.dumps({"dimA": dims[0], "dimB": dims[1], "re": re,
+                       "im": np.zeros((D, D)).tolist()})
+    path = tmp_path / "state.json"
+    path.write_text(text.replace(str(1.0 / D), bad, 1))
+    out = tmp_path / "report.json"
+    assert main(["invariants", str(path), "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_invariants_overflowing_report_is_refused(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    save_state(BipartiteState.from_rho(np.eye(9) * 1e200, 3, 3), path)
+    out = tmp_path / "report.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["invariants", str(path), "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_invariants_trace_not_one_reports_null_residual(tmp_path):
+    path = tmp_path / "trace2.json"
+    save_state(BipartiteState.from_rho(2 * np.eye(9) / 9, 3, 3), path)
+    out = tmp_path / "report.json"
+    assert main(["invariants", str(path), "--out", str(out)]) == 0
+    report = _strict(out.read_text())
+    assert report["C3_expansion_residual"] is None
+    assert any("trace-normalized" in w for w in report["warnings"])

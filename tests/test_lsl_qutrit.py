@@ -180,3 +180,29 @@ def test_sextic_matchings_collapse_to_one_form():
         assert abs(sextic_by_matching(ext, group) - c6) / abs(c6) < 1e-12
     for group in [(0, 1, 2), (3, 4, 5)]:
         assert abs(sextic_by_matching(ext, group) - c3 ** 2) < 1e-15
+
+
+def test_stacked_cubic_and_sextic_match_per_state():
+    from qutrit_invariants.tensors import build_structure_tensors
+
+    dt = build_structure_tensors(3).dtilde
+    stack = random_state(3, 3, 40, size=24).coords.ext.reshape(4, 6, 9, 9)
+    c3, c6 = cubic_invariant(stack), sextic_invariant(stack)
+    assert c3.shape == c6.shape == (4, 6)
+    for i in range(4):
+        for j in range(6):
+            ext = stack[i, j]
+            single3, single6 = cubic_invariant(ext), sextic_invariant(ext)
+            assert type(single3) is float and type(single6) is float
+            assert abs(c3[i, j] - single3) <= 1e-12 * abs(single3)
+            assert abs(c6[i, j] - single6) <= 1e-12 * abs(single6)
+            # direct contraction as an independent reference
+            ref = np.einsum('abc,ax,by,cz,xyz->', dt, ext, ext, ext, dt)
+            assert abs(single3 - ref) <= 1e-12 * abs(ref)
+
+
+def test_stacked_cubic_expansion_residual():
+    st = random_state(3, 3, 41, size=10)
+    res = cubic_expansion_residual(st)
+    assert res.shape == (10,) and res.max() <= 1e-10
+    assert abs(res[3] - cubic_expansion_residual(st[3])) <= 1e-15

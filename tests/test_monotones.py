@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from qutrit_invariants.monotones import (
+    MONOTONE_FUNCTIONALS,
+    _margins,
+    _run_block,
     apply_measurement,
     assemble_measurement,
     concavity_trial,
@@ -16,9 +19,13 @@ from qutrit_invariants.states import BipartiteState, random_state
 
 def test_completeness_by_construction():
     for dim in (2, 3):
-        for seed in range(10):
-            pair = sample_measurement(dim, seed)
+        pairs = [sample_measurement(dim, seed) for seed in range(10)]
+        for pair in pairs:
             assert pair.completeness_residual() < 1e-12
+        stacked = assemble_measurement(*(np.stack([getattr(p, f) for p in pairs])
+                                         for f in ("U1", "U2", "V", "singular_values")))
+        assert stacked.E1.shape == (10, dim, dim)
+        assert stacked.completeness_residual() < 1e-12
 
 
 def test_decomposition_reconstructs():
@@ -112,6 +119,49 @@ def test_trials_reproducible_and_worker_independent():
     assert a == b
     c = run_trials("C3", 60, seed=5, workers=2)
     assert a == c
+    # three blocks, the last one partly filled, shared out over the pool
+    ref = run_trials("C3", 150, seed=5)
+    for workers in (2, 3):
+        assert run_trials("C3", 150, seed=5, workers=workers) == ref
+
+
+@pytest.mark.parametrize("name", sorted(MONOTONE_FUNCTIONALS))
+def test_block_margins_match_per_trial_concavity(name):
+    dim, fn = monotone_functional(name)
+    seed, start, stop = 17, 5, 45
+    block = _run_block((name, seed, start, stop))
+    assert block.shape == (stop - start,)
+    for k, i in enumerate(range(start, stop)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        state = random_state(dim, dim, rng)
+        pair = sample_measurement(dim, rng)
+        side = "A" if rng.uniform() < 0.5 else "B"
+        margin, _ = concavity_trial(state, pair, fn, side)
+        assert abs(block[k] - margin) <= 1e-12, (name, i)
+
+
+def test_block_kernel_skips_degenerate_pair():
+    # the first operator annihilates |0>, so measuring |00><00| on side A
+    # has a zero-probability branch; the maximally mixed state has none
+    product = np.zeros((9, 9), dtype=complex)
+    product[0, 0] = 1.0
+    states = BipartiteState.from_rho(np.stack([product, np.eye(9) / 9]), 3, 3)
+    eye = np.stack([np.eye(3)] * 2)
+    pairs = assemble_measurement(eye, eye, eye, np.array([[0.0, 1.0, 1.0]] * 2))
+    _, fn = monotone_functional("C3")
+    margins = _margins(states, pairs, np.array([True, True]), fn)
+    assert np.isnan(margins[0]) and np.isfinite(margins[1])
+    single = assemble_measurement(np.eye(3), np.eye(3), np.eye(3),
+                                  np.array([0.0, 1.0, 1.0]))
+    assert concavity_trial(states[0], single, fn, "A")[0] is None
+    assert abs(concavity_trial(states[1], single, fn, "A")[0] - margins[1]) < 1e-15
+
+
+def test_run_trials_rejects_vacuous_arguments():
+    with pytest.raises(ValueError):
+        run_trials("C3", 0, seed=1)
+    with pytest.raises(ValueError):
+        run_trials("C3", 10, seed=1, workers=0)
 
 
 def test_wrong_exponent_control_violates():

@@ -6,10 +6,10 @@ import pytest
 from qutrit_invariants.states import (
     BipartiteState,
     apply_local,
+    coordinate_action,
     from_coords,
     from_single_coords,
     load_state,
-    local_coordinate_map,
     physicality,
     random_local_sl,
     random_local_unitary,
@@ -111,6 +111,40 @@ def test_random_state_contract():
     assert abs(st.coords.trace_entry - 1.0 / 9.0) < 1e-13
 
 
+def test_stacked_random_states_are_the_single_draws():
+    # a stack draws its states one after another from the generator, so the
+    # expansion suite's blocks see the states of per-call sampling
+    a, b = np.random.default_rng(31), np.random.default_rng(31)
+    stacked = [random_state(3, 3, a, size=40), random_state(3, 3, a, size=7),
+               random_state(2, 2, a, size=40)]
+    single = [[random_state(dims, dims, b) for _ in range(st.rho.shape[0])]
+              for dims, st in zip((3, 3, 2), stacked)]
+    for st, singles in zip(stacked, single):
+        assert np.abs(st.coords.ext - np.stack([s.coords.ext for s in singles])).max() < 1e-15
+        assert np.array_equal(st[5].rho, singles[5].rho)
+
+
+def test_to_coords_stack_checks_every_matrix():
+    rhos = np.stack([np.eye(9, dtype=complex) / 9] * 3)
+    assert to_coords(rhos, 3, 3).ext.shape == (3, 9, 9)
+    rhos[2, 0, 1] = 0.5
+    with pytest.raises(ValueError, match="Hermitian"):
+        to_coords(rhos, 3, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_rejected(tmp_path, bad):
+    rho = np.eye(9, dtype=complex) / 9
+    rho[4, 4] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        to_coords(rho, 3, 3)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dimA": 3, "dimB": 3, "re": rho.real.tolist(),
+                                "im": rho.imag.tolist()}))
+    with pytest.raises(ValueError, match="non-finite"):
+        load_state(path)
+
+
 def test_random_state_mean_purity():
     # Hilbert-Schmidt ensemble at total dimension 9; the measured mean was
     # 0.2195 over the pinned seed (analytic 2 N / (N^2 + 1) = 18/82)
@@ -175,8 +209,10 @@ def test_local_coordinate_map_consistency():
     st = random_state(3, 3, rng)
     A, B = random_local_sl(3, rng), random_local_sl(3, rng)
     moved = apply_local(st, A, B, renormalize=False)
-    mA = local_coordinate_map(A, 3)
-    mB = local_coordinate_map(B, 3)
+    mA = coordinate_action(A, A, 3)
+    mB = coordinate_action(B, B, 3)
+    assert np.abs(mA.imag).max() < 1e-12 and np.abs(mB.imag).max() < 1e-12
+    mA, mB = mA.real, mB.real
     assert np.abs(mA @ st.coords.ext @ mB.T - moved.coords.ext).max() < 1e-10
 
 
