@@ -8,7 +8,7 @@ flagged as a conjecture in its report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .symfunc import (
@@ -33,12 +33,7 @@ class CountReport:
     conjecture: bool = False
 
     def as_dict(self):
-        return {
-            "degree": self.degree,
-            "count": self.count,
-            "method": self.method,
-            "conjecture": self.conjecture,
-        }
+        return asdict(self)
 
 
 def count_lu_pure(K, D, n):
@@ -169,19 +164,17 @@ def count_lsl(D, n):
     modification rules are known for that case, so the result is flagged as
     a conjecture.
     """
+    if D not in (2, 3):
+        raise ValueError("local dimension must be 2 or 3")
+    if n > 12 or n < 0:
+        raise ValueError("supported degrees: n <= 12")
     if D == 2:
-        if n > 12 or n < 0:
-            raise ValueError("supported degrees: n <= 12")
         count = 0 if n % 2 else count_lu_pure(4, 2, n)
         return CountReport(n, count, "four-qubit pure-state equivalence")
-    if D == 3:
-        if n > 12 or n < 0:
-            raise ValueError("supported degrees: n <= 12")
-        if n % 3:
-            return CountReport(n, 0, "symmetric-cube series multiplicities",
-                               conjecture=True)
-        block = plethysm_series(3, max(n, 3)).weight_part(n)
-        count = sum(c * c for c in block.terms.values()) if n else 1
-        return CountReport(n, count, "symmetric-cube series multiplicities",
+    if n % 3:
+        return CountReport(n, 0, "symmetric-cube series multiplicities",
                            conjecture=True)
-    raise ValueError("local dimension must be 2 or 3")
+    block = plethysm_series(3, max(n, 3)).weight_part(n)
+    count = sum(c * c for c in block.terms.values()) if n else 1
+    return CountReport(n, count, "symmetric-cube series multiplicities",
+                       conjecture=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contract import per_state
+from .contract import contract, per_state
 from .lu_invariants import low_degree_invariants
 from .numdiff import numerical_rank
 from .states import coordinate_action, random_local_sl
@@ -62,9 +62,10 @@ def induced_generator(X):
 
 def dtilde_preservation_residual(m):
     """Max deviation of the triple contraction of the symmetric tensor with
-    three copies of m from the tensor itself."""
-    moved = np.einsum('abc,ai,bj,ck->ijk', _DT, m, m, m, optimize=True)
-    return float(np.abs(moved - _DT).max())
+    three copies of m from the tensor itself: a float for one (9, 9) map,
+    an array over the stack for (..., 9, 9)."""
+    m = np.asarray(m, dtype=float)
+    return per_state(np.abs(_dressed(m) - _DT).max(axis=(-3, -2, -1)), m)
 
 
 def coordinate_map(ext, mA, mB):
@@ -102,11 +103,13 @@ def _build_generators():
 
 
 def _linearized_residual(X):
+    """Max-abs linearized tensor-preservation residual of a generator (9, 9),
+    or of each generator of a stack (..., 9, 9)."""
     # generator layout pairs its second index with the tensor slots
-    t = (np.einsum('ip,pjk->ijk', X, _DT)
-         + np.einsum('jp,ipk->ijk', X, _DT)
-         + np.einsum('kp,ijp->ijk', X, _DT))
-    return float(np.abs(t).max())
+    t = (contract('...ip,pjk->...ijk', X, _DT)
+         + contract('...jp,ipk->...ijk', X, _DT)
+         + contract('...kp,ijp->...ijk', X, _DT))
+    return per_state(np.abs(t).max(axis=(-3, -2, -1)), X)
 
 
 def build_algebra(seed=0, trials=20):
@@ -124,39 +127,35 @@ def build_algebra(seed=0, trials=20):
     f = _T3.f
     lam = _T3.lambdas
 
-    lin_res = max(_linearized_residual(X) for X in gen.all())
+    lin_res = float(_linearized_residual(gen.all()).max())
     span = numerical_rank(gen.all().reshape(16, 81), 1e-10)
 
     # structure constants shared by both presentations (the row-lower-index
     # layout transposes the coordinate action, reversing commutators):
     # [F_a, F_b] = -f_abc F_c, [F_a, D_b] = -f_abc D_c, [D_a, D_b] = f_abc F_c
     def comm_table(Fs, Ds):
-        res = 0.0
-        for a in range(8):
-            for b in range(8):
-                fab = f[a, b]
-                res = max(res, np.abs(Fs[a] @ Fs[b] - Fs[b] @ Fs[a]
-                                      + np.tensordot(fab, Fs, 1)).max())
-                res = max(res, np.abs(Fs[a] @ Ds[b] - Ds[b] @ Fs[a]
-                                      + np.tensordot(fab, Ds, 1)).max())
-                res = max(res, np.abs(Ds[a] @ Ds[b] - Ds[b] @ Ds[a]
-                                      - np.tensordot(fab, Fs, 1)).max())
-        return float(res)
+        def comm(X, Y):  # [X_a, Y_b] over all pairs (a, b)
+            return X[:, None] @ Y[None] - Y[None] @ X[:, None]
+
+        def mix(Z):  # f_abc Z_c
+            return contract('abc,cij->abij', f, Z)
+
+        return float(max(np.abs(comm(Fs, Fs) + mix(Fs)).max(),
+                         np.abs(comm(Fs, Ds) + mix(Ds)).max(),
+                         np.abs(comm(Ds, Ds) - mix(Fs)).max()))
 
     comm_9 = comm_table(gen.F, gen.D)
     comm_3 = comm_table(0.5j * lam, 0.5 * lam)
 
     # measured normalization of the exact induced-map derivatives
-    ratios_D, ratios_F, deriv_res = [], [], 0.0
-    for a in range(8):
-        GD = induced_generator(lam[a]).T
-        c = np.sum(GD * gen.D[a]) / np.sum(gen.D[a] * gen.D[a])
-        ratios_D.append(float(c))
-        deriv_res = max(deriv_res, np.abs(GD - c * gen.D[a]).max())
-        GF = induced_generator(1j * lam[a]).T
-        c = np.sum(GF * gen.F[a]) / np.sum(gen.F[a] * gen.F[a])
-        ratios_F.append(float(c))
-        deriv_res = max(deriv_res, np.abs(GF - c * gen.F[a]).max())
+    def normalization(X, G):
+        dX = np.stack([induced_generator(x).T for x in X])
+        c = np.sum(dX * G, axis=(1, 2)) / np.sum(G * G, axis=(1, 2))
+        return [float(v) for v in c], np.abs(dX - c[:, None, None] * G).max()
+
+    ratios_D, res_D = normalization(lam, gen.D)
+    ratios_F, res_F = normalization(1j * lam, gen.F)
+    deriv_res = max(res_D, res_F)
 
     rng = np.random.default_rng(seed)
     omega = np.exp(2j * np.pi / 3)
@@ -224,7 +223,7 @@ def sextic_invariant(ext):
     matrix, an array over the stack for (..., 9, 9)."""
     ext = np.asarray(ext, dtype=float)
     b = _dressed(ext).reshape(ext.shape[:-2] + (9, 81)) @ _DT_2_1
-    return per_state(np.einsum('...xw,...wx->...', b, b), ext)
+    return per_state(contract('...xw,...wx->...', b, b), ext)
 
 
 def sextic_by_matching(ext, first_group):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .contract import contract, per_state
 from .numdiff import numerical_rank, poly_jacobian
+from .states import StateCoords, free_coordinates
 from .tensors import build_structure_tensors
 
 # (p, q, s) multidegree of every label; the exact scaling law under
@@ -169,22 +170,16 @@ def disconnected_two_cycle(coords):
 # ---------------------------------------------------------------------------
 # Independence diagnostics
 
-def _pack(r, rbar, R):
-    return np.concatenate([r, rbar, R.ravel()])
-
-
-def _unpack(x):
-    return x[..., :8], x[..., 8:16], x[..., 16:].reshape(x.shape[:-1] + (8, 8))
-
-
-def _label_values(labels, r, rbar, R):
-    """Stacked values (..., len(labels)) of the labelled invariants, from
-    only the block families the labels need."""
+def _label_values(labels, coords):
+    """Stacked values (..., len(labels)) of the labelled invariants of a
+    coordinate stack, from only the block families the labels need."""
+    # contiguous copies of the ext views contract a little faster
+    blocks = [np.ascontiguousarray(b) for b in (coords.r, coords.rbar, coords.R)]
     vals = {}
     if not set(labels).isdisjoint(LOW_DEGREE_LABELS):
-        vals.update(low_degree_blocks(r, rbar, R))
+        vals.update(low_degree_blocks(*blocks))
     if not set(labels).isdisjoint(ALL_QUARTIC_LABELS):
-        vals.update(quartic_blocks(r, rbar, R))
+        vals.update(quartic_blocks(*blocks))
     return np.stack([vals[l] for l in labels], axis=-1)
 
 
@@ -206,8 +201,7 @@ def independence_test(states, labels, rel_threshold=1e-8, jacobian_points=2):
     for st in states:
         _require_qutrit(st.coords)
 
-    ext = np.stack([st.coords.ext for st in states])
-    values = _label_values(labels, ext[:, 1:, 0], ext[:, 0, 1:], ext[:, 1:, 1:])
+    values = _label_values(labels, StateCoords(3, 3, np.stack([st.coords.ext for st in states])))
     col = np.linalg.norm(values, axis=0, keepdims=True)
     degenerate = [labels[i] for i in range(len(labels)) if col[0, i] == 0]
     colsafe = np.where(col == 0, 1.0, col)
@@ -215,14 +209,11 @@ def independence_test(states, labels, rel_threshold=1e-8, jacobian_points=2):
 
     degree = max(sum(GRADINGS[l]) for l in labels)
 
-    def fn(x):
-        return _label_values(labels, *_unpack(x))
-
     jac_ranks = []
     for st in states[:jacobian_points]:
-        c = st.coords
-        x0 = _pack(c.r, c.rbar, c.R)
-        jac = poly_jacobian(fn, x0, degree=max(degree, 1))
+        x0, coords_at = free_coordinates(st.coords)
+        jac = poly_jacobian(lambda x: _label_values(labels, coords_at(x)), x0,
+                            degree=max(degree, 1))
         jac_ranks.append(numerical_rank(jac, rel_threshold, normalize_rows=True))
 
     return {

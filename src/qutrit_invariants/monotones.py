@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lsl_qutrit, qubit
-from .states import BipartiteState, ginibre, hs_state, special_unitary
+from .states import BipartiteState, ginibre, hs_state, kron, special_unitary
 from .states import random_state  # noqa: F401  (the benchmark traces it here)
 
 DEGENERATE_P = 1e-14
@@ -81,13 +81,6 @@ def assemble_measurement(U1, U2, V, singular_values):
                            U1, U2, V, sv)
 
 
-def _kron(X, Y):
-    """Kronecker products of square matrices over broadcast batch axes."""
-    n, m = X.shape[-1], Y.shape[-1]
-    K = X[..., :, None, :, None] * Y[..., None, :, None, :]
-    return K.reshape(K.shape[:-4] + (n * m, n * m))
-
-
 def _branches(state, pair, on_a):
     """Both branches of measuring a state, or each state of a stack, on side
     A where ``on_a`` holds and on side B elsewhere.
@@ -102,9 +95,9 @@ def _branches(state, pair, on_a):
     side_a = np.broadcast_to(np.asarray(on_a)[..., None], E.shape[:-2])
     ops = np.empty(E.shape[:-2] + state.rho.shape[-2:], dtype=complex)
     if side_a.any():
-        ops[side_a] = _kron(E[side_a], np.eye(dimB))
+        ops[side_a] = kron(E[side_a], np.eye(dimB))
     if not side_a.all():
-        ops[~side_a] = _kron(np.eye(dimA), E[~side_a])
+        ops[~side_a] = kron(np.eye(dimA), E[~side_a])
     out = ops @ state.rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)
     p = np.trace(out, axis1=-2, axis2=-1).real
     degenerate = p < DEGENERATE_P

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .contract import contract
+
 # offset -> weight of the first-derivative stencil, exact for polynomials
 # of degree <= order
 _WEIGHTS = {
@@ -43,20 +45,15 @@ def poly_jacobian(fn, x0, degree, h=0.25):
         raise ValueError(f"stencil degree must be between 1 and {max(_WEIGHTS)}, "
                          f"got {degree}")
     order = min(o for o in _WEIGHTS if o >= degree)
-    weights = [(o, float(w)) for o, w in _WEIGHTS[order].items()]
+    offsets, weights = zip(*_WEIGHTS[order].items())
     x0 = np.asarray(x0, dtype=float)
-    n, k = x0.size, len(weights)
+    n, k = x0.size, len(offsets)
     # point j * k + i moves coordinate j by the i-th offset
     points = np.tile(x0, (n * k, 1))
-    points[np.arange(n * k), np.repeat(np.arange(n), k)] += np.tile(
-        [offset * h for offset, _ in weights], n)
+    points[np.arange(n * k), np.repeat(np.arange(n), k)] += np.tile(np.multiply(offsets, h), n)
     values = np.concatenate([np.asarray(fn(points[s:s + _BLOCK]), dtype=float)
                              for s in range(0, n * k, _BLOCK)])
-    values = values.reshape(n, k, -1)
-    acc = np.zeros((n, values.shape[-1]))
-    for i, (_, w) in enumerate(weights):
-        acc += w * values[:, i]
-    return (acc / h).T
+    return contract('jim,i->mj', values.reshape(n, k, -1), np.array(weights, dtype=float)) / h
 
 
 def numerical_rank(matrix, rel_threshold=1e-8, normalize_rows=False):

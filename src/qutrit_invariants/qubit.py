@@ -10,31 +10,16 @@ epsilon-epsilon contraction form.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import numpy as np
 
 from .contract import contract, per_state
 from .numdiff import numerical_rank, poly_jacobian
+from .states import free_coordinates
+from .tensors import levi_civita
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-
-
-def _levi_civita(n):
-    eps = np.zeros((n,) * n)
-    for perm in permutations(range(n)):
-        sign = 1
-        p = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if p[i] > p[j]:
-                    sign = -sign
-        eps[perm] = sign
-    return eps
-
-
-_EPS4 = _levi_civita(4)
-_EPS3 = _levi_civita(3)
+_EPS4 = levi_civita(4)
+_EPS3 = levi_civita(3)
 
 
 def _require_qubits(coords):
@@ -78,21 +63,14 @@ def q_invariants(ext):
     return {k: per_state(v, ext) for k, v in vals.items()}
 
 
-def _dot(u, v):
-    return np.einsum('...a,...a->...', u, v)
-
-
-def _quad(u, M, v):
-    return np.einsum('...a,...ab,...b->...', u, M, v)
-
-
 def q2_expansion(coords):
     """Block expansion of Q2 for a trace-normalized state (or each state of
     a stack): 1/16 - r.r - rbar.rbar + sum R^2."""
     _require_qubits(coords)
     r, rbar, R = coords.r, coords.rbar, coords.R
-    return per_state(1.0 / 16.0 - _dot(r, r) - _dot(rbar, rbar)
-                  + np.sum(R * R, axis=(-2, -1)), coords.ext)
+    dot = '...a,...a->...'
+    return per_state(1.0 / 16.0 - contract(dot, r, r) - contract(dot, rbar, rbar)
+                     + contract('...ab,...ab->...', R, R), coords.ext)
 
 
 def q4_expansion(coords):
@@ -102,12 +80,14 @@ def q4_expansion(coords):
     r, rbar, R = coords.r, coords.rbar, coords.R
     Rt = R.swapaxes(-1, -2)
     RRt = R @ Rt
-    rr, bb = _dot(r, r), _dot(rbar, rbar)
+    dot, quad = '...a,...a->...', '...a,...ab,...b->...'
+    rr, bb = contract(dot, r, r), contract(dot, rbar, rbar)
     return per_state(np.trace(RRt @ RRt, axis1=-2, axis2=-1)
-                  + rr ** 2 + bb ** 2
-                  - 2.0 * _quad(r, RRt, r) - 2.0 * _quad(rbar, Rt @ R, rbar)
-                  + _quad(r, R, rbar)
-                  - rr / 8.0 - bb / 8.0 + 1.0 / 256.0, coords.ext)
+                     + rr ** 2 + bb ** 2
+                     - 2.0 * contract(quad, r, RRt, r)
+                     - 2.0 * contract(quad, rbar, Rt @ R, rbar)
+                     + contract(quad, r, R, rbar)
+                     - rr / 8.0 - bb / 8.0 + 1.0 / 256.0, coords.ext)
 
 
 def q4tilde_expansion(coords):
@@ -144,15 +124,13 @@ def dependence_jacobian_rank(coords, rel_threshold=1e-8):
     coordinates of a normalized state; the expected value is 4, witnessing
     one polynomial relation tying Q8 to the others."""
     _require_qubits(coords)
-    flat0 = np.asarray(coords.ext, dtype=float).reshape(-1)
+    x0, coords_at = free_coordinates(coords)
 
     def fn(x):
-        flat = np.tile(flat0, (len(x), 1))
-        flat[:, 1:] = x
-        q = q_invariants(flat.reshape(-1, 4, 4))
+        q = q_invariants(coords_at(x).ext)
         return np.stack([q[k] for k in ("Q2", "Q4", "Q6", "Q8", "Q4t")], axis=-1)
 
-    jac = poly_jacobian(fn, flat0[1:], degree=8, h=0.25)
+    jac = poly_jacobian(fn, x0, degree=8, h=0.25)
     return numerical_rank(jac, rel_threshold, normalize_rows=True)
 
 

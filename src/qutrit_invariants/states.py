@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contract import contract
+from .contract import contract, per_state
 from .tensors import build_structure_tensors
 
 HERMITICITY_TOL = 1e-10
@@ -61,8 +61,7 @@ class StateCoords:
     @property
     def trace_entry(self):
         """Tr(rho) / (dimA dimB): a float, or an array over a stack."""
-        t = self.ext[..., 0, 0]
-        return float(t) if t.ndim == 0 else t
+        return per_state(self.ext[..., 0, 0], self.ext)
 
 
 @dataclass(frozen=True)
@@ -107,31 +106,55 @@ def to_coords(rho, dimA, dimB):
     return StateCoords(dimA, dimB, ext)
 
 
+def _hermitian_part(rho):
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+
+
 def from_coords(coords):
-    """Reconstruct the Hermitian matrix from coordinates (exact inverse)."""
+    """Reconstruct the Hermitian matrix from coordinates (exact inverse), or
+    each matrix of a coordinate stack (..., dimA^2, dimB^2)."""
     dimA, dimB = coords.dimA, coords.dimB
     ext = np.asarray(coords.ext, dtype=float)
-    if ext.shape != (dimA * dimA, dimB * dimB):
+    if ext.shape[-2:] != (dimA * dimA, dimB * dimB):
         raise ValueError("coordinate shape does not match declared dimensions")
     lamA = build_structure_tensors(dimA).lam_ext
     lamB = build_structure_tensors(dimB).lam_ext
-    rho4 = np.einsum('ab,aij,bpq->ipjq', ext, lamA, lamB, optimize=True)
-    rho = rho4.reshape(dimA * dimB, dimA * dimB)
-    return (rho + rho.conj().T) / 2.0
+    rho4 = contract('...ab,aij,bpq->...ipjq', ext, lamA, lamB)
+    return _hermitian_part(rho4.reshape(ext.shape[:-2] + (dimA * dimB, dimA * dimB)))
 
 
 def to_single_coords(rho, dim):
-    """Coordinates (r0, r1, ..) of a single-system Hermitian matrix."""
+    """Coordinates (r0, r1, ..) of a single-system Hermitian matrix, or of
+    each matrix of a stack (..., dim, dim)."""
     rho = np.asarray(rho, dtype=complex)
-    t = build_structure_tensors(dim)
-    vals = np.einsum('ij,aji->a', rho, t.lam_ext, optimize=True).real / _norms(dim)
-    return vals
+    lam = build_structure_tensors(dim).lam_ext
+    return contract('...ij,aji->...a', rho, lam).real / _norms(dim)
 
 
 def from_single_coords(coords, dim):
-    t = build_structure_tensors(dim)
-    rho = np.einsum('a,aij->ij', np.asarray(coords, dtype=float), t.lam_ext)
-    return (rho + rho.conj().T) / 2.0
+    """The Hermitian matrix of single-system coordinates, or of each vector
+    of a stack (..., dim^2)."""
+    lam = build_structure_tensors(dim).lam_ext
+    return _hermitian_part(contract('...a,aij->...ij', np.asarray(coords, dtype=float), lam))
+
+
+def free_coordinates(coords):
+    """The free coordinates of one state and the map back from them.
+
+    The free coordinates are every entry of ``ext`` except the trace entry
+    ``ext[0, 0]``, in row-major order.  Returns them as a vector x0 together
+    with the map taking a stack of such vectors (..., D^2 - 1) to the
+    ``StateCoords`` stack that shares the state's trace entry.
+    """
+    ext = np.asarray(coords.ext, dtype=float)
+    flat = ext.reshape(-1)
+
+    def coords_at(x):
+        x = np.asarray(x, dtype=float)
+        stack = np.concatenate([np.full(x.shape[:-1] + (1,), flat[0]), x], axis=-1)
+        return StateCoords(coords.dimA, coords.dimB, stack.reshape(x.shape[:-1] + ext.shape))
+
+    return flat[1:], coords_at
 
 
 def ginibre(rng, dim):
@@ -183,6 +206,13 @@ def random_local_sl(dim, seed):
     return A / np.linalg.det(A) ** (1.0 / dim)
 
 
+def kron(X, Y):
+    """Kronecker products of square matrices over broadcast batch axes."""
+    n, m = X.shape[-1], Y.shape[-1]
+    K = X[..., :, None, :, None] * Y[..., None, :, None, :]
+    return K.reshape(K.shape[:-4] + (n * m, n * m))
+
+
 def apply_local(state, A, B, renormalize=True):
     """Conjugate by A (x) B, optionally dividing by the resulting trace."""
     A = np.asarray(A, dtype=complex)
@@ -192,7 +222,7 @@ def apply_local(state, A, B, renormalize=True):
             raise ValueError("local map shape does not match state dimensions")
         if abs(np.linalg.det(M)) < 1e-12:
             raise ValueError("local map is singular")
-    E = np.kron(A, B)
+    E = kron(A, B)
     rho = E @ state.rho @ E.conj().T
     if renormalize:
         rho = rho / np.trace(rho).real
@@ -214,7 +244,7 @@ def physicality(state, tol=1e-10):
     """Trace, Hermiticity residual and minimum eigenvalue diagnostics."""
     rho = state.rho
     herm = float(np.abs(rho - rho.conj().T).max())
-    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+    eigs = np.linalg.eigvalsh(_hermitian_part(rho))
     tr = float(np.trace(rho).real)
     return {
         "trace": tr,
@@ -240,14 +270,17 @@ def save_state(state, path):
 
 
 def load_state(path):
-    with open(path) as fh:
-        payload = json.load(fh)
+    """Read a state file; every malformed file raises ``ValueError`` (or
+    ``OSError`` when it cannot be read)."""
     try:
-        dimA = int(payload["dimA"])
-        dimB = int(payload["dimB"])
+        with open(path) as fh:
+            payload = json.load(fh)
+        dimA, dimB = payload["dimA"], payload["dimB"]
+        if type(dimA) is not int or type(dimB) is not int:
+            raise ValueError(f"dimensions must be integers, got {dimA!r} and {dimB!r}")
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"malformed state file: {exc}") from exc
     D = dimA * dimB
     if re.shape != (D, D) or im.shape != (D, D):

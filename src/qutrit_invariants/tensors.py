@@ -15,6 +15,8 @@ from itertools import permutations
 
 import numpy as np
 
+from .contract import contract, per_state
+
 _SQ3 = np.sqrt(3.0)
 
 PAULI = np.array([
@@ -53,6 +55,14 @@ class StructureTensors:
     dtilde: np.ndarray | None
 
 
+def levi_civita(n):
+    """The totally antisymmetric tensor with n indices, eps[0, 1, .., n-1] = 1."""
+    eps = np.zeros((n,) * n)
+    for perm in permutations(range(n)):
+        eps[perm] = np.linalg.det(np.eye(n)[list(perm)])  # exactly +-1
+    return eps
+
+
 def _freeze(a):
     a.setflags(write=False)
     return a
@@ -75,16 +85,15 @@ def build_structure_tensors(dim):
     n = dim * dim - 1
     f = np.zeros((n, n, n))
     d = np.zeros((n, n, n))
+    eps = levi_civita(3)
     for a in range(n):
         for b in range(a + 1, n):
             comm = lams[a] @ lams[b] - lams[b] @ lams[a]
             for c in range(b + 1, n):
                 val = (np.trace(comm @ lams[c]) / 4j).real
                 if abs(val) > 1e-14:
-                    for p, sign in ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1), \
-                                   ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1):
-                        idx = (a, b, c)
-                        f[idx[p[0]], idx[p[1]], idx[p[2]]] = sign * val
+                    for p in permutations(range(3)):
+                        f[tuple((a, b, c)[i] for i in p)] = eps[p] * val
     for a in range(n):
         for b in range(a, n):
             anti = lams[a] @ lams[b] + lams[b] @ lams[a]
@@ -122,15 +131,15 @@ def cyclic_identity_check(tensors):
     f, d = tensors.f, tensors.d
 
     def cyclic(x, y):
-        return (np.einsum('ace,ebd->abcd', x, y, optimize=True)
-                + np.einsum('bae,ecd->abcd', x, y, optimize=True)
-                + np.einsum('cbe,ead->abcd', x, y, optimize=True))
+        return (contract('ace,ebd->abcd', x, y)
+                + contract('bae,ecd->abcd', x, y)
+                + contract('cbe,ead->abcd', x, y))
 
     eye = np.eye(8)
     dd = cyclic(d, d)
-    deltas = (np.einsum('ac,bd->abcd', eye, eye, optimize=True)
-              + np.einsum('ba,cd->abcd', eye, eye, optimize=True)
-              + np.einsum('cb,ad->abcd', eye, eye, optimize=True))
+    deltas = (contract('ac,bd->abcd', eye, eye)
+              + contract('ba,cd->abcd', eye, eye)
+              + contract('cb,ad->abcd', eye, eye))
     return {
         "df": float(np.abs(cyclic(d, f)).max()),
         "ff": float(np.abs(cyclic(f, f)).max()),
@@ -142,15 +151,17 @@ def det_from_dtilde(coords):
     """Evaluate the cubic form of the extended symmetric tensor on single-
     qutrit coordinates (r0, r1..r8) alongside the direct determinant.
 
-    Returns (cubic value, determinant of the reconstructed matrix).  The two
+    Returns (cubic value, determinant of the reconstructed matrix): floats
+    for one coordinate vector, arrays over the stack for (..., 9).  The two
     are proportional; the constant is measured by the test suite rather than
     assumed.
     """
+    from .states import from_single_coords  # states builds on this module
+
     coords = np.asarray(coords, dtype=float)
-    if coords.shape != (9,):
+    if coords.shape[-1:] != (9,):
         raise ValueError("expected 9 single-qutrit coordinates")
-    t = build_structure_tensors(3)
-    cubic = float(np.einsum('abc,a,b,c->', t.dtilde, coords, coords, coords, optimize=True))
-    rho = np.einsum('a,aij->ij', coords, t.lam_ext, optimize=True)
-    det = float(np.linalg.det(rho).real)
-    return cubic, det
+    dt = build_structure_tensors(3).dtilde
+    cubic = contract('abc,...a,...b,...c->...', dt, coords, coords, coords)
+    rho = from_single_coords(coords, 3)
+    return per_state(cubic, rho), per_state(np.linalg.det(rho).real, rho)

@@ -205,3 +205,47 @@ def test_invariants_trace_not_one_reports_null_residual(tmp_path):
     report = _strict(out.read_text())
     assert report["C3_expansion_residual"] is None
     assert any("trace-normalized" in w for w in report["warnings"])
+
+
+def _refuse_work(monkeypatch):
+    from qutrit_invariants import counting
+
+    def refuse(*args):
+        raise AssertionError("a table was computed")
+
+    for name in ("count_lu_mixed", "count_lsl", "count_graded_quartics"):
+        monkeypatch.setattr(counting, name, refuse)
+
+
+@pytest.mark.parametrize("argv", [["count", "lu", "--max", "-1"],
+                                  ["count", "lsl", "--max", "-3"],
+                                  ["count", "graded", "--max", "-1"]])
+def test_count_rejects_negative_max_before_any_work(argv, monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    assert main(argv) == 2
+    assert "--max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pqs", ["0004", "04", "", "0x4", "٣٠٠", " 04"])
+def test_count_rejects_pqs_that_is_not_three_digits(pqs, monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    assert main(["count", "graded", "--pqs", pqs]) == 2
+    assert "--pqs must be exactly three digits" in capsys.readouterr().err
+
+
+def test_count_accepts_zero_max(capsys):
+    assert main(["count", "lu", "--max", "0"]) == 0
+    assert capsys.readouterr().out.split()[:2] == ["0", "1"]
+
+
+def test_verify_rejects_negative_seed(capsys):
+    assert main(["verify", "tensors", "--trials", "5", "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_verify_violation_is_reported_on_stderr(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["verify", "expansion", "--trials", "5", "--tol", "0",
+                 "--out", str(out)]) == 3
+    assert "did not pass" in capsys.readouterr().err
+    assert _strict(out.read_text())["passed"] is False

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from qutrit_invariants.lsl_qutrit import (
+    _build_generators,
+    _linearized_residual,
     build_algebra,
     coordinate_map,
     cubic_expansion_residual,
@@ -18,6 +20,7 @@ from qutrit_invariants.states import (
     random_local_unitary,
     random_state,
 )
+from qutrit_invariants.tensors import build_structure_tensors
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -45,6 +48,42 @@ def test_homomorphism_and_preservation():
         mA, mB = induce_map(A).m, induce_map(B).m
         assert np.abs(induce_map(A @ B).m - mA @ mB).max() < 1e-10
         assert dtilde_preservation_residual(mA) < 1e-10
+
+
+def test_stacked_dtilde_preservation_residual():
+    rng = np.random.default_rng(6)
+    dt = build_structure_tensors(3).dtilde
+    maps = np.stack([induce_map(random_local_sl(3, rng)).m for _ in range(12)])
+    # generic real maps move the tensor by O(1) amounts
+    maps[6:] += rng.standard_normal((6, 9, 9))
+    stacked = dtilde_preservation_residual(maps.reshape(3, 4, 9, 9)).reshape(12)
+    for k, m in enumerate(maps):
+        single = dtilde_preservation_residual(m)
+        assert type(single) is float
+        moved = np.einsum('abc,ai,bj,ck->ijk', dt, m, m, m)
+        reference = np.abs(moved - dt).max()
+        assert abs(single - reference) <= 1e-12 * max(reference, 1.0)
+        assert abs(stacked[k] - single) <= 1e-12 * max(single, 1.0)
+    assert stacked[:6].max() < 1e-10 and stacked[6:].min() > 1e-3
+
+
+def test_linearized_residual_matches_three_einsum_reference():
+    rng = np.random.default_rng(7)
+    dt = build_structure_tensors(3).dtilde
+    gens = _build_generators().all()
+    # the generators preserve the tensor; generic matrices do not
+    X = np.concatenate([gens, rng.standard_normal((4, 9, 9))])
+    stacked = _linearized_residual(X)
+    for k, x in enumerate(X):
+        t = (np.einsum('ip,pjk->ijk', x, dt)
+             + np.einsum('jp,ipk->ijk', x, dt)
+             + np.einsum('kp,ijp->ijk', x, dt))
+        reference = np.abs(t).max()
+        single = _linearized_residual(x)
+        assert type(single) is float
+        assert abs(single - reference) <= 1e-12 * max(reference, 1.0)
+        assert abs(stacked[k] - reference) <= 1e-12 * max(reference, 1.0)
+    assert stacked[:16].max() <= 1e-12 and stacked[16:].min() > 1e-3
 
 
 def test_triality_kernel_on_random_maps():

@@ -7,6 +7,7 @@ from qutrit_invariants.states import (
     BipartiteState,
     apply_local,
     coordinate_action,
+    free_coordinates,
     from_coords,
     from_single_coords,
     load_state,
@@ -63,6 +64,19 @@ def test_round_trips():
         for _ in range(50):
             st = random_state(*dims, rng)
             assert np.abs(from_coords(st.coords) - st.rho).max() < 1e-12
+        stack = random_state(*dims, rng, size=20)
+        rebuilt = from_coords(stack.coords)
+        assert rebuilt.shape == stack.rho.shape
+        assert np.abs(rebuilt - stack.rho).max() < 1e-12
+        for k in range(20):
+            assert np.abs(rebuilt[k] - from_coords(stack[k].coords)).max() < 1e-12
+
+
+def test_from_coords_checks_the_trailing_shape():
+    c = to_coords(np.eye(9) / 9, 3, 3)
+    with pytest.raises(ValueError):
+        from_coords(type(c)(3, 3, np.zeros((5, 9, 8))))
+    assert from_coords(type(c)(3, 3, np.zeros((2, 5, 9, 9)))).shape == (2, 5, 9, 9)
 
 
 def test_from_coords_bell_projector():
@@ -99,6 +113,43 @@ def test_single_system_coords_round_trip():
     v = to_single_coords(H, 3)
     assert np.abs(from_single_coords(v, 3) - H).max() < 1e-12
     assert abs(v[0] - np.trace(H).real / 3) < 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_single_system_coords(dim):
+    rng = np.random.default_rng(10)
+    G = rng.standard_normal((4, 5, dim, dim)) + 1j * rng.standard_normal((4, 5, dim, dim))
+    H = (G + G.conj().swapaxes(-1, -2)) / 2
+    v = to_single_coords(H, dim)
+    assert v.shape == (4, 5, dim * dim)
+    rebuilt = from_single_coords(v, dim)
+    assert np.abs(rebuilt - H).max() < 1e-12
+    for i in range(4):
+        for j in range(5):
+            assert np.abs(v[i, j] - to_single_coords(H[i, j], dim)).max() < 1e-12
+            assert np.abs(rebuilt[i, j] - from_single_coords(v[i, j], dim)).max() < 1e-12
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 2)])
+def test_free_coordinates_round_trip(dims):
+    st = random_state(*dims, 12)
+    x0, coords_at = free_coordinates(st.coords)
+    D2 = dims[0] ** 2 * dims[1] ** 2
+    assert x0.shape == (D2 - 1,)
+    assert np.array_equal(coords_at(x0).ext, st.coords.ext)
+    # a stack of moved points keeps the trace entry and reads back its vector
+    x = x0 + np.random.default_rng(1).standard_normal((7, D2 - 1))
+    moved = coords_at(x)
+    assert moved.ext.shape == (7,) + st.coords.ext.shape
+    assert np.array_equal(moved.trace_entry, np.full(7, st.coords.trace_entry))
+    assert np.array_equal(moved.ext.reshape(7, -1)[:, 1:], x)
+    assert (moved.dimA, moved.dimB) == dims
+
+
+def test_trace_entry_float_for_one_state_array_for_a_stack():
+    stack = random_state(3, 3, 2, size=4)
+    assert type(stack[0].coords.trace_entry) is float
+    assert stack.coords.trace_entry.shape == (4,)
 
 
 def test_random_state_contract():
@@ -197,6 +248,17 @@ def test_apply_local_preserves_reduced_spectra_under_unitaries():
     assert np.abs(e1 - e2).max() < 1e-12
 
 
+def test_apply_local_matches_numpy_kron():
+    rng = np.random.default_rng(15)
+    for dims in [(3, 3), (2, 2)]:
+        st = random_state(*dims, rng)
+        A, B = random_local_sl(dims[0], rng), random_local_sl(dims[1], rng)
+        E = np.kron(A, B)
+        rho = E @ st.rho @ E.conj().T
+        assert np.array_equal(apply_local(st, A, B, renormalize=False).rho, rho)
+        assert np.array_equal(apply_local(st, A, B).rho, rho / np.trace(rho).real)
+
+
 def test_apply_local_rejects_singular():
     st = random_state(3, 3, 0)
     with pytest.raises(ValueError):
@@ -231,6 +293,29 @@ def test_state_file_round_trip(tmp_path):
     loaded = load_state(path)
     assert np.array_equal(loaded.rho, st.rho)
     assert loaded.dimA == 3 and loaded.dimB == 3
+
+
+def _state_text(dimA, dimB):
+    D = 9
+    return json.dumps({"dimA": dimA, "dimB": dimB, "re": (np.eye(D) / D).tolist(),
+                       "im": np.zeros((D, D)).tolist()})
+
+
+def test_state_file_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(ValueError, match="malformed"):
+        load_state(path)
+
+
+@pytest.mark.parametrize("dim", ['"3"', "3.9", "3.0", "true", "null", "[3]"])
+def test_state_file_dimension_must_be_an_integer(dim, tmp_path):
+    path = tmp_path / "dims.json"
+    path.write_text(_state_text(3, 3).replace('"dimA": 3', f'"dimA": {dim}'))
+    with pytest.raises(ValueError, match="malformed"):
+        load_state(path)
+    path.write_text(_state_text(3, 3))
+    assert load_state(path).dimA == 3
 
 
 def test_state_file_validation(tmp_path):

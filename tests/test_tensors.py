@@ -129,6 +129,26 @@ def test_cubic_determinant_ratio_is_three_halves():
         assert abs(cubic / det - 1.5) < 1e-10
 
 
+def test_stacked_det_from_dtilde_matches_per_item():
+    rng = np.random.default_rng(8)
+    G = rng.standard_normal((6, 5, 3, 3)) + 1j * rng.standard_normal((6, 5, 3, 3))
+    coords = to_single_coords((G + G.conj().swapaxes(-1, -2)) / 2, 3)
+    cubic, det = det_from_dtilde(coords)
+    assert cubic.shape == det.shape == (6, 5)
+    for i in range(6):
+        for j in range(5):
+            c1, d1 = det_from_dtilde(coords[i, j])
+            assert type(c1) is float and type(d1) is float
+            assert abs(cubic[i, j] - c1) <= 1e-12 * max(abs(c1), 1.0)
+            assert abs(det[i, j] - d1) <= 1e-12 * max(abs(d1), 1.0)
+    # the direct triple contraction, independent of the kernel
+    t = build_structure_tensors(3)
+    direct = np.einsum('abc,...a,...b,...c->...', t.dtilde, coords, coords, coords)
+    assert np.abs(cubic - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
 def test_det_from_dtilde_shape_check():
     with pytest.raises(ValueError):
         det_from_dtilde(np.zeros(8))
+    with pytest.raises(ValueError):
+        det_from_dtilde(np.zeros((4, 8)))
