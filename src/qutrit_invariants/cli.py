@@ -100,15 +100,20 @@ def cmd_count(args):
     if args.pqs is not None and not (len(args.pqs) == 3 and args.pqs.isascii()
                                      and args.pqs.isdigit()):
         return _error(f"--pqs must be exactly three digits, got {args.pqs!r}")
+    if args.family in counting.MAX_DEGREE:
+        # checked before any row, which may take seconds to compute
+        limit = counting.MAX_DEGREE[args.family][args.dim]
+        max_n = limit if args.max is None else args.max
+        if max_n > limit:
+            return _error(f"--max must be at most {limit} for the {args.family} "
+                          f"table at --dim {args.dim}, got {max_n}")
     rows = []
     try:
         if args.family == "lu":
-            max_n = args.max if args.max is not None else (5 if args.dim == 3 else 8)
             for n in range(max_n + 1):
                 rows.append({"degree": n, "count": counting.count_lu_mixed(args.dim, n),
                              "method": "character inner squares", "conjecture": False})
         elif args.family == "lsl":
-            max_n = args.max if args.max is not None else 12
             for n in range(max_n + 1):
                 rep = counting.count_lsl(args.dim, n)
                 if rep.count or n == 0 or not args.nonzero:
@@ -138,8 +143,8 @@ def _verify_tensors(args):
     from .tensors import build_structure_tensors, cyclic_identity_check, det_from_dtilde
     residuals = cyclic_identity_check(build_structure_tensors(3))
     rng = np.random.default_rng(args.seed)
-    # the samples are drawn one after another, then evaluated as one stack
-    G = np.stack([states.ginibre(rng, 3) for _ in range(args.trials)])
+    # the samples are drawn in one call, then evaluated as one stack
+    G = states.ginibre(rng, 3, size=args.trials)
     H = (G + G.conj().swapaxes(-1, -2)) / 2
     cubic, det = det_from_dtilde(states.to_single_coords(H, 3))
     regular = np.abs(det) > 1e-9

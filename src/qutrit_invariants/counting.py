@@ -24,6 +24,20 @@ from .symfunc import (
 
 ADJOINT = SchurExpr.schur((2, 1))
 
+# Largest supported degree of each count table, by local dimension: the
+# counting functions and the command line both check against it.
+MAX_DEGREE = {"lu": {2: 8, 3: 5}, "lsl": {2: 12, 3: 12}}
+
+
+def _check_degree(family, D, n):
+    """Raise ``ValueError`` unless the ``family`` table covers degree n at
+    local dimension D."""
+    limits = MAX_DEGREE[family]
+    if D not in limits:
+        raise ValueError("local dimension must be 2 or 3")
+    if not 0 <= n <= limits[D]:
+        raise ValueError(f"supported degrees: 0 <= n <= {limits[D]} for D={D}")
+
 
 @dataclass(frozen=True)
 class CountReport:
@@ -69,10 +83,7 @@ def count_lu_mixed(D, n):
     total multiplicity of tau in inner squares of partitions with at most
     D rows.
     """
-    if D not in (2, 3):
-        raise ValueError("local dimension must be 2 or 3")
-    if (D == 3 and n > 5) or (D == 2 and n > 8) or n < 0:
-        raise ValueError("supported degrees: n <= 5 for D=3, n <= 8 for D=2")
+    _check_degree("lu", D, n)
     if n == 0:
         return 1
     classes = partitions(n)
@@ -164,10 +175,7 @@ def count_lsl(D, n):
     modification rules are known for that case, so the result is flagged as
     a conjecture.
     """
-    if D not in (2, 3):
-        raise ValueError("local dimension must be 2 or 3")
-    if n > 12 or n < 0:
-        raise ValueError("supported degrees: n <= 12")
+    _check_degree("lsl", D, n)
     if D == 2:
         count = 0 if n % 2 else count_lu_pure(4, 2, n)
         return CountReport(n, count, "four-qubit pure-state equivalence")

@@ -157,11 +157,14 @@ def free_coordinates(coords):
     return flat[1:], coords_at
 
 
-def ginibre(rng, dim):
+def ginibre(rng, dim, size=None):
     """Complex Gaussian dim x dim matrix: the real parts are drawn first,
-    then the imaginary parts.  Every sampler draws through this, so a
-    sample's draws do not depend on how samples are stacked."""
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    then the imaginary parts.  With ``size``, a stack of that many matrices
+    drawn in one call, equal to ``size`` single draws one after another.
+    Every sampler draws through this, so a sample's draws do not depend on
+    how samples are stacked."""
+    x = rng.standard_normal((2, dim, dim) if size is None else (size, 2, dim, dim))
+    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
 
 
 def hs_state(G, dimA, dimB):
@@ -176,14 +179,7 @@ def random_state(dimA, dimB, seed, size=None):
     """Hilbert-Schmidt ensemble state; with ``size``, a stack of that many
     states drawn one after another from the same generator, equal to
     ``size`` single calls on it."""
-    rng = _rng(seed)
-    D = dimA * dimB
-    if size is None:
-        return hs_state(ginibre(rng, D), dimA, dimB)
-    G = np.empty((size, D, D), dtype=complex)
-    for k in range(size):
-        G[k] = ginibre(rng, D)
-    return hs_state(G, dimA, dimB)
+    return hs_state(ginibre(_rng(seed), dimA * dimB, size), dimA, dimB)
 
 
 def special_unitary(Z):
@@ -286,5 +282,10 @@ def load_state(path):
     if re.shape != (D, D) or im.shape != (D, D):
         raise ValueError(
             f"state file arrays must be {D}x{D} for dims ({dimA},{dimB})")
+    # numpy would read true as 1.0 and "0.5" as 0.5: only JSON numbers count
+    not_numbers = [x for key in ("re", "im") for row in payload[key] for x in row
+                   if type(x) not in (int, float)]
+    if not_numbers:
+        raise ValueError(f"state file entries must be JSON numbers, got {not_numbers[0]!r}")
     rho = re + 1j * im
     return BipartiteState.from_rho(rho, dimA, dimB)

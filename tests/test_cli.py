@@ -56,6 +56,19 @@ def test_invariants_malformed_file(tmp_path):
     assert main(["invariants", str(path)]) == 2
 
 
+def test_invariants_rejects_boolean_entries(tmp_path, capsys):
+    # true was read as 1.0: this file reported a trace of 1.889 and exit 0
+    re = (np.eye(9) / 9).tolist()
+    re[0][0] = True
+    path = tmp_path / "boolean.json"
+    path.write_text(json.dumps({"dimA": 3, "dimB": 3, "re": re,
+                                "im": np.zeros((9, 9)).tolist()}))
+    out = tmp_path / "report.json"
+    assert main(["invariants", str(path), "--out", str(out)]) == 2
+    assert "JSON numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invariants_wrong_dims(tmp_path):
     path = tmp_path / "weird.json"
     path.write_text(json.dumps({
@@ -224,6 +237,36 @@ def test_count_rejects_negative_max_before_any_work(argv, monkeypatch, capsys):
     _refuse_work(monkeypatch)
     assert main(argv) == 2
     assert "--max" in capsys.readouterr().err
+
+
+def _count_rows(monkeypatch):
+    """The arguments of every row computed by the lu and lsl tables."""
+    from qutrit_invariants import counting
+
+    calls = []
+    for name in ("count_lu_mixed", "count_lsl"):
+        def counted(*args, real=getattr(counting, name)):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(counting, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["count", "lsl", "--dim", "3", "--max", "40"],
+                                  ["count", "lsl", "--dim", "2", "--max", "13"],
+                                  ["count", "lu", "--dim", "3", "--max", "6"],
+                                  ["count", "lu", "--dim", "2", "--max", "9"]])
+def test_count_rejects_unsupported_max_before_any_row(argv, monkeypatch, capsys):
+    calls = _count_rows(monkeypatch)
+    assert main(argv) == 2
+    assert calls == []
+    assert "--max must be at most" in capsys.readouterr().err
+
+
+def test_count_computes_every_row_up_to_the_limit(monkeypatch, capsys):
+    calls = _count_rows(monkeypatch)
+    assert main(["count", "lu", "--dim", "3", "--max", "5"]) == 0
+    assert calls == [(3, n) for n in range(6)]
 
 
 @pytest.mark.parametrize("pqs", ["0004", "04", "", "0x4", "٣٠٠", " 04"])

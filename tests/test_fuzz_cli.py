@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qutrit_invariants import monotones
 from qutrit_invariants.cli import main
@@ -89,7 +89,7 @@ def mutated_payload(draw):
         return draw(junk)  # not an object at all
     for _ in range(draw(st.integers(0, 3))):
         key = draw(st.sampled_from(["dimA", "dimB", "re", "im"]))
-        kind = draw(st.sampled_from(["replace", "entry", "row", "drop", "wrap"]))
+        kind = draw(st.sampled_from(["replace", "entry", "boolean", "row", "drop", "wrap"]))
         if key not in payload:
             continue
         if kind == "replace":
@@ -104,6 +104,8 @@ def mutated_payload(draw):
             row = matrix[draw(st.integers(0, len(matrix) - 1))]
             if kind == "entry":
                 row[draw(st.integers(0, len(row) - 1))] = draw(junk)
+            elif kind == "boolean":
+                row[draw(st.integers(0, len(row) - 1))] = draw(st.booleans())
             elif draw(st.booleans()):
                 row.pop()
             else:
@@ -111,9 +113,23 @@ def mutated_payload(draw):
     return payload
 
 
+def _holds_boolean(value):
+    if isinstance(value, list):
+        return any(_holds_boolean(v) for v in value)
+    return isinstance(value, bool)
+
+
+def _boolean_payload():
+    """A valid two-qutrit file but for one boolean entry."""
+    payload = _payload((3, 3), 0)
+    payload["re"][0][0] = True
+    return payload
+
+
 @FUZZ
 @given(mutated_payload(), st.sampled_from(["plain", "truncated", "nested"]),
        st.integers(1, 300_000))
+@example(_boolean_payload(), "plain", 1)
 def test_mutated_state_files_fail_closed(payload, form, cut):
     text = json.dumps(payload)  # NaN and Infinity tokens included
     if form == "truncated":
@@ -126,6 +142,8 @@ def test_mutated_state_files_fail_closed(payload, form, cut):
         with np.errstate(all="ignore"):
             code, _, err = run(["invariants", str(path)], out)
         assert_fails_closed(code, out, err)
+        if isinstance(payload, dict) and any(_holds_boolean(payload.get(k)) for k in ("re", "im")):
+            assert code == 2, "a boolean matrix entry was read as a number"
 
 
 # ---------------------------------------------------------------------------

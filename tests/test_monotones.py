@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qutrit_invariants import monotones
 from qutrit_invariants.monotones import (
     MONOTONE_FUNCTIONALS,
     _margins,
@@ -140,6 +143,31 @@ def test_block_margins_match_per_trial_concavity(name):
         assert abs(block[k] - margin) <= 1e-12, (name, i)
 
 
+@pytest.mark.parametrize("name", ["Q2", "C3"])
+def test_block_draws_are_the_per_trial_draws(name, monkeypatch):
+    # the block at start = 64 draws, for each trial, bit for bit what
+    # random_state, sample_measurement and the side choice draw from the
+    # trial's own generator
+    dim, _ = monotone_functional(name)
+    seen = {}
+
+    def capture(state, pair, on_a, functional):
+        seen.update(state=state, pair=pair, on_a=on_a)
+        return np.zeros(len(on_a))
+
+    monkeypatch.setattr(monotones, "_margins", capture)
+    seed, start, stop = 9, 64, 128
+    _run_block((name, seed, start, stop))
+    for k, i in enumerate(range(start, stop)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        state = random_state(dim, dim, rng)
+        pair = sample_measurement(dim, rng)
+        assert seen["on_a"][k] == (rng.uniform() < 0.5)
+        assert seen["state"].rho[k].tobytes() == state.rho.tobytes(), i
+        for field in ("U1", "U2", "V", "singular_values", "E1", "E2"):
+            assert getattr(seen["pair"], field)[k].tobytes() == getattr(pair, field).tobytes()
+
+
 def test_block_kernel_skips_degenerate_pair():
     # the first operator annihilates |0>, so measuring |00><00| on side A
     # has a zero-probability branch; the maximally mixed state has none
@@ -193,6 +221,56 @@ def test_scalar_scan():
     assert scan["max_violation"] <= 1e-12
     assert scan["boundary_max_violation"] <= 1e-12
     assert scan["diagonal_equality_residual"] <= 1e-12
+
+
+def _full_grid_scan(resolution, samples, seed):
+    """The scan as one broadcast over the whole grid: the reference for the
+    slice-by-slice, once-per-resolution form."""
+    def lhs(a, b, c):
+        return ((a * b * c) ** (2.0 / 3.0)
+                + ((1 - a * a) * (1 - b * b) * (1 - c * c)) ** (1.0 / 3.0))
+
+    ax = np.linspace(0.0, 1.0, resolution + 2)[1:-1]
+    A, B, C = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
+    grid_max = float((lhs(A, B, C) - 1.0).max())
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.uniform(0, 1, size=(3, samples))
+    random_max = float((lhs(a, b, c) - 1.0).max())
+    F1, F2 = np.meshgrid(ax, ax, indexing="ij", sparse=True)
+    boundary_max = float(max((lhs(np.asarray(v), F1, F2) - 1.0).max() for v in (0.0, 1.0)))
+    return {
+        "resolution": resolution,
+        "random_samples": samples,
+        "seed": seed,
+        "max_violation": max(grid_max, random_max),
+        "boundary_max_violation": boundary_max,
+        "diagonal_equality_residual": float(np.abs(lhs(ax, ax, ax) - 1.0).max()),
+    }
+
+
+@pytest.mark.parametrize("resolution", [10, 40, 100])
+def test_scalar_scan_equals_the_full_grid(resolution):
+    for seed in (0, 7):
+        ref = _full_grid_scan(resolution, 5_000, seed)
+        assert scalar_inequality_scan(resolution, samples=5_000, seed=seed) == ref
+    # the grid part is computed once per resolution, whatever the seed
+    hits = monotones._grid_scan.cache_info().hits
+    again = scalar_inequality_scan(resolution, samples=5_000, seed=3)
+    assert monotones._grid_scan.cache_info().hits == hits + 1
+    for key in ("resolution", "boundary_max_violation", "diagonal_equality_residual"):
+        assert again[key] == ref[key]
+
+
+def test_scalar_scan_memory_stays_small():
+    # the full grid at 97 points per axis held about 21 MB of temporaries
+    monotones._grid_scan.cache_clear()
+    tracemalloc.start()
+    try:
+        scalar_inequality_scan(97)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_scalar_scan_symmetric_saturation():

@@ -10,6 +10,7 @@ from qutrit_invariants.states import (
     free_coordinates,
     from_coords,
     from_single_coords,
+    ginibre,
     load_state,
     physicality,
     random_local_sl,
@@ -175,6 +176,21 @@ def test_stacked_random_states_are_the_single_draws():
         assert np.array_equal(st[5].rho, singles[5].rho)
 
 
+@pytest.mark.parametrize("dim,size", [(9, 5), (3, 3), (2, 1), (3, 0)])
+def test_stacked_ginibre_is_the_single_draws(dim, size):
+    # one call for the stack draws exactly what size single calls draw, and
+    # a single call exactly the real parts, then the imaginary parts
+    a, b, c = (np.random.default_rng(17) for _ in range(3))
+    stack = ginibre(a, dim, size=size)
+    singles = [ginibre(b, dim) for _ in range(size)]
+    assert stack.shape == (size, dim, dim)
+    assert stack.tobytes() == b"".join(m.tobytes() for m in singles)
+    assert a.bit_generator.state == b.bit_generator.state
+    for m in singles:
+        two_calls = c.standard_normal((dim, dim)) + 1j * c.standard_normal((dim, dim))
+        assert m.tobytes() == two_calls.tobytes()
+
+
 def test_to_coords_stack_checks_every_matrix():
     rhos = np.stack([np.eye(9, dtype=complex) / 9] * 3)
     assert to_coords(rhos, 3, 3).ext.shape == (3, 9, 9)
@@ -316,6 +332,19 @@ def test_state_file_dimension_must_be_an_integer(dim, tmp_path):
         load_state(path)
     path.write_text(_state_text(3, 3))
     assert load_state(path).dimA == 3
+
+
+@pytest.mark.parametrize("entry", ["true", "false", '"0.5"', "null"])
+@pytest.mark.parametrize("part,where", [("re", '[[0.1111111111111111, '), ("im", '[[0.0, ')])
+def test_state_file_entries_must_be_numbers(entry, part, where, tmp_path):
+    # numpy would read true as 1.0 and "0.5" as 0.5
+    text = _state_text(3, 3)
+    head, tail = text.split(f'"{part}": ', 1)
+    assert tail.startswith(where)
+    path = tmp_path / "entries.json"
+    path.write_text(head + f'"{part}": [[{entry}, ' + tail[len(where):])
+    with pytest.raises(ValueError, match="JSON numbers"):
+        load_state(path)
 
 
 def test_state_file_validation(tmp_path):
