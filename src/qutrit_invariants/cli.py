@@ -100,6 +100,9 @@ def cmd_count(args):
     if args.pqs is not None and not (len(args.pqs) == 3 and args.pqs.isascii()
                                      and args.pqs.isdigit()):
         return _error(f"--pqs must be exactly three digits, got {args.pqs!r}")
+    if args.family == "graded" and (args.dim != 3 or args.max is not None):
+        return _error("count graded takes no --max and only --dim 3: it is the "
+                      "fixed table of the two-qutrit quartic gradings")
     if args.family in counting.MAX_DEGREE:
         # checked before any row, which may take seconds to compute
         limit = counting.MAX_DEGREE[args.family][args.dim]
@@ -126,8 +129,6 @@ def cmd_count(args):
                              "count": counting.count_graded_quartics(p, q, s),
                              "method": "plethysm singlet pairing",
                              "conjecture": False})
-        else:
-            raise ValueError(f"unknown family {args.family}")
     except ValueError as exc:
         return _error(exc)
     for row in rows:
@@ -234,14 +235,10 @@ def cmd_verify(args):
         "expansion": _verify_expansion,
         "monotone": _verify_monotone,
     }
-    try:
-        runner = suites[args.suite]
-    except KeyError:
-        return _error(f"unknown suite {args.suite}")
     problem = _verify_args_error(args)
     if problem:
         return _error(problem)
-    cert, ok = runner(args)
+    cert, ok = suites[args.suite](args)  # argparse allows only these suites
     report = {"suite": args.suite, "seed": args.seed, "trials": args.trials,
               "passed": bool(ok), "certificate": cert}
     if not ok:

@@ -3,15 +3,18 @@
 Every invariant is a complete contraction written in index notation.  An
 operand whose term starts with ``...`` may carry leading batch axes (a
 stack of states or of stencil points); the structure tensors never do.  The
-pairwise contraction order of each subscript string is searched once and
-reused for every later call and every batch size, including none (path
-search and reuse as in opt_einsum: Smith & Gray, JOSS 3(26):753, 2018).
+pairwise order of each subscript string and core shapes is searched once and
+compiled into transposes, reshapes and one matrix product per pair, run by
+every later call at any batch size (opt_einsum's contraction expressions:
+Smith & Gray, JOSS 3(26):753, 2018).  The products are the ones
+``np.einsum`` makes along that order: with at most one batch axis, the
+results are bit-for-bit equal.
 """
 
-from __future__ import annotations
-
 import sys
+from bisect import bisect_left
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -22,21 +25,88 @@ PLAN_BATCH = 64
 
 
 @lru_cache(maxsize=None)
-def _path(spec, core_shapes):
-    terms = spec.split("->")[0].split(",")
+def _core_ndims(spec):
+    return tuple(len(t.lstrip(".")) for t in spec.split("->")[0].split(","))
+
+
+@lru_cache(maxsize=None)
+def _plan(spec, core_shapes):
+    inputs, out = spec.split("->")
+    terms = inputs.split(",")
+    cores = [t.lstrip(".") for t in terms]
+    letters = "".join(cores) + out.lstrip(".")
+    # every index is summed between two terms or kept from one: no traces,
+    # no sums inside one term, no index of three terms, no batch summed away
+    if (len(cores) < 2 or any(len(set(c)) < len(c) for c in cores)
+            or any(letters.count(c) != 2 for c in letters)
+            or ("..." in inputs) != out.startswith("...")):
+        raise ValueError(f"contract does not support the subscripts {spec!r}")
+    size = dict(zip("".join(cores), sum(core_shapes, ())))
     operands = [np.broadcast_to(0.0, ((PLAN_BATCH,) if t.startswith("...") else ()) + s)
                 for t, s in zip(terms, core_shapes)]
     # no cap on intermediate size: the default cap (the largest operand)
     # forbids every pairwise order of the higher-degree invariants
-    return np.einsum_path(spec, *operands, optimize=("greedy", sys.maxsize))[0]
+    path = np.einsum_path(spec, *operands, optimize=("greedy", sys.maxsize))[0][1:]
+    # numpy's index order of each operand fixes the summation order and the
+    # order of the rows and columns; an intermediate's indices, its batch
+    # among them, are sorted by size
+    orders, fresh, steps = list(cores), len(cores), []  # operands below fresh are terms
+    for j, i in map(sorted, path):  # the later operand is the left factor
+        a, b = cores[i], cores[j]
+        summed = [c for c in orders[i] if c in b]
+        left = [c for c in orders[i] if c not in b]
+        right = [c for c in orders[j] if c not in a]
+        steps.append(((i, j), tuple(map(a.index, left + summed)),
+                      tuple(map(b.index, summed + right)), len(left), len(summed),
+                      *(prod(size[c] for c in g) for g in (left, summed, right)),
+                      tuple(size[c] for c in left + right),
+                      *(tuple(size[c] for c in g) if n >= fresh else ()
+                        for n, g in ((i, left), (j, right)))))
+        fresh -= (i < fresh) + (j < fresh)
+        cores, orders = ([x for n, x in enumerate(v) if n not in (i, j)] for v in (cores, orders))
+        cores.append("".join(left + right))
+        orders.append("".join(sorted(left + right, key=lambda c: (size[c], c))))
+    return tuple(steps), tuple(map(cores[0].index, out.lstrip(".")))
+
+
+def _moved(x, perm, at):
+    """``x`` with its core axes permuted by ``perm`` and its leading batch
+    axes moved to position ``at`` among them."""
+    nb = x.ndim - len(perm)
+    if not nb:
+        return x.transpose(perm)
+    core = tuple(p + nb for p in perm)
+    return x.transpose(core[:at] + tuple(range(nb)) + core[at:])
+
+
+def _pair(a, b, perm_a, perm_b, n_left, n_summed, l, k, r, shape, rows, cols):
+    """One step: a batch of both operands stays a stack of matrix products, a
+    batch of one is fused into its rows or columns, placed by their sizes."""
+    product = np.matmul if k > 1 else np.multiply  # nothing summed: elementwise
+    na, nb = a.ndim - len(perm_a), b.ndim - len(perm_b)
+    if na and nb:
+        c = product(_moved(a, perm_a, 0).reshape(a.shape[:na] + (l, k)),
+                    _moved(b, perm_b, 0).reshape(b.shape[:nb] + (k, r)))
+        return c.reshape(c.shape[:-2] + shape)
+    batch = a.shape[:na] + b.shape[:nb]
+    at_a, at_b = (bisect_left(g, prod(batch)) for g in (rows, cols))
+    c = product(_moved(a, perm_a, at_a).reshape(-1, k),
+                _moved(b, perm_b, n_summed + at_b).reshape(k, -1))
+    if not batch:
+        return c.reshape(shape)
+    at = at_a if na else n_left + at_b
+    c = c.reshape(shape[:at] + batch + shape[at:])
+    return np.moveaxis(c, range(at, at + len(batch)), range(len(batch)))
 
 
 def contract(spec, *operands):
-    """``np.einsum(spec, *operands)`` along the cached contraction order."""
-    terms = spec.split("->")[0].split(",")
-    core_shapes = tuple(op.shape[op.ndim - len(t.lstrip(".")):]
-                        for t, op in zip(terms, operands))
-    return np.einsum(spec, *operands, optimize=_path(spec, core_shapes))
+    """``np.einsum(spec, *operands)`` along the compiled contraction plan."""
+    core_shapes = tuple(op.shape[op.ndim - n:] for n, op in zip(_core_ndims(spec), operands))
+    steps, final = _plan(spec, core_shapes)
+    for (i, j), *step in steps:
+        c = _pair(operands[i], operands[j], *step)
+        operands = [op for n, op in enumerate(operands) if n not in (i, j)] + [c]
+    return _moved(operands[0], final, 0)
 
 
 def per_state(value, operand):

@@ -235,19 +235,11 @@ def sextic_by_matching(ext, first_group):
     first_group = tuple(first_group)
     if len(first_group) != 3 or not all(0 <= i < 6 for i in first_group):
         raise ValueError("first_group must name three of the six legs")
-    legs = 'abcdef'
-    bars = 'uvwxyz'
-    rest = tuple(i for i in range(6) if i not in first_group)
-    operands = [_DT, _DT]
-    subs = ['abc', 'def']
-    for i in range(6):
-        operands.append(ext)
-        subs.append(legs[i] + bars[i])
-    operands.append(_DT)
-    subs.append(''.join(bars[i] for i in first_group))
-    operands.append(_DT)
-    subs.append(''.join(bars[i] for i in rest))
-    return float(np.einsum(','.join(subs) + '->', *operands, optimize=True))
+    # legs abcdef on the plain side, their partners uvwxyz on the bar side
+    groups = (first_group, [i for i in range(6) if i not in first_group])
+    spec = 'abc,def,au,bv,cw,dx,ey,fz,' + ','.join(''.join('uvwxyz'[i] for i in g)
+                                                   for g in groups) + '->'
+    return float(np.einsum(spec, _DT, _DT, *[ext] * 6, _DT, _DT, optimize=True))
 
 
 CUBIC_CONSTANT_TERM = 1.0 / 324.0

@@ -12,14 +12,13 @@ generator, and the linear algebra of the whole block runs on stacks.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import lsl_qutrit, qubit
-from .states import BipartiteState, ginibre, hs_state, kron, special_unitary
+from .states import BipartiteState, _rng, ginibre, hs_state, kron, special_unitary
 from .states import random_state  # noqa: F401  (the benchmark traces it here)
 
 DEGENERATE_P = 1e-14
@@ -68,8 +67,7 @@ def sample_measurement(dim, seed, eps=SINGULAR_EPS):
     limits are exercised separately by explicit boundary cases)."""
     if dim not in (2, 3):
         raise ValueError("local dimension must be 2 or 3")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _pair_from_draws(*_measurement_draws(dim, rng, eps))
+    return _pair_from_draws(*_measurement_draws(dim, _rng(seed), eps))
 
 
 def assemble_measurement(U1, U2, V, singular_values):
@@ -145,33 +143,15 @@ def concavity_trial(state, pair, functional, side="A"):
 # Monotone functionals: each maps a coordinate matrix (..., d^2, d^2), or a
 # stack of them, to its values over the stack.
 
-def _c3_monotone(ext):
-    return np.abs(lsl_qutrit.cubic_invariant(ext)) ** (1.0 / 3.0)
-
-
-def _c6_monotone(ext):
-    return np.abs(lsl_qutrit.sextic_invariant(ext)) ** (1.0 / 6.0)
-
-
-def _c3_raw(ext):
-    # deliberate wrong-exponent control: homogeneity 3 instead of 1
-    return lsl_qutrit.cubic_invariant(ext)
-
-
-def _q_monotone(key, power):
-    def fn(ext):
-        return np.abs(qubit.q_invariants(ext)[key]) ** power
-    return fn
-
-
 MONOTONE_FUNCTIONALS = {
-    "C3": (3, _c3_monotone),
-    "C6": (3, _c6_monotone),
-    "C3_raw": (3, _c3_raw),
-    "Q2": (2, _q_monotone("Q2", 1.0 / 2.0)),
-    "Q4": (2, _q_monotone("Q4", 1.0 / 4.0)),
-    "Q4t": (2, _q_monotone("Q4t", 1.0 / 4.0)),
-    "Q6": (2, _q_monotone("Q6", 1.0 / 6.0)),
+    "C3": (3, lambda ext: np.abs(lsl_qutrit.cubic_invariant(ext)) ** (1.0 / 3.0)),
+    "C6": (3, lambda ext: np.abs(lsl_qutrit.sextic_invariant(ext)) ** (1.0 / 6.0)),
+    # deliberate wrong-exponent control: homogeneity 3 instead of 1
+    "C3_raw": (3, lambda ext: lsl_qutrit.cubic_invariant(ext)),
+    "Q2": (2, lambda ext: np.abs(qubit.q_invariants(ext)["Q2"]) ** (1.0 / 2.0)),
+    "Q4": (2, lambda ext: np.abs(qubit.q_invariants(ext)["Q4"]) ** (1.0 / 4.0)),
+    "Q4t": (2, lambda ext: np.abs(qubit.q_invariants(ext)["Q4t"]) ** (1.0 / 4.0)),
+    "Q6": (2, lambda ext: np.abs(qubit.q_invariants(ext)["Q6"]) ** (1.0 / 6.0)),
 }
 
 
@@ -224,6 +204,8 @@ def run_trials(name, trials, seed, workers=1, tol=1e-9):
     jobs = [(name, seed, start, stop) for start, stop in trial_blocks(trials)]
     workers = min(workers, len(jobs))
     if workers > 1:
+        # imported here: loading multiprocessing costs every other process
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_block, jobs))
     else:
@@ -260,8 +242,7 @@ def wrong_exponent_counterexample():
     """
     dim = 3
     phi = np.zeros(9, dtype=complex)
-    for i in range(3):
-        phi[3 * i + i] = 1.0 / np.sqrt(3.0)
+    phi[[0, 4, 8]] = 1.0 / np.sqrt(3.0)  # |00> + |11> + |22>
     entangled = np.outer(phi, phi.conj())
     product = np.zeros((9, 9), dtype=complex)
     product[0, 0] = 1.0

@@ -76,11 +76,8 @@ def build_structure_tensors(dim):
     evaluated once per sorted index triple and spread over all permutations,
     so total (anti)symmetry holds exactly.
     """
-    if dim == 2:
-        lams = PAULI
-    elif dim == 3:
-        lams = GELL_MANN
-    else:
+    lams = {2: PAULI, 3: GELL_MANN}.get(dim)
+    if lams is None:
         raise ValueError(f"unsupported local dimension {dim}")
     n = dim * dim - 1
     f = np.zeros((n, n, n))

@@ -2,8 +2,9 @@
 
 Works directly with monomial expansions in 7 variables (faithful for
 weights up to 6).  Schur polynomials come from semistandard tableau
-enumeration, characters from decomposing power-sum products, so nothing
-here shares code with the package's Murnaghan-Nakayama/power-sum engine.
+enumeration, characters from decomposing power-sum products, and Kronecker
+coefficients from the inner product of those characters, so nothing here
+shares code with the package's Murnaghan-Nakayama/power-sum engine.
 """
 
 from fractions import Fraction
@@ -142,17 +143,20 @@ def oracle_outer(lam, mu):
 
 
 def oracle_kron(lam, mu):
+    """Kronecker coefficients g(lam, mu, nu) as the character inner product
+    sum over rho of chi^lam(rho) chi^mu(rho) chi^nu(rho) / z_rho, on the
+    oracle's own character table."""
     n = sum(lam)
     if n != sum(mu):
         return {}
-    acc = {}
-    for rho in _partitions(n):
-        coeff = Fraction(oracle_char(lam, rho) * oracle_char(mu, rho), zclass(rho))
-        if coeff:
-            acc = poly_add(acc, p_of_type(rho), scale=coeff)
-    dec = schur_decompose(acc)
-    assert all(Fraction(c).denominator == 1 for c in dec.values())
-    return {k: int(c) for k, c in dec.items()}
+    out = {}
+    for nu in _partitions(n):
+        g = sum(Fraction(oracle_char(lam, rho) * oracle_char(mu, rho) * oracle_char(nu, rho),
+                         zclass(rho)) for rho in _partitions(n))
+        assert g.denominator == 1
+        if g:
+            out[nu] = int(g)
+    return out
 
 
 def oracle_plethysm(outer_lam, inner_mu):

@@ -1,5 +1,8 @@
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -157,12 +160,10 @@ def test_verify_rejects_vacuous_trials(suite, trials, tmp_path, capsys):
 
 
 def test_verify_worker_bounds_start_no_process(monkeypatch, capsys):
-    from qutrit_invariants import monotones
-
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(monotones, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     cpus = os.cpu_count() or 1
     for workers in (0, -1, cpus + 1, 10 ** 9):
         assert main(["verify", "monotone", "--trials", "10",
@@ -263,6 +264,24 @@ def test_count_rejects_unsupported_max_before_any_row(argv, monkeypatch, capsys)
     assert "--max must be at most" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--pqs", "004", "--dim", "2"], ["--dim", "2"],
+                                  ["--max", "40"], ["--max", "4"], ["--max", "0"],
+                                  ["--pqs", "004", "--max", "4"]])
+def test_count_graded_refuses_dim_and_max_before_any_row(argv, monkeypatch, capsys, tmp_path):
+    _refuse_work(monkeypatch)
+    out = tmp_path / "graded.json"
+    assert main(["count", "graded", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "count graded takes no --max and only --dim 3" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_count_graded_accepts_the_default_dim(capsys):
+    assert main(["count", "graded", "--pqs", "004", "--dim", "3"]) == 0
+    assert capsys.readouterr().out.split()[:2] == ["004", "5"]
+
+
 def test_count_computes_every_row_up_to_the_limit(monkeypatch, capsys):
     calls = _count_rows(monkeypatch)
     assert main(["count", "lu", "--dim", "3", "--max", "5"]) == 0
@@ -292,3 +311,14 @@ def test_verify_violation_is_reported_on_stderr(tmp_path, capsys):
                  "--out", str(out)]) == 3
     assert "did not pass" in capsys.readouterr().err
     assert _strict(out.read_text())["passed"] is False
+
+
+def test_import_loads_no_process_pool():
+    # the pool and multiprocessing are imported only by a run with workers
+    code = ("import sys, qutrit_invariants, qutrit_invariants.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', "
+            "'concurrent.futures.process'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,0 +1,135 @@
+"""The compiled contraction plans of ``contract`` against ``np.einsum``."""
+
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qutrit_invariants
+from qutrit_invariants import contract as contract_module
+from qutrit_invariants.contract import contract
+
+# every subscript string written in the package
+SPECS = sorted({spec for path in Path(qutrit_invariants.__file__).parent.glob("*.py")
+                for spec in re.findall(r"'([A-Za-z.,]+->[A-Za-z.]*)'", path.read_text())})
+SIZES = (2, 3, 4)
+
+
+def operands(spec, batch, rng, complex_batched=False, sizes=SIZES):
+    """Random operands of ``spec``: batched terms get ``batch`` in front, and
+    each index gets one of ``sizes`` by its letter."""
+    ops = []
+    for term in spec.split("->")[0].split(","):
+        shape = tuple(sizes[ord(c) % 3] for c in term.lstrip("."))
+        if term.startswith("..."):
+            shape = batch + shape
+        x = rng.standard_normal(shape)
+        if complex_batched and term.startswith("..."):
+            x = x + 1j * rng.standard_normal(shape)
+        ops.append(x)
+    return ops
+
+
+def assert_matches_einsum(spec, ops):
+    got = contract(spec, *ops)
+    want = np.einsum(spec, *ops, optimize=False)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(want).max(initial=0)))
+
+
+def test_specs_are_found():
+    assert len(SPECS) >= 40
+    assert "...ipjq,...kqlr,...jris,...lskp->..." in SPECS
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("batch", [(), (64,), (0,), (3, 5)], ids=["one", "64", "empty", "3x5"])
+def test_plan_matches_einsum(spec, batch):
+    rng = np.random.default_rng(SPECS.index(spec))
+    assert_matches_einsum(spec, operands(spec, batch, rng))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_plan_matches_einsum_complex(spec):
+    # complex batched operands against real structure tensors, as the
+    # K004 chains and the coordinate maps use
+    rng = np.random.default_rng(1)
+    assert_matches_einsum(spec, operands(spec, (7,), rng, complex_batched=True))
+
+
+def test_mixed_batched_and_unbatched_operands():
+    rng = np.random.default_rng(2)
+    d = rng.standard_normal((8, 8, 8))
+    r = rng.standard_normal((8,))          # a '...' term without batch axes
+    R = rng.standard_normal((10, 8, 8))
+    rbar = rng.standard_normal((10, 8))
+    spec = 'abc,...a,...bd,...cd->...'
+    assert_matches_einsum(spec, [d, r, R, R])
+    assert_matches_einsum('...a,...ab,...b->...', [r, R, rbar])
+
+
+def test_non_contiguous_views():
+    rng = np.random.default_rng(3)
+    ext = rng.standard_normal((16, 9, 9))
+    r, rbar, R = ext[:, 1:, 0], ext[:, 0, 1:], ext[:, 1:, 1:]
+    d = rng.standard_normal((8, 8, 8))
+    assert not r.flags.c_contiguous
+    assert_matches_einsum('abc,...a,...bd,...cd->...', [d, r, R, R])
+    assert_matches_einsum('...a,...ab,...b->...', [r, R.swapaxes(-1, -2), rbar])
+    assert_matches_einsum('abc,...ab,...dc,...d->...', [d, R @ R, R.swapaxes(-1, -2), r])
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_bits_equal_einsum_along_the_same_order(spec):
+    # the steps make numpy's own matrix products along the cached order,
+    # batch 5 falling among the index sizes of the intermediates
+    rng = np.random.default_rng(SPECS.index(spec))
+    for sizes in [(2, 3, 4), (3, 8, 9)]:
+        planned = operands(spec, (contract_module.PLAN_BATCH,), rng, sizes=sizes)
+        path = np.einsum_path(spec, *planned, optimize=("greedy", sys.maxsize))[0]
+        for batch in [(), (5,), (64,)]:
+            for complex_batched in (False, True):
+                ops = operands(spec, batch, rng, complex_batched, sizes)
+                assert np.array_equal(contract(spec, *ops), np.einsum(spec, *ops, optimize=path))
+
+
+def test_one_path_search_per_spec_and_shapes(monkeypatch):
+    calls = []
+    einsum_path = np.einsum_path
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return einsum_path(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", counting)
+    contract_module._plan.cache_clear()
+    spec = 'abc,...a,...b,...C,...cC->...'
+    rng = np.random.default_rng(5)
+    d = rng.standard_normal((6, 7, 5))
+    x, y, z = (rng.standard_normal((200, n)) for n in (6, 7, 9))
+    R = rng.standard_normal((200, 5, 9))
+    contract(spec, d, x[:64], y[:64], z[:64], R[:64])
+    assert calls == [spec]
+    contract(spec, d, x[:64], y[:64], z[:64], R[:64])
+    assert calls == [spec]
+    # a new batch size, or none, reuses the plan
+    for n in (1, 3, 200):
+        contract(spec, d, x[:n], y[:n], z[:n], R[:n])
+    contract(spec, d, x[0], y[0], z[0], R[0])
+    assert calls == [spec]
+
+
+@pytest.mark.parametrize("spec", [
+    'aab,b->a',          # repeated index inside one term
+    'ab,bc->a',          # index of one term summed away
+    'ab,bc,bd->acd',     # index shared by three terms
+    '...ab,ab->',        # batch axes summed away
+    '...ab->...ab',      # one operand
+])
+def test_unsupported_specs_raise(spec):
+    rng = np.random.default_rng(6)
+    ops = operands(spec, (4,), rng)
+    with pytest.raises(ValueError, match="does not support"):
+        contract(spec, *ops)

@@ -7,6 +7,7 @@ counts stay within one block and the process pool is replaced by one that
 refuses to start.
 """
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -39,7 +40,7 @@ def run(argv, out):
     stdout, stderr = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        mp.setattr(monotones, "ProcessPoolExecutor", _no_pool)
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
         try:
             code = main(argv + ["--out", str(out)])
         except SystemExit as exc:  # argparse rejects the arguments

@@ -286,12 +286,29 @@ def test_outer_exhaustive_weight_6():
                         (lam, mu)
 
 
-def test_kronecker_exhaustive_weight_6():
+def _check_kronecker_weight_6(kron):
     for n in range(1, 7):
         for lam in partitions(n):
             for mu in partitions(n):
-                assert kronecker(S(*lam), S(*mu)).terms == oracle_kron(lam, mu), \
+                assert kron(S(*lam), S(*mu)).terms == oracle_kron(lam, mu), \
                     (lam, mu)
+
+
+def test_kronecker_exhaustive_weight_6():
+    _check_kronecker_weight_6(kronecker)
+
+
+def test_kronecker_oracle_catches_one_wrong_coefficient():
+    # g((3,2,1), (3,2,1), (3,2,1)) = 5; report 4 for that one pair only
+    def faulty(a, b):
+        out = kronecker(a, b)
+        if a.terms == b.terms == {(3, 2, 1): 1}:
+            out = out + SchurExpr({(3, 2, 1): -1})
+        return out
+
+    assert kronecker(S(3, 2, 1), S(3, 2, 1)).terms[(3, 2, 1)] == 5
+    with pytest.raises(AssertionError, match=r"\(3, 2, 1\)"):
+        _check_kronecker_weight_6(faulty)
 
 
 def test_plethysm_exhaustive_weight_6():
