@@ -257,10 +257,6 @@ def build_parser():
     def common(p):
         p.add_argument("--seed", type=int, default=0,
                        help="64-bit seed echoed into the output")
-        p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the default tolerance")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", help="write the JSON report to this path")
 
     p = sub.add_parser("invariants", help="evaluate invariants on a state file")
@@ -282,6 +278,10 @@ def build_parser():
     p.add_argument("suite", choices=["tensors", "algebra", "expansion", "monotone"])
     p.add_argument("--functional", default="C3",
                    choices=sorted(monotones.MONOTONE_FUNCTIONALS))
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--tol", type=float, default=None,
+                   help="override the default tolerance")
+    p.add_argument("--workers", type=int, default=1)
     common(p)
     p.set_defaults(fn=cmd_verify)
     return parser

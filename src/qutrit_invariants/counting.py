@@ -9,17 +9,17 @@ flagged as a conjecture in its report.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 from .symfunc import (
     SchurExpr,
+    _collect,
     character,
+    class_sum,
     partitions,
     plethysm,
     product_power_plethysm,
     plethysm_series,
     sun_modify,
-    zclass,
 )
 
 ADJOINT = SchurExpr.schur((2, 1))
@@ -58,21 +58,14 @@ def count_lu_pure(K, D, n):
     trivial representation in the K-fold inner product of the rectangular
     character (r^D), r = n/D.
     """
-    if K > 4 or D not in (2, 3) or n > 12 or n < 0:
-        raise ValueError("supported range: K <= 4, D in {2,3}, n <= 12")
+    if not 1 <= K <= 4 or D not in (2, 3) or not 0 <= n <= 12:
+        raise ValueError("supported range: 1 <= K <= 4, D in {2,3}, 0 <= n <= 12")
     if n == 0:
         return 1
     if n % D:
         return 0
-    r = n // D
-    tau = (r,) * D
-    total = Fraction(0)
-    for rho in partitions(n):
-        chi = character(tau, rho)
-        if chi:
-            total += Fraction(chi ** K, zclass(rho))
-    assert total.denominator == 1
-    return int(total)
+    tau = (n // D,) * D
+    return class_sum(n, lambda rho: character(tau, rho) ** K)
 
 
 def count_lu_mixed(D, n):
@@ -84,35 +77,22 @@ def count_lu_mixed(D, n):
     D rows.
     """
     _check_degree("lu", D, n)
-    if n == 0:
-        return 1
-    classes = partitions(n)
-    total = 0
-    for tau in partitions(n, max_len=D * D):
-        inner = Fraction(0)
-        for sigma in partitions(n, max_len=D):
-            inner += sum(
-                (Fraction(character(sigma, rho) ** 2 * character(tau, rho),
-                          zclass(rho)) for rho in classes),
-                Fraction(0),
-            )
-        assert inner.denominator == 1
-        total += int(inner) ** 2
-    return total
+    squares = {rho: sum(character(sigma, rho) ** 2 for sigma in partitions(n, max_len=D))
+               for rho in partitions(n)}
+    return sum(class_sum(n, lambda rho: squares[rho] * character(tau, rho)) ** 2
+               for tau in partitions(n, max_len=D * D))
 
 
 def su3_conjugate(expr):
     """Contragredient of an SU(3)-reduced character: (a, b) -> (a, a-b)."""
-    out = SchurExpr()
-    for lam, c in expr.terms.items():
-        if len(lam) > 2:
-            raise ValueError("conjugation expects SU(3)-reduced partitions")
-        a = lam[0] if lam else 0
-        b = lam[1] if len(lam) > 1 else 0
-        conj = tuple(x for x in (a, a - b) if x)
-        out.terms[conj] = out.terms.get(conj, 0) + c
-    out.terms = {k: v for k, v in out.terms.items() if v}
-    return out
+    if any(len(lam) > 2 for lam in expr.terms):
+        raise ValueError("conjugation expects SU(3)-reduced partitions")
+
+    def dual(lam):
+        a, b = (lam + (0, 0))[:2]
+        return tuple(x for x in (a, a - b) if x)
+
+    return SchurExpr._of(_collect((dual(lam), c) for lam, c in expr.terms.items()))
 
 
 def _su3_singlets(x, y):

@@ -11,8 +11,10 @@ Murnaghan-Nakayama recursion.  Everything is exact; no floats appear.
 from __future__ import annotations
 
 import re
+from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import chain
 from math import factorial
 
 # Hard caps keep the memoized tables small: nothing in this package needs
@@ -25,8 +27,12 @@ SERIES_WEIGHT_LIMIT = 12
 def as_partition(parts):
     """Normalize ``parts`` to a tuple of weakly decreasing positive ints.
 
-    Trailing zeros are stripped; anything else invalid raises ValueError.
+    Trailing zeros are stripped; anything else invalid, a part that is not
+    an integer included, raises ValueError.
     """
+    parts = tuple(parts)
+    if any(p != int(p) for p in parts):
+        raise ValueError(f"partition parts must be integers: {parts!r}")
     t = tuple(int(p) for p in parts)
     while t and t[-1] == 0:
         t = t[:-1]
@@ -38,12 +44,11 @@ def as_partition(parts):
 
 
 @lru_cache(maxsize=None)
-def partitions(n, max_len=None, max_part=None):
-    """All partitions of ``n`` as tuples, first part bounded by ``max_part``
-    and length by ``max_len``; descending lexicographic order."""
+def partitions(n, max_len=None):
+    """All partitions of ``n`` as tuples, length bounded by ``max_len``;
+    descending lexicographic order."""
     if n < 0:
         return ()
-    cap = n if max_part is None else min(n, max_part)
     out = []
 
     def rec(remaining, largest, prefix):
@@ -55,19 +60,37 @@ def partitions(n, max_len=None, max_part=None):
         for first in range(min(remaining, largest), 0, -1):
             rec(remaining - first, first, prefix + (first,))
 
-    rec(n, cap, ())
+    rec(n, n, ())
     return tuple(out)
 
 
 def zclass(rho):
     """Centralizer order of the conjugacy class with cycle type ``rho``."""
     z = 1
-    mult = {}
-    for k in rho:
-        mult[k] = mult.get(k, 0) + 1
-    for k, m in mult.items():
+    for k, m in Counter(rho).items():
         z *= k ** m * factorial(m)
     return z
+
+
+def class_sum(n, fn):
+    """Exact average of the class function ``fn`` over S_n: the sum over
+    cycle types rho of fn(rho) * (n!/z_rho), divided by n!, in integers.
+
+    Raises ArithmeticError when the average is not an integer.
+    """
+    order = factorial(n)
+    total = sum(fn(rho) * (order // zclass(rho)) for rho in partitions(n))
+    if total % order:
+        raise ArithmeticError(f"class sum over S_{n} is not an integer")
+    return total // order
+
+
+def _collect(pairs):
+    """Sum the values of equal keys in ``pairs``, dropping zero sums."""
+    acc = defaultdict(int)
+    for key, value in pairs:
+        acc[key] += value
+    return {key: value for key, value in acc.items() if value}
 
 
 def _border_strips(lam, k):
@@ -109,21 +132,22 @@ class SchurExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for lam, c in items:
-                lam = as_partition(lam)
-                if c != int(c):
-                    raise ValueError(f"non-integer coefficient {c!r}")
-                data[lam] = data.get(lam, 0) + int(c)
-        self.terms = {k: v for k, v in data.items() if v}
+        items = list(terms.items() if isinstance(terms, dict) else terms or ())
+        for _, c in items:
+            if c != int(c):
+                raise ValueError(f"non-integer coefficient {c!r}")
+        self.terms = _collect((as_partition(lam), int(c)) for lam, c in items)
+
+    @classmethod
+    def _of(cls, terms):
+        """Wrap ``terms``, already keyed by partitions with nonzero ints."""
+        e = cls.__new__(cls)
+        e.terms = terms
+        return e
 
     @classmethod
     def schur(cls, parts):
-        e = cls()
-        e.terms = {as_partition(parts): 1}
-        return e
+        return cls._of({as_partition(parts): 1})
 
     @classmethod
     def zero(cls):
@@ -132,13 +156,8 @@ class SchurExpr:
     def coefficient(self, parts):
         return self.terms.get(as_partition(parts), 0)
 
-    def weights(self):
-        return sorted({sum(lam) for lam in self.terms})
-
     def weight_part(self, n):
-        e = SchurExpr()
-        e.terms = {lam: c for lam, c in self.terms.items() if sum(lam) == n}
-        return e
+        return SchurExpr._of({lam: c for lam, c in self.terms.items() if sum(lam) == n})
 
     def __bool__(self):
         return bool(self.terms)
@@ -147,15 +166,7 @@ class SchurExpr:
         return isinstance(other, SchurExpr) and self.terms == other.terms
 
     def __add__(self, other):
-        e = SchurExpr()
-        e.terms = dict(self.terms)
-        for lam, c in other.terms.items():
-            v = e.terms.get(lam, 0) + c
-            if v:
-                e.terms[lam] = v
-            else:
-                e.terms.pop(lam, None)
-        return e
+        return SchurExpr._of(_collect(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -163,10 +174,7 @@ class SchurExpr:
     def __rmul__(self, scalar):
         if scalar != int(scalar):
             raise ValueError("only integer scalars are supported")
-        e = SchurExpr()
-        if int(scalar):
-            e.terms = {lam: int(scalar) * c for lam, c in self.terms.items()}
-        return e
+        return SchurExpr._of(_collect((lam, int(scalar) * c) for lam, c in self.terms.items()))
 
     def __mul__(self, other):
         if isinstance(other, SchurExpr):
@@ -217,10 +225,7 @@ def _strip_chains(lam, mu):
 
             place(0, size, [], 0, 0)
         states = nxt
-    results = {}
-    for (shape, _), mult in states.items():
-        results[shape] = results.get(shape, 0) + mult
-    return results
+    return _collect((shape, mult) for (shape, _), mult in states.items())
 
 
 @lru_cache(maxsize=None)
@@ -233,40 +238,18 @@ def _lr_product(lam, mu):
 
 def outer(a, b):
     """Pointwise (Littlewood-Richardson) product of two expressions."""
-    out = SchurExpr()
-    acc = out.terms
-    for lam, ca in a.terms.items():
-        for mu, cb in b.terms.items():
-            c = ca * cb
-            for nu, k in _lr_product(lam, mu):
-                v = acc.get(nu, 0) + c * k
-                if v:
-                    acc[nu] = v
-                else:
-                    acc.pop(nu, None)
-    return out
+    return SchurExpr._of(_collect(
+        (nu, ca * cb * k)
+        for lam, ca in a.terms.items() for mu, cb in b.terms.items()
+        for nu, k in _lr_product(lam, mu)))
 
 
 def skew(a, b):
     """Skew {lam}/{mu} extended bilinearly: sum of C^lam_{mu,nu} {nu}."""
-    out = SchurExpr()
-    acc = out.terms
-    for lam, ca in a.terms.items():
-        for mu, cb in b.terms.items():
-            n = sum(lam) - sum(mu)
-            if n < 0:
-                continue
-            c = ca * cb
-            for nu in partitions(n):
-                k = dict(_lr_product(mu, nu)).get(lam, 0)
-                if not k:
-                    continue
-                v = acc.get(nu, 0) + c * k
-                if v:
-                    acc[nu] = v
-                else:
-                    acc.pop(nu, None)
-    return out
+    return SchurExpr._of(_collect(
+        (nu, ca * cb * dict(_lr_product(mu, nu)).get(lam, 0))
+        for lam, ca in a.terms.items() for mu, cb in b.terms.items()
+        for nu in partitions(sum(lam) - sum(mu))))
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +268,13 @@ def _schur_term_to_p(lam):
 
 
 def _expr_to_p(expr):
-    acc = {}
-    for lam, c in expr.terms.items():
-        for rho, q in _schur_term_to_p(lam).items():
-            v = acc.get(rho, 0) + c * q
-            if v:
-                acc[rho] = v
-            else:
-                acc.pop(rho, None)
-    return acc
+    return _collect((rho, c * q) for lam, c in expr.terms.items()
+                    for rho, q in _schur_term_to_p(lam).items())
 
 
 def _p_mul(p1, p2):
-    acc = {}
-    for r1, c1 in p1.items():
-        for r2, c2 in p2.items():
-            key = tuple(sorted(r1 + r2, reverse=True))
-            v = acc.get(key, 0) + c1 * c2
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
-    return acc
+    return _collect((tuple(sorted(r1 + r2, reverse=True)), c1 * c2)
+                    for r1, c1 in p1.items() for r2, c2 in p2.items())
 
 
 def _p_scale_parts(p, k):
@@ -315,21 +283,21 @@ def _p_scale_parts(p, k):
 
 
 def _p_to_schur(p):
+    """Schur expansion of a power-sum expansion; each weight is one block
+    of class functions, so every Schur coefficient is found once."""
     by_weight = {}
     for rho, c in p.items():
         by_weight.setdefault(sum(rho), {})[rho] = c
-    out = SchurExpr()
+    terms = {}
     for n, block in by_weight.items():
         for lam in partitions(n):
             coeff = sum((c * character(lam, rho) for rho, c in block.items()),
                         Fraction(0))
+            if coeff.denominator != 1:
+                raise ArithmeticError(f"non-integral Schur coefficient {coeff} at {lam}")
             if coeff:
-                if coeff.denominator != 1:
-                    raise ArithmeticError(
-                        f"non-integral Schur coefficient {coeff} at {lam}")
-                out.terms[lam] = out.terms.get(lam, 0) + int(coeff)
-    out.terms = {k: v for k, v in out.terms.items() if v}
-    return out
+                terms[lam] = int(coeff)
+    return SchurExpr._of(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +311,10 @@ def kronecker(a, b):
             if sum(lam) > KRONECKER_WEIGHT_LIMIT:
                 raise ValueError(
                     f"inner product supported up to weight {KRONECKER_WEIGHT_LIMIT}")
-    out = SchurExpr()
-    weights = set(a.weights()) & set(b.weights())
-    for n in weights:
-        pa = _expr_to_p(a.weight_part(n))
-        pb = _expr_to_p(b.weight_part(n))
-        prod = {}
-        for rho, ca in pa.items():
-            cb = pb.get(rho)
-            if cb:
-                prod[rho] = ca * cb * zclass(rho)
-        out = out + _p_to_schur(prod)
-    return out
+    # p_rho * p_sigma is z_rho p_rho when rho == sigma and 0 otherwise
+    pa, pb = _expr_to_p(a), _expr_to_p(b)
+    return _p_to_schur({rho: ca * pb[rho] * zclass(rho)
+                        for rho, ca in pa.items() if rho in pb})
 
 
 def plethysm(a, b):
@@ -363,28 +323,18 @@ def plethysm(a, b):
     plethysm(S(n), x) is the {n}-symmetrized power of x; the classical
     product notation x (x) {n} corresponds to plethysm(S(n), x).
     """
-    if b.terms:
-        wmax = max(sum(lam) for lam in b.terms)
-    else:
-        wmax = 0
+    wmax = max((sum(lam) for lam in b.terms), default=0)
+    if any(sum(lam) * wmax > PLETHYSM_WEIGHT_LIMIT for lam in a.terms):
+        raise ValueError(f"plethysm supported up to output weight {PLETHYSM_WEIGHT_LIMIT}")
     bp = _expr_to_p(b)
-    acc = {}
-    for lam, c in a.terms.items():
-        if sum(lam) * wmax > PLETHYSM_WEIGHT_LIMIT:
-            raise ValueError(
-                f"plethysm supported up to output weight {PLETHYSM_WEIGHT_LIMIT}")
-        for rho, q in _schur_term_to_p(lam).items():
-            prod = {(): Fraction(1)}
-            for k in rho:
-                prod = _p_mul(prod, _p_scale_parts(bp, k))
-            cq = c * q
-            for key, v in prod.items():
-                w = acc.get(key, 0) + cq * v
-                if w:
-                    acc[key] = w
-                else:
-                    acc.pop(key, None)
-    return _p_to_schur(acc)
+
+    def composed(rho):  # p_rho[b]: the product of p_k[b] over the parts k of rho
+        return reduce(_p_mul, (_p_scale_parts(bp, k) for k in rho), {(): Fraction(1)})
+
+    return _p_to_schur(_collect((key, c * q * v)
+                                for lam, c in a.terms.items()
+                                for rho, q in _schur_term_to_p(lam).items()
+                                for key, v in composed(rho).items()))
 
 
 def product_power_plethysm(a, b, n):
@@ -408,25 +358,20 @@ def sun_modify(a, N):
     full columns of length N, merging coefficients."""
     if N not in (2, 3):
         raise ValueError("only SU(2) and SU(3) are supported")
-    out = SchurExpr()
-    acc = out.terms
-    for lam, c in a.terms.items():
-        if len(lam) > N:
-            continue
-        if len(lam) == N:
-            m = lam[-1]
-            lam = tuple(x - m for x in lam if x - m > 0)
-        v = acc.get(lam, 0) + c
-        if v:
-            acc[lam] = v
-        else:
-            acc.pop(lam, None)
-    return out
+
+    def stripped(lam):
+        m = lam[-1] if len(lam) == N else 0
+        return tuple(x - m for x in lam if x > m)
+
+    return SchurExpr._of(_collect((stripped(lam), c) for lam, c in a.terms.items()
+                                  if len(lam) <= N))
 
 
 def plethysm_series(k, max_weight):
     """Truncated series of all symmetrized powers of the one-row Schur
     function {k}: sum over n of plethysm(S(n), S(k)) up to max_weight."""
+    if k < 1:
+        raise ValueError(f"the one-row Schur function needs k >= 1, got {k}")
     if max_weight > SERIES_WEIGHT_LIMIT:
         raise ValueError(f"series supported up to weight {SERIES_WEIGHT_LIMIT}")
     total = SchurExpr.schur(())

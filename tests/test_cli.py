@@ -106,6 +106,19 @@ def test_count_out_of_bounds(capsys):
     assert main(["count", "lu", "--dim", "3", "--max", "9"]) == 2
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--trials", "5"), ("--tol", "1e-9"), ("--workers", "1"),
+])
+def test_verify_only_options_are_refused_elsewhere(option, value, mm33, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    for argv in (["invariants", mm33], ["count", "lu", "--dim", "3", "--max", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_verify_expansion(tmp_path):
     out = tmp_path / "cert.json"
     assert main(["verify", "expansion", "--trials", "50",

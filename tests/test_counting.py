@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qutrit_invariants.counting import (
@@ -8,7 +10,7 @@ from qutrit_invariants.counting import (
     count_lu_pure,
     su3_conjugate,
 )
-from qutrit_invariants.symfunc import S
+from qutrit_invariants.symfunc import S, character, class_sum, partitions, zclass
 
 
 def expand_rational_series(numerator, den_factors, order):
@@ -46,6 +48,38 @@ def test_lu_pure_bounds():
         count_lu_pure(5, 2, 4)
     with pytest.raises(ValueError):
         count_lu_pure(4, 2, 13)
+    for K in (0, -1):
+        with pytest.raises(ValueError):
+            count_lu_pure(K, 2, 4)
+    with pytest.raises(ValueError):
+        count_lu_pure(2, 3, -3)
+
+
+def fraction_class_sum(n, fn):
+    return sum((Fraction(fn(rho), zclass(rho)) for rho in partitions(n)), Fraction(0))
+
+
+def test_class_sum_matches_the_rational_sum_of_both_counts():
+    for n in range(1, 9):
+        for K in (1, 2, 3, 4):
+            for D in (2, 3):
+                if n % D:
+                    continue
+                tau = (n // D,) * D
+                fn = lambda rho: character(tau, rho) ** K  # noqa: E731
+                assert class_sum(n, fn) == fraction_class_sum(n, fn)
+        for D in (2, 3):
+            for sigma in partitions(n, max_len=D):
+                for tau in partitions(n, max_len=D * D):
+                    fn = lambda rho: character(sigma, rho) ** 2 * character(tau, rho)  # noqa: E731
+                    assert class_sum(n, fn) == fraction_class_sum(n, fn)
+
+
+def test_class_sum_refuses_a_non_integer_average():
+    # the indicator of the identity class of S_3 averages to 1/6
+    with pytest.raises(ArithmeticError):
+        class_sum(3, lambda rho: 1 if rho == (1, 1, 1) else 0)
+    assert class_sum(3, lambda rho: 1) == 1
 
 
 def test_lu_mixed_qutrit_series():

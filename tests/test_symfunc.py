@@ -1,9 +1,12 @@
+import threading
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qutrit_invariants.symfunc import (
     S,
     SchurExpr,
+    as_partition,
     character,
     format_expr,
     kronecker,
@@ -126,6 +129,14 @@ def test_kronecker_associative():
         assert kronecker(kronecker(x, y), z) == kronecker(x, kronecker(y, z))
 
 
+def test_kronecker_of_mixed_weights_is_the_sum_of_per_weight_products():
+    # terms of unequal weight annihilate, so only the equal-weight pairs add up
+    a, b = S(2) + 3 * S(2, 1), S(1, 1) + S(3) - S(2, 1)
+    per_weight = kronecker(S(2), S(1, 1)) + 3 * kronecker(S(2, 1), S(3) - S(2, 1))
+    assert kronecker(a, b) == per_weight
+    assert kronecker(S(2) + S(2, 1), S(1, 1) + S(3)) == S(1, 1) + S(2, 1)
+
+
 # ---------------------------------------------------------------------------
 # plethysm
 
@@ -199,6 +210,38 @@ def test_series_truncations():
     assert set(w12.terms.values()) == {1}
     with pytest.raises(ValueError):
         plethysm_series(3, 13)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_series_refuses_non_positive_k_promptly(k):
+    # {0} is the unit, so the series would never pass max_weight
+    raised = []
+
+    def call():
+        try:
+            plethysm_series(k, 6)
+        except ValueError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), f"plethysm_series({k}, 6) did not return"
+    assert raised
+
+
+@pytest.mark.parametrize("build", [
+    lambda: as_partition((2.5, 1.9)),
+    lambda: S(2.7),
+    lambda: SchurExpr({(3.2,): 2}),
+], ids=["as_partition", "S", "SchurExpr"])
+def test_non_integer_parts_are_refused(build):
+    with pytest.raises(ValueError, match="integers"):
+        build()
+
+
+def test_integral_float_parts_are_kept():
+    assert as_partition((3.0, 1, 0)) == (3, 1)
 
 
 # ---------------------------------------------------------------------------
