@@ -29,9 +29,16 @@ ADJOINT = SchurExpr.schur((2, 1))
 MAX_DEGREE = {"lu": {2: 8, 3: 5}, "lsl": {2: 12, 3: 12}}
 
 
+def _check_ints(*args):
+    """Raise ``ValueError`` unless every argument is an int (a bool is not)."""
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in args):
+        raise ValueError(f"counting arguments must be integers, got {args!r}")
+
+
 def _check_degree(family, D, n):
     """Raise ``ValueError`` unless the ``family`` table covers degree n at
     local dimension D."""
+    _check_ints(D, n)
     limits = MAX_DEGREE[family]
     if D not in limits:
         raise ValueError("local dimension must be 2 or 3")
@@ -58,6 +65,7 @@ def count_lu_pure(K, D, n):
     trivial representation in the K-fold inner product of the rectangular
     character (r^D), r = n/D.
     """
+    _check_ints(K, D, n)
     if not 1 <= K <= 4 or D not in (2, 3) or not 0 <= n <= 12:
         raise ValueError("supported range: 1 <= K <= 4, D in {2,3}, 0 <= n <= 12")
     if n == 0:
@@ -122,6 +130,7 @@ def count_graded_quartics(p, q, s):
     no degree-1 invariant exists.  They are subtracted to leave the count
     of new, connected invariants at this grading.
     """
+    _check_ints(p, q, s)
     total = p + q + s
     if total > 4 or min(p, q, s) < 0:
         raise ValueError("supported gradings have total degree <= 4")

@@ -3,19 +3,21 @@
 Expressions are finite integer combinations of Schur functions keyed by
 integer partitions.  The outer product and skew use the
 Littlewood-Richardson rule; the inner (symmetric-group) product and
-plethysm route through the power-sum basis with exact rational
-coefficients, converting back via character tables computed by the
-Murnaghan-Nakayama recursion.  Everything is exact; no floats appear.
+plethysm route through the power-sum basis, where an expansion is kept as
+the integer class function X with characteristic map sum_rho X_rho
+p_rho / z_rho (Macdonald, Symmetric Functions, I.7).  Converting back is
+one exact integer class sum per Schur function against characters from
+the Murnaghan-Nakayama recursion.  No fractions and no floats appear.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain
-from math import factorial
+from itertools import chain, repeat
+from math import comb, factorial, prod
+from operator import mul
 
 # Hard caps keep the memoized tables small: nothing in this package needs
 # symmetric-group data beyond S_14.
@@ -96,22 +98,25 @@ def _collect(pairs):
 def _border_strips(lam, k):
     """Removable border strips of size ``k`` from ``lam``.
 
-    Yields (smaller partition, strip height) via first-column hook lengths.
+    Yields (smaller partition, strip height).  On the decreasing
+    beta-numbers lam_i + len(lam) - 1 - i a strip is one bead moved from
+    b = beta_i to a free place b - k past the beads of rows i+1..j-1: the
+    height is j - i - 1, each of those rows loses a cell, row i lands below
+    them, and any zero rows trail.
     """
     n = len(lam)
-    beta = [lam[i] + (n - 1 - i) for i in range(n)]
-    present = set(beta)
-    for b in beta:
+    beta = [lam[i] + n - 1 - i for i in range(n)]
+    for i, b in enumerate(beta):
         nb = b - k
-        if nb < 0 or nb in present:
+        if nb < 0:
+            break
+        j = i + 1
+        while j < n and beta[j] > nb:
+            j += 1
+        if j < n and beta[j] == nb:
             continue
-        height = sum(1 for c in beta if nb < c < b)
-        newbeta = sorted((c for c in beta if c != b), reverse=True)
-        newbeta.append(nb)
-        newbeta.sort(reverse=True)
-        mu = tuple(newbeta[j] - (n - 1 - j) for j in range(n))
-        mu = tuple(x for x in mu if x > 0)
-        yield mu, height
+        mu = lam[:i] + tuple(x - 1 for x in lam[i + 1:j]) + (lam[i] - k + j - i - 1,) + lam[j:]
+        yield (mu[:mu.index(0)] if mu[-1] == 0 else mu), j - i - 1
 
 
 @lru_cache(maxsize=None)
@@ -253,50 +258,53 @@ def skew(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Power-sum plumbing (exact rationals)
+# Power-sum plumbing: an expansion {rho: X} with integer X stands for
+# sum_rho X_rho p_rho / z_rho, the characteristic map of the class function X.
 
 @lru_cache(maxsize=None)
 def _schur_term_to_p(lam):
-    """p-expansion of a single Schur function: {rho: chi^lam_rho / z_rho}."""
-    n = sum(lam)
-    out = {}
-    for rho in partitions(n):
-        chi = character(lam, rho)
-        if chi:
-            out[rho] = Fraction(chi, zclass(rho))
-    return out
+    """p-expansion of a single Schur function: its character {rho: chi^lam_rho}."""
+    return {rho: chi for rho in partitions(sum(lam)) if (chi := character(lam, rho))}
 
 
 def _expr_to_p(expr):
-    return _collect((rho, c * q) for lam, c in expr.terms.items()
-                    for rho, q in _schur_term_to_p(lam).items())
+    return _collect((rho, c * x) for lam, c in expr.terms.items()
+                    for rho, x in _schur_term_to_p(lam).items())
 
 
 def _p_mul(p1, p2):
-    return _collect((tuple(sorted(r1 + r2, reverse=True)), c1 * c2)
-                    for r1, c1 in p1.items() for r2, c2 in p2.items())
+    """Product: p_r1/z_r1 * p_r2/z_r2 is p_r/z_r times z_r/(z_r1 z_r2), the
+    product over part sizes k of C(m_k(r1) + m_k(r2), m_k(r2)), r = r1 + r2."""
+    return _collect((tuple(sorted(r1 + r2, reverse=True)),
+                     x1 * x2 * prod(comb(r1.count(k) + r2.count(k), r2.count(k))
+                                    for k in set(r2)))
+                    for r1, x1 in p1.items() for r2, x2 in p2.items())
 
 
 def _p_scale_parts(p, k):
-    """Substitute p_m -> p_{km}; coefficients are untouched."""
-    return {tuple(k * x for x in rho): c for rho, c in p.items()}
+    """Substitute p_m -> p_{km}; z_{k rho} = k^len(rho) z_rho."""
+    return {tuple(k * x for x in rho): x * k ** len(rho) for rho, x in p.items()}
 
 
-def _p_to_schur(p):
-    """Schur expansion of a power-sum expansion; each weight is one block
-    of class functions, so every Schur coefficient is found once."""
+def _p_to_schur(p, scale=1):
+    """Schur expansion of the p-expansion ``p`` divided by ``scale``: the
+    coefficient of {lam} is the class sum of X_rho (n!/z_rho) chi^lam_rho
+    over rho, divided by n! * scale.  ArithmeticError when that division is
+    not exact, i.e. when the result is not a virtual character."""
     by_weight = {}
-    for rho, c in p.items():
-        by_weight.setdefault(sum(rho), {})[rho] = c
+    for rho, x in p.items():
+        by_weight.setdefault(sum(rho), {})[rho] = x
     terms = {}
     for n, block in by_weight.items():
+        order = factorial(n)
+        weights = [x * (order // zclass(rho)) for rho, x in block.items()]
         for lam in partitions(n):
-            coeff = sum((c * character(lam, rho) for rho, c in block.items()),
-                        Fraction(0))
-            if coeff.denominator != 1:
-                raise ArithmeticError(f"non-integral Schur coefficient {coeff} at {lam}")
+            total = sum(map(mul, weights, map(character, repeat(lam), block)))
+            coeff, rest = divmod(total, order * scale)
+            if rest:
+                raise ArithmeticError(f"non-integral Schur coefficient at {lam}")
             if coeff:
-                terms[lam] = int(coeff)
+                terms[lam] = coeff
     return SchurExpr._of(terms)
 
 
@@ -311,10 +319,9 @@ def kronecker(a, b):
             if sum(lam) > KRONECKER_WEIGHT_LIMIT:
                 raise ValueError(
                     f"inner product supported up to weight {KRONECKER_WEIGHT_LIMIT}")
-    # p_rho * p_sigma is z_rho p_rho when rho == sigma and 0 otherwise
+    # the inner product multiplies class functions pointwise
     pa, pb = _expr_to_p(a), _expr_to_p(b)
-    return _p_to_schur({rho: ca * pb[rho] * zclass(rho)
-                        for rho, ca in pa.items() if rho in pb})
+    return _p_to_schur({rho: xa * pb[rho] for rho, xa in pa.items() if rho in pb})
 
 
 def plethysm(a, b):
@@ -329,12 +336,15 @@ def plethysm(a, b):
     bp = _expr_to_p(b)
 
     def composed(rho):  # p_rho[b]: the product of p_k[b] over the parts k of rho
-        return reduce(_p_mul, (_p_scale_parts(bp, k) for k in rho), {(): Fraction(1)})
+        return reduce(_p_mul, (_p_scale_parts(bp, k) for k in rho), {(): 1})
 
-    return _p_to_schur(_collect((key, c * q * v)
+    # s_lam = sum_rho chi^lam_rho p_rho / z_rho, taken over the common
+    # denominator m! of the largest weight m in ``a``
+    order = factorial(max((sum(lam) for lam in a.terms), default=0))
+    return _p_to_schur(_collect((key, c * chi * (order // zclass(rho)) * v)
                                 for lam, c in a.terms.items()
-                                for rho, q in _schur_term_to_p(lam).items()
-                                for key, v in composed(rho).items()))
+                                for rho, chi in _schur_term_to_p(lam).items()
+                                for key, v in composed(rho).items()), order)
 
 
 def product_power_plethysm(a, b, n):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qutrit_invariants import counting
 from qutrit_invariants.counting import (
     GRADED_COLUMNS,
     count_graded_quartics,
@@ -53,6 +54,24 @@ def test_lu_pure_bounds():
             count_lu_pure(K, 2, 4)
     with pytest.raises(ValueError):
         count_lu_pure(2, 3, -3)
+
+
+@pytest.mark.parametrize("count, args", [
+    (count_lu_pure, (2.5, 2, 4)), (count_lu_pure, (4, 2.0, 4)), (count_lu_pure, (4, 2, 4.0)),
+    (count_lu_pure, (True, 2, 4)),
+    (count_lu_mixed, (3, 2.0)), (count_lu_mixed, (3.0, 2)), (count_lu_mixed, (3, True)),
+    (count_lsl, (2, 4.0)), (count_lsl, (3, 6.0)), (count_lsl, (3, False)),
+    (count_graded_quartics, (0, 0, 2.0)), (count_graded_quartics, (True, 0, 3)),
+])
+def test_counts_refuse_arguments_that_are_not_ints(count, args, monkeypatch):
+    # refused before any work: no symmetric-function routine is called
+    def no_work(*_):
+        raise AssertionError("the count ran before checking its arguments")
+    for name in ("character", "class_sum", "partitions", "plethysm",
+                 "plethysm_series", "product_power_plethysm"):
+        monkeypatch.setattr(counting, name, no_work)
+    with pytest.raises(ValueError, match="must be integers"):
+        count(*args)
 
 
 def fraction_class_sum(n, fn):

@@ -6,6 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 from qutrit_invariants.symfunc import (
     S,
     SchurExpr,
+    _border_strips,
+    _p_to_schur,
+    _schur_term_to_p,
     as_partition,
     character,
     format_expr,
@@ -363,3 +366,65 @@ def test_plethysm_exhaustive_weight_6():
                 for mu in partitions(wb):
                     assert plethysm(S(*lam), S(*mu)).terms == \
                         oracle_plethysm(lam, mu), (lam, mu)
+
+
+# ---------------------------------------------------------------------------
+# power-sum plumbing in integer class-function form
+
+def two_sort_border_strips(lam, k):
+    """Reference: strip removal by sorting the beta-numbers twice."""
+    n = len(lam)
+    beta = [lam[i] + (n - 1 - i) for i in range(n)]
+    present = set(beta)
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in present:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        newbeta = sorted((c for c in beta if c != b), reverse=True)
+        newbeta.append(nb)
+        newbeta.sort(reverse=True)
+        mu = tuple(newbeta[j] - (n - 1 - j) for j in range(n))
+        yield tuple(x for x in mu if x > 0), height
+
+
+def test_border_strips_match_the_two_sort_reference():
+    for n in range(11):
+        for lam in partitions(n):
+            for k in range(1, n + 2):
+                assert sorted(_border_strips(lam, k)) == \
+                    sorted(two_sort_border_strips(lam, k)), (lam, k)
+
+
+def test_schur_terms_are_integer_characters():
+    for n in range(9):
+        for lam in partitions(n):
+            p = _schur_term_to_p(lam)
+            assert all(type(x) is int for x in p.values())
+            assert p == {rho: character(lam, rho) for rho in partitions(n)
+                         if character(lam, rho)}
+
+
+def test_p_to_schur_refuses_what_is_not_a_virtual_character():
+    # {(1, 1): 2} is p_1^2 = {2} + {1,1}; half of it has no integer expansion
+    assert _p_to_schur({(1, 1): 2}) == S(2) + S(1, 1)
+    with pytest.raises(ArithmeticError):
+        _p_to_schur({(1, 1): 1})
+    with pytest.raises(ArithmeticError):
+        _p_to_schur({(1, 1): 2}, 2)
+
+
+def test_plethysm_of_mixed_weights_is_the_sum_of_homogeneous_parts():
+    b1, b2 = S(1), S(2) - S(1, 1)
+    b = b1 + b2
+    # linear in the outer argument: each weight of it is its own denominator
+    a = S(2) + 2 * S(1, 1) - S(3)
+    assert plethysm(a, b) == plethysm(S(2), b) + 2 * plethysm(S(1, 1), b) - plethysm(S(3), b)
+    # s_lam[b1 + b2] = sum over mu of s_mu[b1] s_{lam/mu}[b2]
+    for n in range(1, 4):
+        for lam in partitions(n):
+            split = SchurExpr.zero()
+            for m in range(n + 1):
+                for mu in partitions(m):
+                    split = split + plethysm(S(*mu), b1) * plethysm(skew(S(*lam), S(*mu)), b2)
+            assert plethysm(S(*lam), b) == split, lam
