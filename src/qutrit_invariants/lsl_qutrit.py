@@ -33,7 +33,6 @@ class InducedMap:
     defined by A l_a A^dag = sum_b m[b, a] l_b."""
 
     m: np.ndarray
-    source: np.ndarray
 
 
 def _real_action(m, what):
@@ -43,13 +42,13 @@ def _real_action(m, what):
     return np.ascontiguousarray(m.real)
 
 
-def induce_map(A, tol=DET_TOL):
+def induce_map(A):
     """Induced real 9x9 map of A in the unit-determinant group."""
     A = np.asarray(A, dtype=complex)
     det = np.linalg.det(A)
-    if abs(det - 1) > tol:
+    if abs(det - 1) > DET_TOL:
         raise ValueError(f"determinant must be 1 (got {det})")
-    return InducedMap(_real_action(coordinate_action(A, A, 3), "induced map"), A)
+    return InducedMap(_real_action(coordinate_action(A, A, 3), "induced map"))
 
 
 def induced_generator(X):

@@ -50,10 +50,10 @@ class MeasurementPair:
         return float(np.abs(total - np.eye(self.E1.shape[-1])).max())
 
 
-def _measurement_draws(dim, rng, eps):
+def _measurement_draws(dim, rng):
     """The random numbers of one pair in sampling order: the Gaussian
     matrices of U1, U2 and V, then the singular values."""
-    return ginibre(rng, dim, size=3), rng.uniform(eps, 1.0 - eps, size=dim)
+    return ginibre(rng, dim, size=3), rng.uniform(SINGULAR_EPS, 1.0 - SINGULAR_EPS, size=dim)
 
 
 def _pair_from_draws(Z, sv):
@@ -61,13 +61,13 @@ def _pair_from_draws(Z, sv):
     return assemble_measurement(U[..., 0, :, :], U[..., 1, :, :], U[..., 2, :, :], sv)
 
 
-def sample_measurement(dim, seed, eps=SINGULAR_EPS):
-    """Random two-outcome pair; singular values stay in (eps, 1 - eps) so
-    bulk trials keep both branch probabilities away from zero (the singular
-    limits are exercised separately by explicit boundary cases)."""
+def sample_measurement(dim, seed):
+    """Random two-outcome pair; singular values stay SINGULAR_EPS away from
+    0 and 1, so bulk trials keep both branch probabilities away from zero
+    (the singular limits are exercised separately by explicit boundary cases)."""
     if dim not in (2, 3):
         raise ValueError("local dimension must be 2 or 3")
-    return _pair_from_draws(*_measurement_draws(dim, _rng(seed), eps))
+    return _pair_from_draws(*_measurement_draws(dim, _rng(seed)))
 
 
 def assemble_measurement(U1, U2, V, singular_values):
@@ -183,7 +183,7 @@ def _run_block(args):
         # sample_measurement and the side choice
         rng = np.random.default_rng(np.random.SeedSequence((seed, start + k)))
         G[k] = ginibre(rng, D)
-        Z[k], sv[k] = _measurement_draws(dim, rng, SINGULAR_EPS)
+        Z[k], sv[k] = _measurement_draws(dim, rng)
         on_a[k] = rng.uniform() < 0.5
     return _margins(hs_state(G, dim, dim), _pair_from_draws(Z, sv), on_a, functional)
 

@@ -8,24 +8,21 @@ rounding noise.  Weights are the classical rational values.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
 from .contract import contract
 
-# offset -> weight of the first-derivative stencil, exact for polynomials
-# of degree <= order
-_WEIGHTS = {
-    2: {-1: Fraction(-1, 2), 1: Fraction(1, 2)},
-    4: {-2: Fraction(1, 12), -1: Fraction(-2, 3),
-        1: Fraction(2, 3), 2: Fraction(-1, 12)},
-    6: {-3: Fraction(-1, 60), -2: Fraction(3, 20), -1: Fraction(-3, 4),
-        1: Fraction(3, 4), 2: Fraction(-3, 20), 3: Fraction(1, 60)},
-    8: {-4: Fraction(1, 280), -3: Fraction(-4, 105), -2: Fraction(1, 5),
-        -1: Fraction(-4, 5), 1: Fraction(4, 5), 2: Fraction(-1, 5),
-        3: Fraction(4, 105), 4: Fraction(-1, 280)},
-}
+STEP = 0.25  # spacing of the stencil points
 
+# order 2m -> offset k -> weight of the first-derivative stencil, exact for
+# polynomials of degree <= 2m, offsets -m..-1, 1..m in order:
+# w(k) = -w(-k) = (-1)^(k+1) (m!)^2 / (k (m-k)! (m+k)!)
+_WEIGHTS = {2 * m: {k: Fraction((-1) ** (abs(k) + 1) * factorial(m) ** 2,
+                                k * factorial(m - abs(k)) * factorial(m + abs(k)))
+                    for k in [*range(-m, 0), *range(1, m + 1)]}
+            for m in range(1, 5)}
 
 # Stencil points per call of the evaluated map: large enough to amortize the
 # per-call overhead, small enough that peak memory does not grow with the
@@ -33,7 +30,7 @@ _WEIGHTS = {
 _BLOCK = 64
 
 
-def poly_jacobian(fn, x0, degree, h=0.25):
+def poly_jacobian(fn, x0, degree):
     """Jacobian of ``fn`` at ``x0``.
 
     ``fn`` maps an (M, n) stack of points to the (M, m) stack of its values
@@ -50,10 +47,10 @@ def poly_jacobian(fn, x0, degree, h=0.25):
     n, k = x0.size, len(offsets)
     # point j * k + i moves coordinate j by the i-th offset
     points = np.tile(x0, (n * k, 1))
-    points[np.arange(n * k), np.repeat(np.arange(n), k)] += np.tile(np.multiply(offsets, h), n)
+    points[np.arange(n * k), np.repeat(np.arange(n), k)] += np.tile(np.multiply(offsets, STEP), n)
     values = np.concatenate([np.asarray(fn(points[s:s + _BLOCK]), dtype=float)
                              for s in range(0, n * k, _BLOCK)])
-    return contract('jim,i->mj', values.reshape(n, k, -1), np.array(weights, dtype=float)) / h
+    return contract('jim,i->mj', values.reshape(n, k, -1), np.array(weights, dtype=float)) / STEP
 
 
 def numerical_rank(matrix, rel_threshold=1e-8, normalize_rows=False):

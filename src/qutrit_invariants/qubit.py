@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .contract import contract, per_state
-from .numdiff import numerical_rank, poly_jacobian
-from .states import free_coordinates
+from .states import jacobian_rank
 from .tensors import levi_civita
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -119,19 +118,17 @@ def expansion_residuals(coords):
     }
 
 
-def dependence_jacobian_rank(coords, rel_threshold=1e-8):
+def dependence_jacobian_rank(coords):
     """Rank of the Jacobian of (Q2, Q4, Q6, Q8, Q4t) over the fifteen free
     coordinates of a normalized state; the expected value is 4, witnessing
     one polynomial relation tying Q8 to the others."""
     _require_qubits(coords)
-    x0, coords_at = free_coordinates(coords)
 
-    def fn(x):
-        q = q_invariants(coords_at(x).ext)
+    def fn(c):
+        q = q_invariants(c.ext)
         return np.stack([q[k] for k in ("Q2", "Q4", "Q6", "Q8", "Q4t")], axis=-1)
 
-    jac = poly_jacobian(fn, x0, degree=8, h=0.25)
-    return numerical_rank(jac, rel_threshold, normalize_rows=True)
+    return jacobian_rank(coords, fn, degree=8)
 
 
 def q8_relation_residual(ext):

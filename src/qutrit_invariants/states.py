@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contract import contract, per_state
+from .numdiff import numerical_rank, poly_jacobian
 from .tensors import build_structure_tensors
 
 HERMITICITY_TOL = 1e-10
+PHYSICALITY_TOL = 1e-10
 
 
 def _rng(seed):
@@ -157,6 +159,15 @@ def free_coordinates(coords):
     return flat[1:], coords_at
 
 
+def jacobian_rank(coords, fn, degree):
+    """Row-normalized rank of the Jacobian of ``fn`` over the free
+    coordinates of one state; ``fn`` maps a ``StateCoords`` stack to its
+    (..., m) values, polynomial of total degree <= ``degree``."""
+    x0, coords_at = free_coordinates(coords)
+    jac = poly_jacobian(lambda x: fn(coords_at(x)), x0, degree)
+    return numerical_rank(jac, normalize_rows=True)
+
+
 def ginibre(rng, dim, size=None):
     """Complex Gaussian dim x dim matrix: the real parts are drawn first,
     then the imaginary parts.  With ``size``, a stack of that many matrices
@@ -236,7 +247,7 @@ def coordinate_action(X, Y, dim):
     return m / _norms(dim)[:, None]
 
 
-def physicality(state, tol=1e-10):
+def physicality(state):
     """Trace, Hermiticity residual and minimum eigenvalue diagnostics."""
     rho = state.rho
     herm = float(np.abs(rho - rho.conj().T).max())
@@ -246,7 +257,8 @@ def physicality(state, tol=1e-10):
         "trace": tr,
         "hermiticity_residual": herm,
         "min_eigenvalue": float(eigs.min()),
-        "physical": bool(herm <= tol and eigs.min() >= -tol and abs(tr - 1) <= tol),
+        "physical": bool(herm <= PHYSICALITY_TOL and eigs.min() >= -PHYSICALITY_TOL
+                         and abs(tr - 1) <= PHYSICALITY_TOL),
     }
 
 

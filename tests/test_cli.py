@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,3 +336,76 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _refuse_suites(monkeypatch):
+    from qutrit_invariants import cli
+
+    def refuse(args):
+        raise AssertionError("a suite was run")
+
+    for suite in ("tensors", "algebra", "expansion", "monotone"):
+        monkeypatch.setattr(cli, f"_verify_{suite}", refuse)
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["count", "lu", "--pqs", "004"], "--pqs"),
+    (["count", "lsl", "--pqs", "004"], "--pqs"),
+    (["count", "lu", "--nonzero"], "--nonzero"),
+    (["count", "graded", "--nonzero"], "--nonzero"),
+    (["verify", "tensors", "--functional", "C3"], "--functional"),
+    (["verify", "algebra", "--functional", "C6"], "--functional"),
+    (["verify", "expansion", "--functional", "Q4t"], "--functional"),
+    (["verify", "algebra", "--tol", "1e-300"], "--tol"),
+])
+def test_options_a_command_ignores_are_refused(argv, option, monkeypatch, tmp_path, capsys):
+    _refuse_work(monkeypatch)
+    _refuse_suites(monkeypatch)
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert option in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite", ["tensors", "algebra", "expansion", "monotone"])
+def test_workers_is_accepted_by_every_suite(suite, tmp_path):
+    out = tmp_path / "cert.json"
+    assert main(["verify", suite, "--trials", "5", "--workers", "1", "--out", str(out)]) == 0
+    assert _strict(out.read_text())["passed"] is True
+
+
+def test_verify_monotone_defaults_to_the_cubic_functional(tmp_path):
+    out = tmp_path / "cert.json"
+    assert main(["verify", "monotone", "--trials", "5", "--out", str(out)]) == 0
+    assert _strict(out.read_text())["certificate"]["trials_report"]["functional"] == "C3"
+
+
+def test_verify_tensors_memory_does_not_grow_with_trials(tmp_path):
+    out = tmp_path / "cert.json"
+    # a first call fills the module caches, which later calls only read
+    assert main(["verify", "tensors", "--trials", "10", "--out", str(out)]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["verify", "tensors", "--trials", "20000", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_module_runs_the_command_line():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "qutrit_invariants.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    refused = run("verify", "monotone", "--trials", "0")
+    assert refused.returncode == 2
+    assert "--trials" in refused.stderr
+    table = run("count", "lsl", "--dim", "3", "--max", "3")
+    assert table.returncode == 0
+    assert [line.split()[:2] for line in table.stdout.splitlines()] == [
+        ["0", "1"], ["1", "0"], ["2", "0"], ["3", "1"]]

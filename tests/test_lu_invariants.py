@@ -256,3 +256,32 @@ def test_independence_test_block_calls_do_not_grow_with_labels(monkeypatch):
     # one call for the values matrix, one per stencil block of 80 * 4 points
     assert counts[0] == counts[1] == {
         "quartic_blocks": 1 + math.ceil(80 * 4 / numdiff._BLOCK)}
+
+
+# The hand-written gradings that the labels now carry, kept as the reference
+# for the derived tables.
+HAND_WRITTEN_GRADINGS = {
+    "K000": (0, 0, 0),
+    "K200": (2, 0, 0), "K020": (0, 2, 0), "K002": (0, 0, 2),
+    "K300": (3, 0, 0), "K030": (0, 3, 0), "K111": (1, 1, 1),
+    "K102": (1, 0, 2), "K012": (0, 1, 2),
+    "K003d": (0, 0, 3), "K003f": (0, 0, 3),
+    "K103": (1, 0, 3), "K103p": (1, 0, 3),
+    "K013": (0, 1, 3), "K013p": (0, 1, 3),
+    "K202a": (2, 0, 2), "K202b": (2, 0, 2),
+    "K022a": (0, 2, 2), "K022b": (0, 2, 2),
+    "K112d": (1, 1, 2), "K112f": (1, 1, 2),
+    "K121": (1, 2, 1), "K211": (2, 1, 1),
+    "K004_33": (0, 0, 4), "K004_24": (0, 0, 4), "K004_42": (0, 0, 4),
+    "K004_22": (0, 0, 4), "K004_32": (0, 0, 4), "K004_x22": (0, 0, 4),
+}
+
+
+def test_label_tables_are_derived_from_the_labels():
+    assert list(GRADINGS.items()) == list(HAND_WRITTEN_GRADINGS.items())
+    assert LOW_DEGREE_LABELS == ["K000", "K200", "K020", "K002", "K300", "K030",
+                                 "K111", "K102", "K012", "K003d", "K003f"]
+    assert QUARTIC_LABELS == ["K103", "K103p", "K013", "K013p", "K202a", "K202b",
+                              "K022a", "K022b", "K112d", "K112f", "K121", "K211",
+                              "K004_33", "K004_24", "K004_42", "K004_22", "K004_x22"]
+    assert set(ALL_QUARTIC_LABELS) == set(QUARTIC_LABELS) | {"K004_32"}
