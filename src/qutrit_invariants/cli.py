@@ -24,6 +24,7 @@ from . import counting, lsl_qutrit, lu_invariants, monotones, qubit, states
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VIOLATION = 3
+ALGEBRA_MIN_TRIALS = 5  # the fewest random maps verify algebra certifies on
 
 
 def _error(message):
@@ -162,7 +163,7 @@ def _verify_tensors(args):
 
 
 def _verify_algebra(args):
-    _, cert = lsl_qutrit.build_algebra(seed=args.seed, trials=max(args.trials, 5))
+    _, cert = lsl_qutrit.build_algebra(seed=args.seed, trials=args.trials)
     tight = ("linearized_preservation_residual", "commutator_residual_9x9",
              "commutator_residual_3x3", "triality_kernel_residual")
     loose = ("dtilde_preservation_residual", "homomorphism_residual")
@@ -197,20 +198,13 @@ def _verify_monotone(args):
     report = monotones.run_trials(args.functional or "C3", args.trials, args.seed,
                                   workers=args.workers, tol=tol)
     scan = monotones.scalar_inequality_scan(100, seed=args.seed)
-    control = monotones.wrong_exponent_counterexample()
-    cert = {
-        "trials_report": report,
-        "scalar_scan": scan,
-        "wrong_exponent_control": {
-            "raw_margin": control["raw_margin"],
-            "proper_margin": control["proper_margin"],
-        },
-    }
+    raw, proper = monotones.control_margins()
+    cert = {"trials_report": report, "scalar_scan": scan,
+            "wrong_exponent_control": {"raw_margin": raw, "proper_margin": proper}}
     ok = (report["min_margin"] is not None
           and not report["violations"]
           and scan["max_violation"] <= 1e-12
-          and control["raw_margin"] < -1e-9
-          and control["proper_margin"] >= -tol)
+          and raw < -1e-9 and proper >= -tol)
     return cert, ok
 
 
@@ -218,11 +212,14 @@ def _verify_args_error(args):
     """Why the verify arguments cannot run, or None."""
     if args.trials < 1:
         return f"--trials must be at least 1, got {args.trials}"
+    if args.suite == "algebra" and args.trials < ALGEBRA_MIN_TRIALS:
+        return f"verify algebra needs --trials {ALGEBRA_MIN_TRIALS} or more, got {args.trials}"
     if args.seed < 0:
         return f"--seed must be non-negative, got {args.seed}"
-    cpus = os.cpu_count() or 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     if not 1 <= args.workers <= cpus:
-        return f"--workers must be between 1 and {cpus} (the CPU count), got {args.workers}"
+        return f"--workers must be 1 to {cpus} (CPUs this process may use), got {args.workers}"
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
         return f"--tol must be a finite non-negative number, got {args.tol}"
     if args.tol is not None and args.suite == "algebra":

@@ -18,7 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import lsl_qutrit, qubit
-from .states import BipartiteState, _rng, ginibre, hs_state, kron, special_unitary
+from .states import (BipartiteState, _rng, complex_matrices, ginibre, hs_state, kron,
+                     special_unitary)
 from .states import random_state  # noqa: F401  (the benchmark traces it here)
 
 DEGENERATE_P = 1e-14
@@ -50,14 +51,11 @@ class MeasurementPair:
         return float(np.abs(total - np.eye(self.E1.shape[-1])).max())
 
 
-def _measurement_draws(dim, rng):
-    """The random numbers of one pair in sampling order: the Gaussian
-    matrices of U1, U2 and V, then the singular values."""
-    return ginibre(rng, dim, size=3), rng.uniform(SINGULAR_EPS, 1.0 - SINGULAR_EPS, size=dim)
-
-
-def _pair_from_draws(Z, sv):
+def _pair_from_draws(Z, u):
+    """The pair of the normals Z of U1, U2 and V and of uniforms u in [0, 1),
+    mapped as rng.uniform(SINGULAR_EPS, 1 - SINGULAR_EPS) maps them."""
     U = special_unitary(Z)
+    sv = SINGULAR_EPS + ((1.0 - SINGULAR_EPS) - SINGULAR_EPS) * u
     return assemble_measurement(U[..., 0, :, :], U[..., 1, :, :], U[..., 2, :, :], sv)
 
 
@@ -67,7 +65,8 @@ def sample_measurement(dim, seed):
     (the singular limits are exercised separately by explicit boundary cases)."""
     if dim not in (2, 3):
         raise ValueError("local dimension must be 2 or 3")
-    return _pair_from_draws(*_measurement_draws(dim, _rng(seed)))
+    rng = _rng(seed)
+    return _pair_from_draws(ginibre(rng, dim, size=3), rng.random(dim))
 
 
 def assemble_measurement(U1, U2, V, singular_values):
@@ -148,10 +147,10 @@ MONOTONE_FUNCTIONALS = {
     "C6": (3, lambda ext: np.abs(lsl_qutrit.sextic_invariant(ext)) ** (1.0 / 6.0)),
     # deliberate wrong-exponent control: homogeneity 3 instead of 1
     "C3_raw": (3, lambda ext: lsl_qutrit.cubic_invariant(ext)),
-    "Q2": (2, lambda ext: np.abs(qubit.q_invariants(ext)["Q2"]) ** (1.0 / 2.0)),
-    "Q4": (2, lambda ext: np.abs(qubit.q_invariants(ext)["Q4"]) ** (1.0 / 4.0)),
-    "Q4t": (2, lambda ext: np.abs(qubit.q_invariants(ext)["Q4t"]) ** (1.0 / 4.0)),
-    "Q6": (2, lambda ext: np.abs(qubit.q_invariants(ext)["Q6"]) ** (1.0 / 6.0)),
+    "Q2": (2, lambda ext: np.abs(qubit.trace_invariants(ext, [1])[0]) ** (1.0 / 2.0)),
+    "Q4": (2, lambda ext: np.abs(qubit.trace_invariants(ext, [2])[0]) ** (1.0 / 4.0)),
+    "Q4t": (2, lambda ext: np.abs(qubit.determinant_invariant(ext)) ** (1.0 / 4.0)),
+    "Q6": (2, lambda ext: np.abs(qubit.trace_invariants(ext, [3])[0]) ** (1.0 / 6.0)),
 }
 
 
@@ -172,20 +171,19 @@ def _run_block(args):
     """Margins of trials start..stop-1, NaN for a skipped trial."""
     name, seed, start, stop = args
     dim, functional = monotone_functional(name)
-    D = dim * dim
-    n = stop - start
-    G = np.empty((n, D, D), dtype=complex)
-    Z = np.empty((n, 3, dim, dim), dtype=complex)
-    sv = np.empty((n, dim))
-    on_a = np.empty(n, dtype=bool)
+    D, n = dim * dim, stop - start
+    normals = np.empty((n, 2 * D * D + 6 * dim * dim))
+    u = np.empty((n, dim + 1))
     for k in range(n):
-        # each trial's own draws, in the order of random_state,
-        # sample_measurement and the side choice
+        # each trial's own draws in the order of random_state, sample_measurement
+        # and the side choice: all the normals, then the uniforms
         rng = np.random.default_rng(np.random.SeedSequence((seed, start + k)))
-        G[k] = ginibre(rng, D)
-        Z[k], sv[k] = _measurement_draws(dim, rng)
-        on_a[k] = rng.uniform() < 0.5
-    return _margins(hs_state(G, dim, dim), _pair_from_draws(Z, sv), on_a, functional)
+        rng.standard_normal(out=normals[k])
+        rng.random(out=u[k])
+    G = complex_matrices(normals[:, :2 * D * D].reshape(n, 2, D, D))
+    Z = complex_matrices(normals[:, 2 * D * D:].reshape(n, 3, 2, dim, dim))
+    return _margins(hs_state(G, dim, dim), _pair_from_draws(Z, u[:, :dim]),
+                    u[:, dim] < 0.5, functional)
 
 
 def run_trials(name, trials, seed, workers=1, tol=1e-9):
@@ -261,6 +259,13 @@ def wrong_exponent_counterexample():
     }
 
 
+@lru_cache(maxsize=None)
+def control_margins():
+    """Raw and proper margins of the wrong-exponent control, computed once per process."""
+    control = wrong_exponent_counterexample()
+    return control["raw_margin"], control["proper_margin"]
+
+
 def _lhs(a, b, c):
     return ((a * b * c) ** (2.0 / 3.0)
             + ((1 - a * a) * (1 - b * b) * (1 - c * c)) ** (1.0 / 3.0))
@@ -300,7 +305,7 @@ def scalar_inequality_scan(resolution, samples=100_000, seed=0):
     # resolution, and only the random samples are drawn on every call
     grid_max, boundary_max, diagonal_residual = _grid_scan(resolution)
     rng = np.random.default_rng(seed)
-    a, b, c = rng.uniform(0, 1, size=(3, samples))
+    a, b, c = rng.random((3, samples))  # the numbers of uniform(0, 1)
     random_max = float((_lhs(a, b, c) - 1.0).max())
     return {
         "resolution": int(resolution),

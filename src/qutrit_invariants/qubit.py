@@ -39,6 +39,20 @@ def w_matrix_bar(ext):
     return ext.swapaxes(-1, -2) @ ETA @ ext @ ETA
 
 
+def trace_invariants(ext, ks):
+    """Tr(w^k) for each k of ``ks`` over a coordinate stack (Q2, Q4, Q6, Q8 for
+    k = 1..4), forming w^k = w^ceil(k/2) @ w^floor(k/2) up to max(ks) only."""
+    powers = [w_matrix(ext)]
+    for k in range(2, max(ks) + 1):
+        powers.append(powers[(k + 1) // 2 - 1] @ powers[k // 2 - 1])
+    return [np.trace(powers[k - 1], axis1=-2, axis2=-1) for k in ks]
+
+
+def determinant_invariant(ext):
+    """Q4t alone: the determinant of each coordinate matrix of a stack."""
+    return np.linalg.det(np.asarray(ext, dtype=float))
+
+
 def q_invariants(ext):
     """Trace invariants of the transfer matrix plus the coordinate-matrix
     determinant, computed both directly and by the epsilon contraction.
@@ -47,18 +61,10 @@ def q_invariants(ext):
     values are floats for one matrix and arrays over the stack otherwise.
     """
     ext = np.asarray(ext, dtype=float)
-    w = w_matrix(ext)
-    w2 = w @ w
     eps_form = contract('abcd,pqrs,...ap,...bq,...cr,...ds->...', _EPS4, _EPS4,
                         ext, ext, ext, ext)
-    vals = {
-        "Q2": np.trace(w, axis1=-2, axis2=-1),
-        "Q4": np.trace(w2, axis1=-2, axis2=-1),
-        "Q6": np.trace(w2 @ w, axis1=-2, axis2=-1),
-        "Q8": np.trace(w2 @ w2, axis1=-2, axis2=-1),
-        "Q4t": np.linalg.det(ext),
-        "Q4t_eps": eps_form / 24.0,
-    }
+    vals = dict(zip(("Q2", "Q4", "Q6", "Q8"), trace_invariants(ext, (1, 2, 3, 4))),
+                Q4t=determinant_invariant(ext), Q4t_eps=eps_form / 24.0)
     return {k: per_state(v, ext) for k, v in vals.items()}
 
 

@@ -168,14 +168,19 @@ def jacobian_rank(coords, fn, degree):
     return numerical_rank(jac, normalize_rows=True)
 
 
+def complex_matrices(x):
+    """Complex matrices of normals x (..., 2, dim, dim), real parts first."""
+    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
+
+
 def ginibre(rng, dim, size=None):
     """Complex Gaussian dim x dim matrix: the real parts are drawn first,
     then the imaginary parts.  With ``size``, a stack of that many matrices
     drawn in one call, equal to ``size`` single draws one after another.
-    Every sampler draws through this, so a sample's draws do not depend on
-    how samples are stacked."""
-    x = rng.standard_normal((2, dim, dim) if size is None else (size, 2, dim, dim))
-    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    Every sampler draws through this or ``complex_matrices``, so a sample's
+    draws do not depend on how samples are stacked."""
+    return complex_matrices(rng.standard_normal((2, dim, dim) if size is None
+                                                else (size, 2, dim, dim)))
 
 
 def hs_state(G, dimA, dimB):

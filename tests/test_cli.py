@@ -11,6 +11,14 @@ import pytest
 from qutrit_invariants.cli import main
 from qutrit_invariants.states import BipartiteState, save_state
 
+# the CPUs this process may use: the bound the command line puts on --workers
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
 
 @pytest.fixture
 def mm33(tmp_path):
@@ -152,7 +160,7 @@ def test_byte_identical_reports(mm33, tmp_path):
     # three trial blocks, so the two-worker run does start a pool
     out3, out4 = tmp_path / "c.json", tmp_path / "d.json"
     main(["verify", "monotone", "--trials", "150", "--seed", "2", "--out", str(out3)])
-    workers = str(min(2, os.cpu_count() or 1))
+    workers = str(min(2, USABLE_CPUS))
     main(["verify", "monotone", "--trials", "150", "--seed", "2",
           "--workers", workers, "--out", str(out4)])
     assert out3.read_bytes() == out4.read_bytes()
@@ -174,11 +182,8 @@ def test_verify_rejects_vacuous_trials(suite, trials, tmp_path, capsys):
 
 
 def test_verify_worker_bounds_start_no_process(monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    cpus = os.cpu_count() or 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    cpus = USABLE_CPUS
     for workers in (0, -1, cpus + 1, 10 ** 9):
         assert main(["verify", "monotone", "--trials", "10",
                      "--workers", str(workers)]) == 2
@@ -186,6 +191,35 @@ def test_verify_worker_bounds_start_no_process(monkeypatch, capsys):
     # one block of trials needs no pool, whatever the worker count
     assert main(["verify", "monotone", "--trials", "10",
                  "--workers", str(min(2, cpus))]) == 0
+
+
+def test_worker_bound_is_the_affinity_set(monkeypatch, capsys):
+    # a cpuset that lets the process use one CPU of many
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert main(["verify", "monotone", "--trials", "10", "--workers", "2"]) == 2
+    assert "--workers must be 1 to 1 (CPUs this process may use)" in capsys.readouterr().err
+    assert main(["verify", "monotone", "--trials", "10", "--workers", "1"]) == 0
+    # without an affinity call, the CPU count bounds it
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert main(["verify", "monotone", "--trials", "10", "--workers", "4"]) == 2
+    assert "--workers must be 1 to 3" in capsys.readouterr().err
+    assert main(["verify", "monotone", "--trials", "10", "--workers", "3"]) == 0
+
+
+@pytest.mark.parametrize("trials", ["1", "4"])
+def test_verify_algebra_refuses_fewer_trials_than_it_runs(trials, monkeypatch, tmp_path,
+                                                           capsys):
+    # the certificate needs 5 random maps: a smaller --trials would be echoed
+    # beside a certificate that ran 5
+    _refuse_suites(monkeypatch)
+    out = tmp_path / "cert.json"
+    assert main(["verify", "algebra", "--trials", trials, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "--trials 5 or more" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_verify_rejects_non_finite_tolerance(capsys):

@@ -22,6 +22,10 @@ from hypothesis import example, given, settings, strategies as st
 from qutrit_invariants import monotones
 from qutrit_invariants.cli import main
 
+# the CPUs this process may use: the bound the command line puts on --workers
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
@@ -159,7 +163,7 @@ VERIFY_OPTIONS = {
               st.just("bogus")),
     "--trials": (st.integers(1, monotones.TRIAL_BLOCK).map(str),
                  st.integers(-3, 0).map(str) | NOT_INTEGERS),
-    "--workers": (st.integers(1, min(2, os.cpu_count() or 1)).map(str),
+    "--workers": (st.integers(1, min(2, USABLE_CPUS)).map(str),
                   st.sampled_from(["0", "-1", str(10 ** 9)]) | NOT_INTEGERS),
     "--seed": (st.integers(0, 2 ** 64).map(str), st.integers(-5, -1).map(str) | NOT_INTEGERS),
     "--functional": (st.sampled_from(sorted(monotones.MONOTONE_FUNCTIONALS)), st.just("C9")),

@@ -3,21 +3,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qutrit_invariants import monotones
+from qutrit_invariants import monotones, qubit
 from qutrit_invariants.monotones import (
     MONOTONE_FUNCTIONALS,
+    SINGULAR_EPS,
     _margins,
     _run_block,
     apply_measurement,
     assemble_measurement,
     concavity_trial,
+    control_margins,
     monotone_functional,
     run_trials,
     sample_measurement,
     scalar_inequality_scan,
     wrong_exponent_counterexample,
 )
-from qutrit_invariants.states import BipartiteState, random_state
+from qutrit_invariants.qubit import q_invariants
+from qutrit_invariants.states import BipartiteState, ginibre, random_state, special_unitary
 
 
 def test_completeness_by_construction():
@@ -143,11 +146,12 @@ def test_block_margins_match_per_trial_concavity(name):
         assert abs(block[k] - margin) <= 1e-12, (name, i)
 
 
-@pytest.mark.parametrize("name", ["Q2", "C3"])
+@pytest.mark.parametrize("name", sorted(MONOTONE_FUNCTIONALS))
 def test_block_draws_are_the_per_trial_draws(name, monkeypatch):
-    # the block at start = 64 draws, for each trial, bit for bit what
-    # random_state, sample_measurement and the side choice draw from the
-    # trial's own generator
+    # a full block, and the partial final block of 400 trials at two seeds:
+    # the block draws, for each trial, bit for bit what random_state,
+    # sample_measurement and the side choice draw from the trial's own
+    # generator
     dim, _ = monotone_functional(name)
     seen = {}
 
@@ -156,16 +160,55 @@ def test_block_draws_are_the_per_trial_draws(name, monkeypatch):
         return np.zeros(len(on_a))
 
     monkeypatch.setattr(monotones, "_margins", capture)
-    seed, start, stop = 9, 64, 128
-    _run_block((name, seed, start, stop))
-    for k, i in enumerate(range(start, stop)):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        state = random_state(dim, dim, rng)
-        pair = sample_measurement(dim, rng)
-        assert seen["on_a"][k] == (rng.uniform() < 0.5)
-        assert seen["state"].rho[k].tobytes() == state.rho.tobytes(), i
-        for field in ("U1", "U2", "V", "singular_values", "E1", "E2"):
-            assert getattr(seen["pair"], field)[k].tobytes() == getattr(pair, field).tobytes()
+    for seed, start, stop in [(9, 64, 128), (9, 384, 400), (2 ** 63, 384, 400)]:
+        _run_block((name, seed, start, stop))
+        assert len(seen["on_a"]) == stop - start
+        for k, i in enumerate(range(start, stop)):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+            state = random_state(dim, dim, rng)
+            pair = sample_measurement(dim, rng)
+            assert seen["on_a"][k] == (rng.uniform() < 0.5)
+            assert seen["state"].rho[k].tobytes() == state.rho.tobytes(), (seed, i)
+            for field in ("U1", "U2", "V", "singular_values", "E1", "E2"):
+                assert (getattr(seen["pair"], field)[k].tobytes()
+                        == getattr(pair, field).tobytes()), (seed, i, field)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sample_measurement_draws_uniform_singular_values(dim):
+    # the unitaries' Gaussian matrices, then the singular values as
+    # uniform(SINGULAR_EPS, 1 - SINGULAR_EPS) draws them
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        U = special_unitary(ginibre(rng, dim, size=3))
+        sv = rng.uniform(SINGULAR_EPS, 1.0 - SINGULAR_EPS, size=dim)
+        pair = sample_measurement(dim, seed)
+        assert pair.singular_values.tobytes() == sv.tobytes()
+        assert pair.U1.tobytes() == U[0].tobytes() and pair.V.tobytes() == U[2].tobytes()
+
+
+QUBIT_ROOTS = {"Q2": 2, "Q4": 4, "Q4t": 4, "Q6": 6}
+
+
+@pytest.mark.parametrize("name", sorted(QUBIT_ROOTS))
+def test_qubit_functionals_are_the_q_invariants_roots(name):
+    _, fn = monotone_functional(name)
+    stack = random_state(2, 2, 31, size=64).coords.ext
+    for ext in (stack, stack[17]):
+        ref = np.abs(q_invariants(ext)[name]) ** (1.0 / QUBIT_ROOTS[name])
+        assert np.asarray(fn(ext)).tobytes() == np.asarray(ref).tobytes()
+
+
+def test_qubit_functionals_evaluate_only_their_own_invariant(monkeypatch):
+    # no functional goes through q_invariants or the epsilon contraction
+    def refuse(*args, **kwargs):
+        raise AssertionError("a value the functional does not need was computed")
+
+    monkeypatch.setattr(qubit, "q_invariants", refuse)
+    monkeypatch.setattr(qubit, "contract", refuse)
+    ext = random_state(2, 2, 8, size=3).coords.ext
+    for name in QUBIT_ROOTS:
+        assert monotone_functional(name)[1](ext).shape == (3,)
 
 
 def test_block_kernel_skips_degenerate_pair():
@@ -196,6 +239,14 @@ def test_wrong_exponent_control_violates():
     control = wrong_exponent_counterexample()
     assert control["raw_margin"] < -1e-9
     assert control["proper_margin"] >= -1e-9
+
+
+def test_control_margins_are_computed_once():
+    control = wrong_exponent_counterexample()
+    assert control_margins() == (control["raw_margin"], control["proper_margin"])
+    hits = control_margins.cache_info().hits
+    control_margins()
+    assert control_margins.cache_info().hits == hits + 1
 
 
 def test_cubic_monotone_is_homogeneity_one():
