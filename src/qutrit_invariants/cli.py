@@ -127,9 +127,8 @@ def cmd_count(args):
         elif args.family == "graded":
             columns = ([tuple(int(c) for c in args.pqs)]
                        if args.pqs else counting.GRADED_COLUMNS)
-            for p, q, s in columns:
-                rows.append({"grading": f"{p}{q}{s}",
-                             "count": counting.count_graded_quartics(p, q, s),
+            for (p, q, s), count in zip(columns, counting.graded_table(columns)):
+                rows.append({"grading": f"{p}{q}{s}", "count": count,
                              "method": "plethysm singlet pairing",
                              "conjecture": False})
     except ValueError as exc:

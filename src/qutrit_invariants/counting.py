@@ -9,6 +9,7 @@ flagged as a conjecture in its report.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from operator import add
 
 from .symfunc import (
     SchurExpr,
@@ -18,7 +19,6 @@ from .symfunc import (
     partitions,
     plethysm,
     product_power_plethysm,
-    plethysm_series,
     sun_modify,
 )
 
@@ -111,41 +111,43 @@ def _su3_singlets(x, y):
     return sum(c * ym.terms.get(lam, 0) for lam, c in xm.terms.items())
 
 
-def _graded_raw(p, q, s):
-    """Linear count of invariants of multidegree (p, q, s) in the one-sided,
-    other-sided and correlation blocks, disconnected products included."""
-    total = 0
-    for _, left, right in product_power_plethysm(ADJOINT, ADJOINT, s):
-        side1 = _su3_singlets(plethysm(SchurExpr.schur((p,) if p else ()), ADJOINT), left)
-        side2 = _su3_singlets(plethysm(SchurExpr.schur((q,) if q else ()), ADJOINT), right)
-        total += side1 * side2
-    return total
+def graded_table(columns):
+    """Connected invariants at each multidegree (p, q, s) in ``columns``, a
+    list of tuples of total degree <= 4, as a list of counts.
+
+    The raw count pairs the singlets of the one-sided, other-sided and
+    correlation blocks, so it includes products of lower-degree invariants;
+    at total degree 4 the only such products are pairs of quadratics, since
+    no degree-1 invariant exists, and they are subtracted.  Each
+    symmetrized power and each raw count is computed once per table.
+    """
+    for p, q, s in columns:
+        _check_ints(p, q, s)
+        if p + q + s > 4 or min(p, q, s) < 0:
+            raise ValueError("supported gradings have total degree <= 4")
+    quads = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    split = {tuple(map(add, g1, g2)): (g1, g2) for i, g1 in enumerate(quads) for g2 in quads[i:]}
+    needed = set(columns).union(*(split[c] for c in columns if c in split))
+    products = {s: product_power_plethysm(ADJOINT, ADJOINT, s) for s in {g[2] for g in needed}}
+    powers = {p: plethysm(SchurExpr.schur((p,) if p else ()), ADJOINT)
+              for p in {p for g in needed for p in g[:2]}}
+    raw = {(p, q, s): sum(_su3_singlets(powers[p], left) * _su3_singlets(powers[q], right)
+                          for _, left, right in products[s]) for p, q, s in needed}
+
+    def connected(c):
+        if c not in split:
+            return raw[c]
+        g1, g2 = split[c]
+        n1, n2 = raw[g1], raw[g2]
+        return raw[c] - (n1 * (n1 + 1) // 2 if g1 == g2 else n1 * n2)
+
+    return [connected(c) for c in columns]
 
 
 def count_graded_quartics(p, q, s):
-    """Connected invariants of multidegree (p, q, s), total degree <= 4.
-
-    The raw character count includes products of lower-degree invariants;
-    at total degree 4 the only such products are pairs of quadratics, since
-    no degree-1 invariant exists.  They are subtracted to leave the count
-    of new, connected invariants at this grading.
-    """
-    _check_ints(p, q, s)
-    total = p + q + s
-    if total > 4 or min(p, q, s) < 0:
-        raise ValueError("supported gradings have total degree <= 4")
-    raw = _graded_raw(p, q, s)
-    if total < 4:
-        return raw
-    disconnected = 0
-    quads = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
-    for i, g1 in enumerate(quads):
-        for g2 in quads[i:]:
-            if (g1[0] + g2[0], g1[1] + g2[1], g1[2] + g2[2]) != (p, q, s):
-                continue
-            n1, n2 = _graded_raw(*g1), _graded_raw(*g2)
-            disconnected += n1 * (n1 + 1) // 2 if g1 == g2 else n1 * n2
-    return raw - disconnected
+    """Connected invariants of multidegree (p, q, s), total degree <= 4:
+    the one-column ``graded_table``."""
+    return graded_table([(p, q, s)])[0]
 
 
 GRADED_COLUMNS = [
@@ -162,7 +164,8 @@ def count_lsl(D, n):
     for four-qubit pure states.  D = 3 reads multiplicities off the
     symmetrized-power series of the degree-3 symmetric invariant tensor; no
     modification rules are known for that case, so the result is flagged as
-    a conjecture.
+    a conjecture.  The weight-n part of that series, n = 3m, is the one
+    plethysm S(m)[S(3)], so only that term is computed.
     """
     _check_degree("lsl", D, n)
     if D == 2:
@@ -171,7 +174,8 @@ def count_lsl(D, n):
     if n % 3:
         return CountReport(n, 0, "symmetric-cube series multiplicities",
                            conjecture=True)
-    block = plethysm_series(3, max(n, 3)).weight_part(n)
-    count = sum(c * c for c in block.terms.values()) if n else 1
+    block = (plethysm(SchurExpr.schur((n // 3,)), SchurExpr.schur((3,))) if n
+             else SchurExpr.schur(()))  # S(0)[S(3)] = 1
+    count = sum(c * c for c in block.terms.values())
     return CountReport(n, count, "symmetric-cube series multiplicities",
                        conjecture=True)

@@ -286,9 +286,10 @@ def _p_scale_parts(p, k):
     return {tuple(k * x for x in rho): x * k ** len(rho) for rho, x in p.items()}
 
 
-def _p_to_schur(p, scale=1):
-    """Schur expansion of the p-expansion ``p`` divided by ``scale``: the
-    coefficient of {lam} is the class sum of X_rho (n!/z_rho) chi^lam_rho
+def _p_to_schur(p, scale=1, max_len=None):
+    """Schur expansion of the p-expansion ``p`` divided by ``scale``, on the
+    {lam} with at most ``max_len`` rows (the caller vouches for the rest):
+    the coefficient of {lam} is the class sum of X_rho (n!/z_rho) chi^lam_rho
     over rho, divided by n! * scale.  ArithmeticError when that division is
     not exact, i.e. when the result is not a virtual character."""
     by_weight = {}
@@ -298,7 +299,7 @@ def _p_to_schur(p, scale=1):
     for n, block in by_weight.items():
         order = factorial(n)
         weights = [x * (order // zclass(rho)) for rho, x in block.items()]
-        for lam in partitions(n):
+        for lam in partitions(n, max_len):
             total = sum(map(mul, weights, map(character, repeat(lam), block)))
             coeff, rest = divmod(total, order * scale)
             if rest:
@@ -329,6 +330,12 @@ def plethysm(a, b):
 
     plethysm(S(n), x) is the {n}-symmetrized power of x; the classical
     product notation x (x) {n} corresponds to plethysm(S(n), x).
+
+    Only {lam} with at most L = max |mu| over ``a`` times max len(nu) over
+    ``b`` rows can occur, and only those are computed: S_mu(W) lies in W^(x|mu|),
+    and a Littlewood-Richardson term of {alpha}{beta} has at most len(alpha) +
+    len(beta) rows.  A virtual ``b`` reduces to this case through s_mu[X - Y] =
+    sum c^mu_{alpha beta} s_alpha[X] (-1)^|beta| s_beta'[Y] (Macdonald, I.8).
     """
     wmax = max((sum(lam) for lam in b.terms), default=0)
     if any(sum(lam) * wmax > PLETHYSM_WEIGHT_LIMIT for lam in a.terms):
@@ -340,11 +347,13 @@ def plethysm(a, b):
 
     # s_lam = sum_rho chi^lam_rho p_rho / z_rho, taken over the common
     # denominator m! of the largest weight m in ``a``
-    order = factorial(max((sum(lam) for lam in a.terms), default=0))
+    m = max((sum(lam) for lam in a.terms), default=0)
+    order = factorial(m)
     return _p_to_schur(_collect((key, c * chi * (order // zclass(rho)) * v)
                                 for lam, c in a.terms.items()
                                 for rho, chi in _schur_term_to_p(lam).items()
-                                for key, v in composed(rho).items()), order)
+                                for key, v in composed(rho).items()), order,
+                       m * max(map(len, b.terms), default=0))
 
 
 def product_power_plethysm(a, b, n):

@@ -275,7 +275,7 @@ def _refuse_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("a table was computed")
 
-    for name in ("count_lu_mixed", "count_lsl", "count_graded_quartics"):
+    for name in ("count_lu_mixed", "count_lsl", "count_graded_quartics", "graded_table"):
         monkeypatch.setattr(counting, name, refuse)
 
 

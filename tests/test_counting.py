@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from qutrit_invariants import counting
+from qutrit_invariants import counting, symfunc
+from qutrit_invariants.cli import main
 from qutrit_invariants.counting import (
     GRADED_COLUMNS,
     count_graded_quartics,
@@ -68,7 +69,7 @@ def test_counts_refuse_arguments_that_are_not_ints(count, args, monkeypatch):
     def no_work(*_):
         raise AssertionError("the count ran before checking its arguments")
     for name in ("character", "class_sum", "partitions", "plethysm",
-                 "plethysm_series", "product_power_plethysm"):
+                 "product_power_plethysm"):
         monkeypatch.setattr(counting, name, no_work)
     with pytest.raises(ValueError, match="must be integers"):
         count(*args)
@@ -190,3 +191,50 @@ def test_report_shape():
     rep = count_lsl(3, 9)
     d = rep.as_dict()
     assert d["degree"] == 9 and d["count"] == 5 and d["conjecture"]
+
+
+def _record_calls(monkeypatch, calls, name, *modules):
+    """Route ``name`` in each of ``modules`` through a wrapper that appends
+    (name, args) to ``calls``."""
+    real = getattr(modules[0], name)
+
+    def recorded(*args):
+        calls.append((name, args))
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, recorded)
+
+
+def test_a_table_computes_each_plethysm_once(monkeypatch, capsys):
+    calls = []
+    for name in ("plethysm", "product_power_plethysm"):
+        _record_calls(monkeypatch, calls, name, counting)
+    assert main(["count", "graded"]) == 0
+    # one symmetrized power of the product per distinct s, and of the
+    # adjoint per distinct p or q
+    assert sorted(args[2] for name, args in calls if name == "product_power_plethysm") == \
+        [0, 1, 2, 3, 4]
+    assert sorted(repr(args[0]) for name, args in calls if name == "plethysm") == \
+        sorted(repr(S(p)) for p in range(5))
+    calls.clear()
+    assert main(["count", "lsl", "--dim", "3", "--max", "12"]) == 0
+    # only the weight-3m term S(m)[S(3)] of the series, once per m
+    assert calls == [("plethysm", (S(m), S(3))) for m in range(1, 5)]
+
+
+def test_cold_tables_stay_cold(monkeypatch, capsys):
+    # a cache that outlived a table would let the second run skip work
+    for table in vars(symfunc).values():
+        if hasattr(table, "cache_clear"):
+            table.cache_clear()
+    calls = []
+    _record_calls(monkeypatch, calls, "plethysm", symfunc, counting)
+    _record_calls(monkeypatch, calls, "product_power_plethysm", symfunc, counting)
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        for argv in (["graded"], ["lsl", "--dim", "3", "--max", "12"]):
+            assert main(["count", *argv]) == 0
+        runs.append(sorted(name for name, _ in calls))
+    assert runs[0] == runs[1] and "product_power_plethysm" in runs[0]

@@ -3,6 +3,7 @@ import threading
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qutrit_invariants import symfunc
 from qutrit_invariants.symfunc import (
     S,
     SchurExpr,
@@ -428,3 +429,33 @@ def test_plethysm_of_mixed_weights_is_the_sum_of_homogeneous_parts():
                 for mu in partitions(m):
                     split = split + plethysm(S(*mu), b1) * plethysm(skew(S(*lam), S(*mu)), b2)
             assert plethysm(S(*lam), b) == split, lam
+
+
+# every plethysm the exact digest pins, and virtual and mixed-weight arguments
+ROW_BOUND_CASES = [
+    (S(*lam), S(*mu)) for inner in range(1, 4) for outer in range(1, 5)
+    for lam in partitions(outer) for mu in partitions(inner)
+] + [
+    (S(2), S(2) - S(1, 1)), (S(3), S(2, 1) - S(3)), (S(2, 2), S(1, 1) - S(2)),
+    (S(2, 1), S(1) + S(2)), (S(4), S(1) + S(2, 1)), (S(3), S() + S(2, 1)),
+    (S(2) - S(1, 1), S(2, 1)), (S(3) + S(1), S(1, 1)),
+]
+
+
+def test_plethysm_computes_only_the_rows_it_can_have(monkeypatch):
+    # the expansion over every partition has no term longer than the bound
+    # L = max |mu| over a times max len(nu) over b, and equals the bounded one
+    bounds = []
+
+    def unbounded(p, scale=1, max_len=None):
+        bounds.append(max_len)
+        return _p_to_schur(p, scale)
+
+    for a, b in ROW_BOUND_CASES:
+        bound = max(map(sum, a.terms)) * max(map(len, b.terms))
+        with monkeypatch.context() as m:
+            m.setattr(symfunc, "_p_to_schur", unbounded)
+            full = plethysm(a, b)
+        assert bounds.pop() == bound
+        assert full and all(len(lam) <= bound for lam in full.terms), (a, b)
+        assert plethysm(a, b) == full, (a, b)
