@@ -176,8 +176,9 @@ def independence_test(states, labels, jacobian_points=2):
     """Linear and algebraic independence evidence for a set of invariants.
 
     Returns the numerical rank of the values matrix over the sample and the
-    Jacobian rank of the invariant map at a few of the sampled states
-    (stencil differentiation, exact for these degree <= 4 polynomials).
+    Jacobian rank of the invariant map at the first ``jacobian_points``
+    sampled states (``states.jacobian_rank``: stencil differentiation along
+    a fixed sketch of directions, exact for these degree <= 4 polynomials).
     Degenerate samples are reported, not silently accepted.
     """
     states = list(states)
@@ -185,6 +186,8 @@ def independence_test(states, labels, jacobian_points=2):
     unknown = [l for l in labels if l not in GRADINGS]
     if unknown:
         raise ValueError(f"unknown invariant labels: {unknown}")
+    if jacobian_points < 0:
+        raise ValueError(f"jacobian_points must be non-negative, got {jacobian_points}")
     if len(states) < len(labels) + 5:
         raise ValueError("sample must exceed the label count by at least 5")
     for st in states:

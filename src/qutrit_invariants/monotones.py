@@ -30,6 +30,7 @@ SINGULAR_EPS = 1e-3
 # count.  A block is also the unit of work of the worker pool, so what a
 # block computes never depends on the number of workers.
 TRIAL_BLOCK = 64
+SCAN_SLICE = 4096  # random samples per cache-sized slice of the scalar scan
 
 
 @dataclass(frozen=True)
@@ -305,8 +306,9 @@ def scalar_inequality_scan(resolution, samples=100_000, seed=0):
     # resolution, and only the random samples are drawn on every call
     grid_max, boundary_max, diagonal_residual = _grid_scan(resolution)
     rng = np.random.default_rng(seed)
-    a, b, c = rng.random((3, samples))  # the numbers of uniform(0, 1)
-    random_max = float((_lhs(a, b, c) - 1.0).max())
+    abc = rng.random((3, samples))  # the numbers of uniform(0, 1)
+    random_max = max(float((_lhs(*abc[:, s:s + SCAN_SLICE]) - 1.0).max())
+                     for s in range(0, samples, SCAN_SLICE))
     return {
         "resolution": int(resolution),
         "random_samples": int(samples),

@@ -30,10 +30,11 @@ _WEIGHTS = {2 * m: {k: Fraction((-1) ** (abs(k) + 1) * factorial(m) ** 2,
 _BLOCK = 64
 
 
-def poly_jacobian(fn, x0, degree):
-    """Jacobian of ``fn`` at ``x0``.
+def poly_jacobian(fn, x0, degree, directions=None):
+    """Jacobian J of ``fn`` at ``x0``, or the (k, m) product J V along the
+    columns of an (n, m) matrix V of ``directions`` (None: the identity).
 
-    ``fn`` maps an (M, n) stack of points to the (M, m) stack of its values
+    ``fn`` maps an (M, n) stack of points to the (M, k) stack of its values
     and must be polynomial of total degree <= ``degree`` (1 to 8) in each
     coordinate; the stencil then differentiates it exactly up to rounding.
     All stencil points are evaluated in stacks of at most ``_BLOCK``.
@@ -44,13 +45,13 @@ def poly_jacobian(fn, x0, degree):
     order = min(o for o in _WEIGHTS if o >= degree)
     offsets, weights = zip(*_WEIGHTS[order].items())
     x0 = np.asarray(x0, dtype=float)
-    n, k = x0.size, len(offsets)
-    # point j * k + i moves coordinate j by the i-th offset
-    points = np.tile(x0, (n * k, 1))
-    points[np.arange(n * k), np.repeat(np.arange(n), k)] += np.tile(np.multiply(offsets, STEP), n)
+    V = np.eye(x0.size) if directions is None else np.asarray(directions, dtype=float)
+    m, k = V.shape[1], len(offsets)
+    # point j * k + i is x0 + offsets[i] * STEP * V[:, j]
+    points = x0 + (V.T[:, None, :] * np.multiply(offsets, STEP)[:, None]).reshape(m * k, -1)
     values = np.concatenate([np.asarray(fn(points[s:s + _BLOCK]), dtype=float)
-                             for s in range(0, n * k, _BLOCK)])
-    return contract('jim,i->mj', values.reshape(n, k, -1), np.array(weights, dtype=float)) / STEP
+                             for s in range(0, m * k, _BLOCK)])
+    return contract('jim,i->mj', values.reshape(m, k, -1), np.array(weights, dtype=float)) / STEP
 
 
 def numerical_rank(matrix, rel_threshold=1e-8, normalize_rows=False):

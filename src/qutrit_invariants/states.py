@@ -21,6 +21,8 @@ from .tensors import build_structure_tensors
 
 HERMITICITY_TOL = 1e-10
 PHYSICALITY_TOL = 1e-10
+OVERSAMPLE = 3  # sketch directions beyond the output count
+SKETCH_SEED = 0
 
 
 def _rng(seed):
@@ -160,12 +162,21 @@ def free_coordinates(coords):
 
 
 def jacobian_rank(coords, fn, degree):
-    """Row-normalized rank of the Jacobian of ``fn`` over the free
+    """Row-normalized rank of the Jacobian J of ``fn`` over the n free
     coordinates of one state; ``fn`` maps a ``StateCoords`` stack to its
-    (..., m) values, polynomial of total degree <= ``degree``."""
+    (..., k) values, polynomial of total degree <= ``degree``.  When
+    k + OVERSAMPLE < n, the rank of J V along k + OVERSAMPLE unit Gaussian
+    columns V from ``SKETCH_SEED``: never above rank J, and equal to it for
+    all V outside a set of measure zero (Halko, Martinsson & Tropp 2011).
+    """
     x0, coords_at = free_coordinates(coords)
-    jac = poly_jacobian(lambda x: fn(coords_at(x)), x0, degree)
-    return numerical_rank(jac, normalize_rows=True)
+    f = lambda x: fn(coords_at(x))
+    m = np.shape(f(x0[None]))[-1] + OVERSAMPLE
+    V = None
+    if m < x0.size:
+        V = np.random.default_rng(SKETCH_SEED).standard_normal((x0.size, m))
+        V /= np.linalg.norm(V, axis=0)
+    return numerical_rank(poly_jacobian(f, x0, degree, V), normalize_rows=True)
 
 
 def complex_matrices(x):

@@ -13,7 +13,7 @@ the Murnaghan-Nakayama recursion.  No fractions and no floats appear.
 from __future__ import annotations
 
 import re
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import lru_cache, reduce
 from itertools import chain, repeat
 from math import comb, factorial, prod
@@ -67,10 +67,12 @@ def partitions(n, max_len=None):
 
 
 def zclass(rho):
-    """Centralizer order of the conjugacy class with cycle type ``rho``."""
-    z = 1
-    for k, m in Counter(rho).items():
-        z *= k ** m * factorial(m)
+    """Centralizer order of the conjugacy class with cycle type ``rho``: a
+    run of m equal parts k gives k^m m!, the product of k * (run position)."""
+    z, run, prev = 1, 0, None
+    for k in sorted(rho):
+        run = run + 1 if k == prev else 1
+        z, prev = z * k * run, k
     return z
 
 

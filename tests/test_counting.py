@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -13,6 +15,8 @@ from qutrit_invariants.counting import (
     su3_conjugate,
 )
 from qutrit_invariants.symfunc import S, character, class_sum, partitions, zclass
+
+from bruteforce import zclass as oracle_zclass
 
 
 def expand_rational_series(numerator, den_factors, order):
@@ -93,6 +97,16 @@ def test_class_sum_matches_the_rational_sum_of_both_counts():
                 for tau in partitions(n, max_len=D * D):
                     fn = lambda rho: character(sigma, rho) ** 2 * character(tau, rho)  # noqa: E731
                     assert class_sum(n, fn) == fraction_class_sum(n, fn)
+
+
+def test_zclass_is_the_centralizer_order_in_any_order_of_parts():
+    for n in range(11):
+        # the class sizes n!/z partition S_n
+        assert sum(factorial(n) // zclass(rho) for rho in partitions(n)) == factorial(n)
+        for rho in partitions(n):
+            assert zclass(rho) == oracle_zclass(rho), rho
+    for rho in ((1, 2, 1, 3, 2, 1), (2, 2, 2, 1), ()):
+        assert {zclass(p) for p in permutations(rho)} == {oracle_zclass(rho)}
 
 
 def test_class_sum_refuses_a_non_integer_average():

@@ -18,6 +18,7 @@ from qutrit_invariants.lu_invariants import (
 )
 from qutrit_invariants.numdiff import poly_jacobian
 from qutrit_invariants.states import (
+    OVERSAMPLE,
     BipartiteState,
     apply_local,
     random_local_unitary,
@@ -248,14 +249,28 @@ def test_independence_test_block_calls_do_not_grow_with_labels(monkeypatch):
 
     for name in ("low_degree_blocks", "quartic_blocks"):
         monkeypatch.setattr(lu_invariants, name, counted(name))
-    counts = []
     for labels in (QUARTIC_LABELS[:2], QUARTIC_LABELS):
         calls.clear()
         independence_test(STATES, labels, jacobian_points=1)
-        counts.append(dict(calls))
-    # one call for the values matrix, one per stencil block of 80 * 4 points
-    assert counts[0] == counts[1] == {
-        "quartic_blocks": 1 + math.ceil(80 * 4 / numdiff._BLOCK)}
+        # one call for the values matrix, one for the probe of the output
+        # count, and one per stencil block of 4 points along each of the
+        # len(labels) + OVERSAMPLE sketch directions: every block evaluates
+        # all labels at once
+        m = len(labels) + OVERSAMPLE
+        assert calls == {"quartic_blocks": 2 + math.ceil(4 * m / numdiff._BLOCK)}, labels
+
+
+def test_independence_test_sketch_finds_the_k004_32_relation():
+    # the sketched Jacobian of all eighteen connected quartics still has
+    # rank 17: the dependent K004_32 adds no direction
+    rep = independence_test(STATES, ALL_QUARTIC_LABELS, jacobian_points=2)
+    assert rep["jacobian_ranks"] == [17, 17]
+
+
+@pytest.mark.parametrize("points", [-1, -24])
+def test_independence_test_rejects_negative_jacobian_points(points):
+    with pytest.raises(ValueError, match="jacobian_points must be non-negative"):
+        independence_test(STATES, QUARTIC_LABELS, jacobian_points=points)
 
 
 # The hand-written gradings that the labels now carry, kept as the reference

@@ -301,9 +301,10 @@ def _full_grid_scan(resolution, samples, seed):
 
 @pytest.mark.parametrize("resolution", [10, 40, 100])
 def test_scalar_scan_equals_the_full_grid(resolution):
-    for seed in (0, 7):
-        ref = _full_grid_scan(resolution, 5_000, seed)
-        assert scalar_inequality_scan(resolution, samples=5_000, seed=seed) == ref
+    # 5,000 samples end in a partial slice; 100,000 are what the CLI draws
+    for seed, samples in ((0, 5_000), (7, 5_000), (808, 100_000)):
+        ref = _full_grid_scan(resolution, samples, seed)
+        assert scalar_inequality_scan(resolution, samples=samples, seed=seed) == ref
     # the grid part is computed once per resolution, whatever the seed
     hits = monotones._grid_scan.cache_info().hits
     again = scalar_inequality_scan(resolution, samples=5_000, seed=3)
