@@ -200,7 +200,8 @@ def independence_test(states, labels, jacobian_points=2):
     value_rank = numerical_rank(values / colsafe)
 
     degree = max(1, max(sum(GRADINGS[l]) for l in labels))
-    jac_ranks = [jacobian_rank(st.coords, lambda c: _label_values(labels, c), degree)
+    jac_ranks = [jacobian_rank(st.coords, lambda c: _label_values(labels, c), degree,
+                               k=len(labels))
                  for st in states[:jacobian_points]]
 
     return {

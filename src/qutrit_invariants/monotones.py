@@ -27,8 +27,8 @@ SINGULAR_EPS = 1e-3
 
 # Trials per block: enough to amortize the per-call cost of the stacked
 # linear algebra, few enough that memory does not grow with the trial
-# count.  A block is also the unit of work of the worker pool, so what a
-# block computes never depends on the number of workers.
+# count.  A block is also the unit of work shared out between processes,
+# so what a block computes never depends on the number of workers.
 TRIAL_BLOCK = 64
 SCAN_SLICE = 4096  # random samples per cache-sized slice of the scalar scan
 
@@ -187,11 +187,66 @@ def _run_block(args):
                     u[:, dim] < 0.5, functional)
 
 
+def _send_margins(jobs, conn):
+    """Child process: send the margins of its blocks, or the exception that
+    one of them raised, through ``conn``."""
+    try:
+        result = [_run_block(job) for job in jobs]
+    except Exception as exc:  # the parent raises it again
+        result = exc
+    try:
+        conn.send(result)
+    finally:
+        conn.close()
+
+
+def _map_blocks(jobs, workers):
+    """The margins of each job, in order.  Block k runs in process k mod
+    ``workers``: the calling process computes share 0 itself and child w
+    computes share w, for w = 1 .. workers-1.  Every child is joined before
+    this returns or raises, terminated first if its result was not read."""
+    # imported here: loading multiprocessing costs every other process
+    import multiprocessing
+    shares = [jobs[w::workers] for w in range(workers)]
+    children, ends, received = [], [], 0
+    try:
+        for share in shares[1:]:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            ends.append(recv)
+            child = multiprocessing.Process(target=_send_margins, args=(share, send))
+            try:
+                child.start()
+            finally:
+                send.close()
+            children.append(child)
+        results = [[_run_block(job) for job in shares[0]]]
+        for child, recv in zip(children, ends):
+            try:
+                result = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a trial worker process exited with code "
+                                   f"{child.exitcode} before sending its margins") from None
+            received += 1
+            if isinstance(result, BaseException):
+                raise result
+            results.append(result)
+    finally:
+        for k, child in enumerate(children):
+            if k >= received:
+                child.terminate()
+            child.join()
+        for recv in ends:
+            recv.close()
+    return [results[k % workers][k // workers] for k in range(len(jobs))]
+
+
 def run_trials(name, trials, seed, workers=1, tol=1e-9):
     """Monte-Carlo concavity sweep; the report is a JSON-ready dict.
 
-    Each trial derives its own generator from (seed, index), and a pool of
-    workers maps over whole blocks of trials, so the result is identical
+    Each trial derives its own generator from (seed, index), and trials run
+    in whole blocks: with W workers the calling process takes every W-th
+    block and W-1 child processes take the rest, so the result is identical
     for any worker count.  Violating trials are listed with their seeds for
     reproduction.
     """
@@ -203,10 +258,7 @@ def run_trials(name, trials, seed, workers=1, tol=1e-9):
     jobs = [(name, seed, start, stop) for start, stop in trial_blocks(trials)]
     workers = min(workers, len(jobs))
     if workers > 1:
-        # imported here: loading multiprocessing costs every other process
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_block, jobs))
+        parts = _map_blocks(jobs, workers)
     else:
         parts = [_run_block(job) for job in jobs]
     margins = np.concatenate(parts)
@@ -302,6 +354,8 @@ def scalar_inequality_scan(resolution, samples=100_000, seed=0):
     """
     if resolution < 10:
         raise ValueError("resolution must be at least 10 points per axis")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     # the grid does not depend on the seed: it is computed once per
     # resolution, and only the random samples are drawn on every call
     grid_max, boundary_max, diagonal_residual = _grid_scan(resolution)

@@ -130,11 +130,13 @@ def dependence_jacobian_rank(coords):
     one polynomial relation tying Q8 to the others."""
     _require_qubits(coords)
 
+    names = ("Q2", "Q4", "Q6", "Q8", "Q4t")
+
     def fn(c):
         q = q_invariants(c.ext)
-        return np.stack([q[k] for k in ("Q2", "Q4", "Q6", "Q8", "Q4t")], axis=-1)
+        return np.stack([q[k] for k in names], axis=-1)
 
-    return jacobian_rank(coords, fn, degree=8)
+    return jacobian_rank(coords, fn, degree=8, k=len(names))
 
 
 def q8_relation_residual(ext):

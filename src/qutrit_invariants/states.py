@@ -161,7 +161,7 @@ def free_coordinates(coords):
     return flat[1:], coords_at
 
 
-def jacobian_rank(coords, fn, degree):
+def jacobian_rank(coords, fn, degree, k):
     """Row-normalized rank of the Jacobian J of ``fn`` over the n free
     coordinates of one state; ``fn`` maps a ``StateCoords`` stack to its
     (..., k) values, polynomial of total degree <= ``degree``.  When
@@ -171,7 +171,7 @@ def jacobian_rank(coords, fn, degree):
     """
     x0, coords_at = free_coordinates(coords)
     f = lambda x: fn(coords_at(x))
-    m = np.shape(f(x0[None]))[-1] + OVERSAMPLE
+    m = k + OVERSAMPLE
     V = None
     if m < x0.size:
         V = np.random.default_rng(SKETCH_SEED).standard_normal((x0.size, m))

@@ -1,5 +1,5 @@
-import concurrent.futures
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -16,8 +16,8 @@ USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a worker pool was started")
+def _no_process(*args, **kwargs):
+    raise AssertionError("a child process was started")
 
 
 @pytest.fixture
@@ -157,7 +157,7 @@ def test_byte_identical_reports(mm33, tmp_path):
     main(["invariants", mm33, "--seed", "4", "--out", str(out1)])
     main(["invariants", mm33, "--seed", "4", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
-    # three trial blocks, so the two-worker run does start a pool
+    # three trial blocks, so the two-worker run does start a child
     out3, out4 = tmp_path / "c.json", tmp_path / "d.json"
     main(["verify", "monotone", "--trials", "150", "--seed", "2", "--out", str(out3)])
     workers = str(min(2, USABLE_CPUS))
@@ -182,20 +182,20 @@ def test_verify_rejects_vacuous_trials(suite, trials, tmp_path, capsys):
 
 
 def test_verify_worker_bounds_start_no_process(monkeypatch, capsys):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", _no_process)
     cpus = USABLE_CPUS
     for workers in (0, -1, cpus + 1, 10 ** 9):
         assert main(["verify", "monotone", "--trials", "10",
                      "--workers", str(workers)]) == 2
         assert "--workers" in capsys.readouterr().err
-    # one block of trials needs no pool, whatever the worker count
+    # one block of trials starts no child, whatever the worker count
     assert main(["verify", "monotone", "--trials", "10",
                  "--workers", str(min(2, cpus))]) == 0
 
 
 def test_worker_bound_is_the_affinity_set(monkeypatch, capsys):
     # a cpuset that lets the process use one CPU of many
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", _no_process)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert main(["verify", "monotone", "--trials", "10", "--workers", "2"]) == 2
@@ -362,7 +362,7 @@ def test_verify_violation_is_reported_on_stderr(tmp_path, capsys):
 
 
 def test_import_loads_no_process_pool():
-    # the pool and multiprocessing are imported only by a run with workers
+    # multiprocessing is imported only by a run that starts child processes
     code = ("import sys, qutrit_invariants, qutrit_invariants.cli; "
             "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', "
             "'concurrent.futures.process'))))")

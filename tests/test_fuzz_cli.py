@@ -3,14 +3,14 @@
 Whatever the input, the command line either succeeds (exit 0) with a strict
 JSON report, or fails closed (exit 2 for bad input, 3 for a property
 violation) with a message on stderr.  No example starts a process: trial
-counts stay within one block and the process pool is replaced by one that
-refuses to start.
+counts stay within one block and ``multiprocessing.Process`` is replaced by
+one that refuses to start.
 """
 
-import concurrent.futures
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import tempfile
 from pathlib import Path
@@ -35,8 +35,8 @@ def _strict(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a worker pool was started")
+def _no_process(*args, **kwargs):
+    raise AssertionError("a child process was started")
 
 
 def run(argv, out):
@@ -44,7 +44,7 @@ def run(argv, out):
     stdout, stderr = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        mp.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        mp.setattr(multiprocessing, "Process", _no_process)
         try:
             code = main(argv + ["--out", str(out)])
         except SystemExit as exc:  # argparse rejects the arguments

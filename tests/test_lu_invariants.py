@@ -252,12 +252,11 @@ def test_independence_test_block_calls_do_not_grow_with_labels(monkeypatch):
     for labels in (QUARTIC_LABELS[:2], QUARTIC_LABELS):
         calls.clear()
         independence_test(STATES, labels, jacobian_points=1)
-        # one call for the values matrix, one for the probe of the output
-        # count, and one per stencil block of 4 points along each of the
-        # len(labels) + OVERSAMPLE sketch directions: every block evaluates
-        # all labels at once
+        # one call for the values matrix and one per stencil block of 4
+        # points along each of the len(labels) + OVERSAMPLE sketch
+        # directions: every block evaluates all labels at once
         m = len(labels) + OVERSAMPLE
-        assert calls == {"quartic_blocks": 2 + math.ceil(4 * m / numdiff._BLOCK)}, labels
+        assert calls == {"quartic_blocks": 1 + math.ceil(4 * m / numdiff._BLOCK)}, labels
 
 
 def test_independence_test_sketch_finds_the_k004_32_relation():

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -7,6 +10,7 @@ from qutrit_invariants import monotones, qubit
 from qutrit_invariants.monotones import (
     MONOTONE_FUNCTIONALS,
     SINGULAR_EPS,
+    TRIAL_BLOCK,
     _margins,
     _run_block,
     apply_measurement,
@@ -125,10 +129,92 @@ def test_trials_reproducible_and_worker_independent():
     assert a == b
     c = run_trials("C3", 60, seed=5, workers=2)
     assert a == c
-    # three blocks, the last one partly filled, shared out over the pool
+    # three blocks, the last one partly filled, shared out between processes
     ref = run_trials("C3", 150, seed=5)
     for workers in (2, 3):
         assert run_trials("C3", 150, seed=5, workers=workers) == ref
+
+
+@pytest.mark.parametrize("trials", [1, 64, 65, 129, 400])
+@pytest.mark.parametrize("name", ["C3", "Q4t"])
+def test_trials_shared_between_processes_match_one_worker(name, trials):
+    # 1 and 64 trials start no child, at 65 a child takes one short block,
+    # and 129 and 400 trials split unevenly
+    ref = run_trials(name, trials, seed=11)
+    for workers in (2, 3):
+        assert run_trials(name, trials, seed=11, workers=workers) == ref
+    assert multiprocessing.active_children() == []
+
+
+# A patched block kernel reaches the children only when they are forked.
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="children do not inherit the patched kernel")
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs for more than 60 s instead of hanging the suite,
+    and stop the children it leaves, which the interpreter would wait for."""
+    def expire(signum, frame):
+        # not TimeoutError: an OSError inside os.waitpid is swallowed by join
+        pytest.fail("run_trials did not finish in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        for child in multiprocessing.active_children():
+            child.kill()
+            child.join()
+
+
+def _patch_blocks(monkeypatch, in_child):
+    """Replace the block kernel with ``in_child(job)`` for every block but the
+    first, which the calling process computes."""
+    run_block = monotones._run_block
+    monkeypatch.setattr(monotones, "_run_block", lambda job: run_block(job)
+                        if job[2] < TRIAL_BLOCK else in_child(job))
+
+
+@needs_fork
+def test_child_block_error_is_raised_in_the_parent(monkeypatch, deadline):
+    def fail(job):
+        raise ZeroDivisionError(f"block at {job[2]}")
+
+    _patch_blocks(monkeypatch, fail)
+    with pytest.raises(ZeroDivisionError, match="block at 64"):
+        run_trials("C3", 2 * TRIAL_BLOCK, seed=1, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_child_that_exits_without_sending_is_an_error(monkeypatch, deadline):
+    _patch_blocks(monkeypatch, lambda job: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        run_trials("Q4t", 3 * TRIAL_BLOCK, seed=1, workers=3)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_child_blocked_on_a_full_pipe_neither_hangs_nor_outlives_the_run(monkeypatch, deadline):
+    # 800 kB of margins fill the pipe before the parent reads them
+    _patch_blocks(monkeypatch, lambda job: np.zeros(10 ** 5))
+    assert run_trials("C3", 2 * TRIAL_BLOCK, seed=1, workers=2)["min_margin"] is not None
+    assert multiprocessing.active_children() == []
+
+    # and when the parent's own share fails, the child's result is never read
+    def interrupted(job):
+        if job[2] < TRIAL_BLOCK:
+            raise KeyboardInterrupt
+        return np.zeros(10 ** 5)
+
+    monkeypatch.setattr(monotones, "_run_block", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_trials("C3", 2 * TRIAL_BLOCK, seed=1, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("name", sorted(MONOTONE_FUNCTIONALS))
@@ -334,3 +420,9 @@ def test_scalar_scan_symmetric_saturation():
 def test_scalar_scan_resolution_guard():
     with pytest.raises(ValueError):
         scalar_inequality_scan(5)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_scalar_scan_samples_guard(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        scalar_inequality_scan(10, samples=samples)

@@ -54,7 +54,7 @@ def test_jacobian_rank_of_a_map_with_a_known_rank():
         x, y, z = c.ext[..., 0, 1], c.ext[..., 1, 0], c.ext[..., 2, 2]
         return np.stack([x, y, x + y, x * z], axis=-1)
 
-    assert jacobian_rank(coords, fn, degree=2) == 3
+    assert jacobian_rank(coords, fn, degree=2, k=4) == 3
 
 
 def _polynomial(degree, a, b, c):
