@@ -89,7 +89,12 @@ def cmd_invariants(args):
             "abs_Q4t^(1/4)": abs(q["Q4t"]) ** 0.25,
             "abs_Q6^(1/6)": abs(q["Q6"]) ** (1.0 / 6.0),
         }
-        report["expansion_residuals"] = qubit.expansion_residuals(state.coords)
+        try:
+            residuals = qubit.expansion_residuals(state.coords)
+        except ValueError as exc:  # the expansions hold on unit trace only
+            residuals = None
+            report["warnings"].append(f"expansion residuals not evaluated: {exc}")
+        report["expansion_residuals"] = residuals
     else:
         return _error(f"unsupported dimensions {dims}; expected (3,3) or (2,2)")
     return _emit(report, args.out)

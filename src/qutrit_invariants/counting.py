@@ -18,7 +18,6 @@ from .symfunc import (
     class_sum,
     partitions,
     plethysm,
-    product_power_plethysm,
     sun_modify,
 )
 
@@ -103,23 +102,15 @@ def su3_conjugate(expr):
     return SchurExpr._of(_collect((dual(lam), c) for lam, c in expr.terms.items()))
 
 
-def _su3_singlets(x, y):
-    """Multiplicity of the SU(3) singlet in the product of two characters:
-    pair each irreducible in x with its contragredient in y."""
-    xm = sun_modify(x, 3)
-    ym = su3_conjugate(sun_modify(y, 3))
-    return sum(c * ym.terms.get(lam, 0) for lam, c in xm.terms.items())
-
-
 def graded_table(columns):
     """Connected invariants at each multidegree (p, q, s) in ``columns``, a
     list of tuples of total degree <= 4, as a list of counts.
 
-    The raw count pairs the singlets of the one-sided, other-sided and
-    correlation blocks, so it includes products of lower-degree invariants;
-    at total degree 4 the only such products are pairs of quadratics, since
-    no degree-1 invariant exists, and they are subtracted.  Each
-    symmetrized power and each raw count is computed once per table.
+    The raw count sums, over sigma of weight s, the SU(3) singlets of the
+    (p) and sigma symmetrized powers of the adjoint times those of (q) and
+    sigma; it includes products of lower-degree invariants, and at total
+    degree 4 the only ones, pairs of quadratics, are subtracted.  One table
+    keyed by sigma holds each power, reduced and dualized once.
     """
     for p, q, s in columns:
         _check_ints(p, q, s)
@@ -128,11 +119,17 @@ def graded_table(columns):
     quads = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
     split = {tuple(map(add, g1, g2)): (g1, g2) for i, g1 in enumerate(quads) for g2 in quads[i:]}
     needed = set(columns).union(*(split[c] for c in columns if c in split))
-    products = {s: product_power_plethysm(ADJOINT, ADJOINT, s) for s in {g[2] for g in needed}}
-    powers = {p: plethysm(SchurExpr.schur((p,) if p else ()), ADJOINT)
-              for p in {p for g in needed for p in g[:2]}}
-    raw = {(p, q, s): sum(_su3_singlets(powers[p], left) * _su3_singlets(powers[q], right)
-                          for _, left, right in products[s]) for p, q, s in needed}
+    sigmas = {(n,) if n else () for g in needed for n in g[:2]}.union(
+        *(partitions(g[2]) for g in needed))
+    power = {sigma: sun_modify(plethysm(SchurExpr.schur(sigma), ADJOINT), 3) for sigma in sigmas}
+    dual = {sigma: su3_conjugate(x).terms for sigma, x in power.items()}
+
+    def singlets(n, sigma):  # pair each irreducible of the (n) power with its dual in sigma's
+        one = power[(n,) if n else ()].terms
+        return sum(c * dual[sigma].get(lam, 0) for lam, c in one.items())
+
+    raw = {(p, q, s): sum(singlets(p, sigma) * singlets(q, sigma) for sigma in partitions(s))
+           for p, q, s in needed}
 
     def connected(c):
         if c not in split:

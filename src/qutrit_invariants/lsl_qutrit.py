@@ -18,7 +18,7 @@ import numpy as np
 from .contract import contract, per_state
 from .lu_invariants import low_degree_invariants
 from .numdiff import numerical_rank
-from .states import coordinate_action, random_local_sl
+from .states import coordinate_action, random_local_sl, require_unit_trace
 from .tensors import build_structure_tensors
 
 _T3 = build_structure_tensors(3)
@@ -249,8 +249,7 @@ def cubic_expansion_residual(state):
     local-unitary invariants, valid for trace-normalized states: a float,
     or an array over a stacked state."""
     c = state.coords
-    if np.any(np.abs(c.trace_entry - 1.0 / 9.0) > 1e-8):
-        raise ValueError("expansion requires a trace-normalized state")
+    require_unit_trace(c)
     k = low_degree_invariants(c)
     expansion = (k["K003d"]
                  + 1.5 * (k["K300"] + k["K030"])

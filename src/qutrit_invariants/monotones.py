@@ -90,12 +90,8 @@ def _branches(state, pair, on_a):
     """
     dimA, dimB = state.dimA, state.dimB
     E = np.stack([pair.E1, pair.E2], axis=-3)
-    side_a = np.broadcast_to(np.asarray(on_a)[..., None], E.shape[:-2])
-    ops = np.empty(E.shape[:-2] + state.rho.shape[-2:], dtype=complex)
-    if side_a.any():
-        ops[side_a] = kron(E[side_a], np.eye(dimB))
-    if not side_a.all():
-        ops[~side_a] = kron(np.eye(dimA), E[~side_a])
+    ops = np.where(np.asarray(on_a)[..., None, None, None],
+                   kron(E, np.eye(dimB)), kron(np.eye(dimA), E))
     out = ops @ state.rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)
     p = np.trace(out, axis1=-2, axis2=-1).real
     degenerate = p < DEGENERATE_P

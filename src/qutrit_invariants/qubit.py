@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .contract import contract, per_state
-from .states import jacobian_rank
+from .states import jacobian_rank, require_unit_trace
 from .tensors import levi_civita
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -113,8 +113,10 @@ def q4tilde_expansion(coords):
 
 def expansion_residuals(coords):
     """Residuals of the three block expansions against the direct values:
-    floats for a single state, arrays over a stacked state."""
+    floats for a single state, arrays over a stacked state.  Raises
+    ``ValueError`` unless every state has trace 1."""
     _require_qubits(coords)
+    require_unit_trace(coords)
     q = q_invariants(coords.ext)
     return {
         "Q2": abs(q["Q2"] - q2_expansion(coords)),

@@ -21,6 +21,7 @@ from .tensors import build_structure_tensors
 
 HERMITICITY_TOL = 1e-10
 PHYSICALITY_TOL = 1e-10
+UNIT_TRACE_TOL = 1e-8  # of the trace entry, for the block expansions
 OVERSAMPLE = 3  # sketch directions beyond the output count
 SKETCH_SEED = 0
 
@@ -276,6 +277,14 @@ def physicality(state):
         "physical": bool(herm <= PHYSICALITY_TOL and eigs.min() >= -PHYSICALITY_TOL
                          and abs(tr - 1) <= PHYSICALITY_TOL),
     }
+
+
+def require_unit_trace(coords):
+    """Raise ``ValueError`` unless every state of ``coords`` has trace 1: its
+    trace entry within UNIT_TRACE_TOL of 1/(dimA dimB).  The block
+    expansions of the invariants hold for unit trace only."""
+    if np.any(np.abs(coords.trace_entry - 1.0 / (coords.dimA * coords.dimB)) > UNIT_TRACE_TOL):
+        raise ValueError("expansion requires a trace-normalized state")
 
 
 # ---------------------------------------------------------------------------

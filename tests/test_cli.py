@@ -269,6 +269,18 @@ def test_invariants_trace_not_one_reports_null_residual(tmp_path):
     assert any("trace-normalized" in w for w in report["warnings"])
 
 
+@pytest.mark.parametrize("trace", [0.5, 2.0])
+def test_invariants_qubit_trace_not_one_reports_null_residuals(tmp_path, trace):
+    path = tmp_path / "trace.json"
+    save_state(BipartiteState.from_rho(trace * np.eye(4) / 4, 2, 2), path)
+    out = tmp_path / "report.json"
+    assert main(["invariants", str(path), "--out", str(out)]) == 0
+    report = _strict(out.read_text())
+    assert report["expansion_residuals"] is None
+    assert any(w.startswith("expansion residuals not evaluated: ")
+               and "trace-normalized" in w for w in report["warnings"])
+
+
 def _refuse_work(monkeypatch):
     from qutrit_invariants import counting
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -12,6 +12,7 @@ from qutrit_invariants.counting import (
     count_lsl,
     count_lu_mixed,
     count_lu_pure,
+    graded_table,
     su3_conjugate,
 )
 from qutrit_invariants.symfunc import S, character, class_sum, partitions, zclass
@@ -72,8 +73,7 @@ def test_counts_refuse_arguments_that_are_not_ints(count, args, monkeypatch):
     # refused before any work: no symmetric-function routine is called
     def no_work(*_):
         raise AssertionError("the count ran before checking its arguments")
-    for name in ("character", "class_sum", "partitions", "plethysm",
-                 "product_power_plethysm"):
+    for name in ("character", "class_sum", "partitions", "plethysm", "sun_modify"):
         monkeypatch.setattr(counting, name, no_work)
     with pytest.raises(ValueError, match="must be integers"):
         count(*args)
@@ -222,15 +222,24 @@ def _record_calls(monkeypatch, calls, name, *modules):
 
 def test_a_table_computes_each_plethysm_once(monkeypatch, capsys):
     calls = []
-    for name in ("plethysm", "product_power_plethysm"):
-        _record_calls(monkeypatch, calls, name, counting)
+    for name in ("plethysm", "sun_modify"):
+        _record_calls(monkeypatch, calls, name, symfunc, counting)
+
+    def powers(name):
+        return sorted(repr(args[0]) for called, args in calls if called == name)
+
+    # one symmetrized power of the adjoint per distinct sigma, each reduced
+    # once: the one-row (p), (q) and every sigma of weight s <= 4
     assert main(["count", "graded"]) == 0
-    # one symmetrized power of the product per distinct s, and of the
-    # adjoint per distinct p or q
-    assert sorted(args[2] for name, args in calls if name == "product_power_plethysm") == \
-        [0, 1, 2, 3, 4]
-    assert sorted(repr(args[0]) for name, args in calls if name == "plethysm") == \
-        sorted(repr(S(p)) for p in range(5))
+    every = sorted(repr(S(*sigma)) for s in range(5) for sigma in partitions(s))
+    assert len(every) == 12 and powers("plethysm") == every
+    assert len(powers("sun_modify")) == 12
+    calls.clear()
+    # (0, 0, 4) and the (0, 0, 2) it subtracts: sigma of weight 0, 2 and 4
+    assert main(["count", "graded", "--pqs", "004"]) == 0
+    assert powers("plethysm") == sorted(repr(S(*sigma)) for s in (0, 2, 4)
+                                        for sigma in partitions(s))
+    assert len(powers("plethysm")) == len(powers("sun_modify")) == 8
     calls.clear()
     assert main(["count", "lsl", "--dim", "3", "--max", "12"]) == 0
     # only the weight-3m term S(m)[S(3)] of the series, once per m
@@ -244,11 +253,19 @@ def test_cold_tables_stay_cold(monkeypatch, capsys):
             table.cache_clear()
     calls = []
     _record_calls(monkeypatch, calls, "plethysm", symfunc, counting)
-    _record_calls(monkeypatch, calls, "product_power_plethysm", symfunc, counting)
+    _record_calls(monkeypatch, calls, "sun_modify", symfunc, counting)
     runs = []
     for _ in range(2):
         calls.clear()
         for argv in (["graded"], ["lsl", "--dim", "3", "--max", "12"]):
             assert main(["count", *argv]) == 0
         runs.append(sorted(name for name, _ in calls))
-    assert runs[0] == runs[1] and "product_power_plethysm" in runs[0]
+    assert runs[0] == runs[1] and "sun_modify" in runs[0]
+
+
+def test_graded_table_of_any_columns_matches_the_full_table():
+    full = dict(zip(GRADED_COLUMNS, graded_table(GRADED_COLUMNS)))
+    for c in GRADED_COLUMNS:
+        assert graded_table([c]) == [full[c]]
+    for c1, c2 in combinations(GRADED_COLUMNS, 2):
+        assert graded_table([c1, c2]) == [full[c1], full[c2]]

@@ -11,6 +11,7 @@ from qutrit_invariants.qubit import (
 )
 from qutrit_invariants.states import (
     BipartiteState,
+    StateCoords,
     coordinate_action,
     random_local_sl,
     random_state,
@@ -88,6 +89,19 @@ def test_rejects_qutrit_coords():
     st = random_state(3, 3, 0)
     with pytest.raises(ValueError):
         expansion_residuals(st.coords)
+
+
+def test_expansions_refuse_a_trace_that_is_not_one():
+    for trace in (0.5, 2.0, 1.0 + 1e-6):
+        st = BipartiteState.from_rho(trace * np.eye(4) / 4, 2, 2)
+        with pytest.raises(ValueError, match="trace-normalized"):
+            expansion_residuals(st.coords)
+    # one state off unit trace in a stack refuses the stack
+    stack = random_state(2, 2, 8, size=3)
+    ext = stack.coords.ext.copy()
+    ext[1] *= 2
+    with pytest.raises(ValueError, match="trace-normalized"):
+        expansion_residuals(StateCoords(2, 2, ext))
 
 
 def test_stacked_q_invariants_match_per_state_loop():
