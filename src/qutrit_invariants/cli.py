@@ -51,10 +51,10 @@ def _emit(report, out_path, code=EXIT_OK):
 def cmd_invariants(args):
     try:
         state = states.load_state(args.state)
+        diag = states.physicality(state)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _error(exc)
     dims = (state.dimA, state.dimB)
-    diag = states.physicality(state)
     report = {
         "input": args.state,
         "seed": args.seed,
@@ -64,7 +64,8 @@ def cmd_invariants(args):
         "warnings": [] if diag["physical"] else ["state is not physical"],
     }
     if dims == (3, 3):
-        report["invariants"] = lu_invariants.all_invariants(state.coords)
+        k = lu_invariants.all_invariants(state.coords)
+        report["invariants"] = k
         c3 = lsl_qutrit.cubic_invariant(state.coords.ext)
         c6 = lsl_qutrit.sextic_invariant(state.coords.ext)
         report["C3"] = c3
@@ -73,11 +74,14 @@ def cmd_invariants(args):
             "abs_C3^(1/3)": abs(c3) ** (1.0 / 3.0),
             "abs_C6^(1/6)": abs(c6) ** (1.0 / 6.0),
         }
+        # the residual of cubic_expansion_residual, from the values reported
         try:
-            residual = lsl_qutrit.cubic_expansion_residual(state)
+            states.require_unit_trace(state.coords)
         except ValueError as exc:  # the expansion holds on unit trace only
             residual = None
             report["warnings"].append(f"C3 expansion residual not evaluated: {exc}")
+        else:
+            residual = abs(c3 - lsl_qutrit.cubic_expansion(k))
         report["C3_expansion_residual"] = residual
     elif dims == (2, 2):
         q = qubit.q_invariants(state.coords.ext)

@@ -6,7 +6,9 @@ stack of states or of stencil points); the structure tensors never do.  The
 pairwise order of each subscript string and core shapes is searched once and
 compiled into transposes, reshapes and one matrix product per pair, run by
 every later call at any batch size (opt_einsum's contraction expressions:
-Smith & Gray, JOSS 3(26):753, 2018).  The products are the ones
+Smith & Gray, JOSS 3(26):753, 2018).  A step with no batch axis on either
+operand (every step of a single state's call) runs that transpose, reshape
+and product alone, with no batch to place.  The products are the ones
 ``np.einsum`` makes along that order: with at most one batch axis, the
 results are bit-for-bit equal.
 """
@@ -84,6 +86,9 @@ def _pair(a, b, perm_a, perm_b, n_left, n_summed, l, k, r, shape, rows, cols):
     batch of one is fused into its rows or columns, placed by their sizes."""
     product = np.matmul if k > 1 else np.multiply  # nothing summed: elementwise
     na, nb = a.ndim - len(perm_a), b.ndim - len(perm_b)
+    if not (na or nb):
+        return product(a.transpose(perm_a).reshape(l, k),
+                       b.transpose(perm_b).reshape(k, r)).reshape(shape)
     if na and nb:
         c = product(_moved(a, perm_a, 0).reshape(a.shape[:na] + (l, k)),
                     _moved(b, perm_b, 0).reshape(b.shape[:nb] + (k, r)))
@@ -92,8 +97,6 @@ def _pair(a, b, perm_a, perm_b, n_left, n_summed, l, k, r, shape, rows, cols):
     at_a, at_b = (bisect_left(g, prod(batch)) for g in (rows, cols))
     c = product(_moved(a, perm_a, at_a).reshape(-1, k),
                 _moved(b, perm_b, n_summed + at_b).reshape(k, -1))
-    if not batch:
-        return c.reshape(shape)
     at = at_a if na else n_left + at_b
     c = c.reshape(shape[:at] + batch + shape[at:])
     return np.moveaxis(c, range(at, at + len(batch)), range(len(batch)))
@@ -103,9 +106,9 @@ def contract(spec, *operands):
     """``np.einsum(spec, *operands)`` along the compiled contraction plan."""
     core_shapes = tuple(op.shape[op.ndim - n:] for n, op in zip(_core_ndims(spec), operands))
     steps, final = _plan(spec, core_shapes)
-    for (i, j), *step in steps:
-        c = _pair(operands[i], operands[j], *step)
-        operands = [op for n, op in enumerate(operands) if n not in (i, j)] + [c]
+    operands = list(operands)
+    for (i, j), *step in steps:  # i > j: popping i leaves j in place
+        operands.append(_pair(operands.pop(i), operands.pop(j), *step))
     return _moved(operands[0], final, 0)
 
 

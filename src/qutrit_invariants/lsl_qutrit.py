@@ -244,17 +244,22 @@ def sextic_by_matching(ext, first_group):
 CUBIC_CONSTANT_TERM = 1.0 / 324.0
 
 
+def cubic_expansion(k):
+    """The expansion of the cubic invariant in the degree <= 3 local-unitary
+    invariants ``k`` (a dict of floats, or of arrays over a stack), its
+    constant term included; it equals C3 on trace-normalized states."""
+    return (k["K003d"]
+            + 1.5 * (k["K300"] + k["K030"])
+            + 1.5 * (k["K111"] - k["K102"] - k["K012"])
+            - 0.25 * (k["K200"] + k["K020"])
+            + k["K002"] / 12.0
+            + CUBIC_CONSTANT_TERM)
+
+
 def cubic_expansion_residual(state):
     """Residual of the cubic invariant against its expansion in the
     local-unitary invariants, valid for trace-normalized states: a float,
     or an array over a stacked state."""
     c = state.coords
     require_unit_trace(c)
-    k = low_degree_invariants(c)
-    expansion = (k["K003d"]
-                 + 1.5 * (k["K300"] + k["K030"])
-                 + 1.5 * (k["K111"] - k["K102"] - k["K012"])
-                 - 0.25 * (k["K200"] + k["K020"])
-                 + k["K002"] / 12.0
-                 + CUBIC_CONSTANT_TERM)
-    return abs(cubic_invariant(c.ext) - expansion)
+    return abs(cubic_invariant(c.ext) - cubic_expansion(low_degree_invariants(c)))

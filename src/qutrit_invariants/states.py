@@ -265,10 +265,16 @@ def coordinate_action(X, Y, dim):
 
 
 def physicality(state):
-    """Trace, Hermiticity residual and minimum eigenvalue diagnostics."""
+    """Trace, Hermiticity residual and minimum eigenvalue diagnostics.
+    Raises ``ValueError`` when entries are so large (near the largest
+    float) that the Hermitian part overflows."""
     rho = state.rho
     herm = float(np.abs(rho - rho.conj().T).max())
-    eigs = np.linalg.eigvalsh(_hermitian_part(rho))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _hermitian_part(rho)
+    if not np.isfinite(h).all():
+        raise ValueError("matrix entries overflow the Hermitian part")
+    eigs = np.linalg.eigvalsh(h)
     tr = float(np.trace(rho).real)
     return {
         "trace": tr,

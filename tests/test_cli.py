@@ -8,8 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qutrit_invariants import lsl_qutrit, lu_invariants
 from qutrit_invariants.cli import main
-from qutrit_invariants.states import BipartiteState, save_state
+from qutrit_invariants.lsl_qutrit import cubic_expansion_residual
+from qutrit_invariants.states import BipartiteState, load_state, random_state, save_state
 
 # the CPUs this process may use: the bound the command line puts on --workers
 USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -266,7 +268,56 @@ def test_invariants_trace_not_one_reports_null_residual(tmp_path):
     assert main(["invariants", str(path), "--out", str(out)]) == 0
     report = _strict(out.read_text())
     assert report["C3_expansion_residual"] is None
-    assert any("trace-normalized" in w for w in report["warnings"])
+    assert report["warnings"] == ["state is not physical", "C3 expansion residual not "
+                                  "evaluated: expansion requires a trace-normalized state"]
+
+
+@pytest.mark.parametrize("dims, index", [((3, 3), 4), ((2, 2), 2)])
+@pytest.mark.parametrize("value", [9e307, 1e308, -1.7e308])
+def test_invariants_rejects_overflowing_diagonal(dims, index, value, tmp_path, capsys):
+    # finite, but twice the entry overflows: the eigenvalue diagnostics
+    # used to raise LinAlgError ("Eigenvalues did not converge")
+    path = tmp_path / "huge.json"
+    save_state(random_state(*dims, 0), path)
+    payload = json.loads(path.read_text())
+    payload["re"][index][index] = value
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "report.json"
+    assert main(["invariants", str(path), "--out", str(out)]) == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and "overflow" in errors[0]
+    assert not out.exists()
+
+
+def test_invariants_evaluates_each_block_once(tmp_path, monkeypatch):
+    calls = {"low_degree_blocks": 0, "_dressed": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(lu_invariants, "low_degree_blocks")
+    counted(lsl_qutrit, "_dressed")
+    path, out = tmp_path / "state.json", tmp_path / "report.json"
+    save_state(random_state(3, 3, 0), path)
+    assert main(["invariants", str(path), "--out", str(out)]) == 0
+    assert _strict(out.read_text())["C3_expansion_residual"] is not None
+    # the K values and C3 of the report serve its expansion residual too
+    assert calls == {"low_degree_blocks": 1, "_dressed": 2}
+
+
+@pytest.mark.parametrize("rho", [random_state(3, 3, 5).rho, np.diag([1.5] + [-0.5 / 8.0] * 8)],
+                         ids=["normalized", "nonphysical"])
+def test_invariants_residual_is_the_library_residual(rho, tmp_path):
+    path, out = tmp_path / "state.json", tmp_path / "report.json"
+    save_state(BipartiteState.from_rho(rho, 3, 3), path)
+    assert main(["invariants", str(path), "--out", str(out)]) == 0
+    report = _strict(out.read_text())
+    assert report["C3_expansion_residual"] == cubic_expansion_residual(load_state(path))
 
 
 @pytest.mark.parametrize("trace", [0.5, 2.0])

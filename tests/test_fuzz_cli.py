@@ -131,10 +131,19 @@ def _boolean_payload():
     return payload
 
 
+def _huge_diagonal_payload():
+    """A two-qutrit file with a finite middle diagonal entry whose double
+    overflows."""
+    payload = _payload((3, 3), 0)
+    payload["re"][4][4] = 9e307
+    return payload
+
+
 @FUZZ
 @given(mutated_payload(), st.sampled_from(["plain", "truncated", "nested"]),
        st.integers(1, 300_000))
 @example(_boolean_payload(), "plain", 1)
+@example(_huge_diagonal_payload(), "plain", 1)
 def test_mutated_state_files_fail_closed(payload, form, cut):
     text = json.dumps(payload)  # NaN and Infinity tokens included
     if form == "truncated":

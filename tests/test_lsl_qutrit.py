@@ -6,6 +6,7 @@ from qutrit_invariants.lsl_qutrit import (
     _linearized_residual,
     build_algebra,
     coordinate_map,
+    cubic_expansion,
     cubic_expansion_residual,
     cubic_invariant,
     dtilde_preservation_residual,
@@ -14,6 +15,7 @@ from qutrit_invariants.lsl_qutrit import (
     sextic_by_matching,
     sextic_invariant,
 )
+from qutrit_invariants.lu_invariants import low_degree_invariants
 from qutrit_invariants.states import (
     BipartiteState,
     random_local_sl,
@@ -245,3 +247,31 @@ def test_stacked_cubic_expansion_residual():
     res = cubic_expansion_residual(st)
     assert res.shape == (10,) and res.max() <= 1e-10
     assert abs(res[3] - cubic_expansion_residual(st[3])) <= 1e-15
+
+
+def _nonphysical_unit_trace():
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    H = (A + A.conj().T) / 2
+    H += (1.0 - np.trace(H).real) / 9 * np.eye(9)
+    assert np.linalg.eigvalsh(H).min() < 0
+    return BipartiteState.from_rho(H, 3, 3)
+
+
+@pytest.mark.parametrize("make", [lambda: random_state(3, 3, 5), _nonphysical_unit_trace,
+                                  lambda: random_state(3, 3, 6, size=7)],
+                         ids=["normalized", "nonphysical", "stacked"])
+def test_cubic_expansion_is_the_written_out_polynomial(make):
+    state = make()
+    c = state.coords
+    k = low_degree_invariants(c)
+    written_out = (k["K003d"]
+                   + 1.5 * (k["K300"] + k["K030"])
+                   + 1.5 * (k["K111"] - k["K102"] - k["K012"])
+                   - 0.25 * (k["K200"] + k["K020"])
+                   + k["K002"] / 12.0
+                   + 1.0 / 324.0)
+    # exact equality: the same floating-point operations in the same order
+    assert np.array_equal(cubic_expansion(k), written_out)
+    assert np.array_equal(cubic_expansion_residual(state),
+                          abs(cubic_invariant(c.ext) - written_out))
