@@ -34,7 +34,7 @@ print("  epsilon-contraction form of Q4t agrees to",
 print("  (the density-matrix determinant is a different quantity:",
       f"{np.linalg.det(st.rho).real:.6e})")
 
-res = expansion_residuals(st.coords)
+res = expansion_residuals(st.coords, q)
 print("\nblock-expansion residuals:", {k: f"{v:.1e}" for k, v in res.items()})
 
 print("\nQ8 dependence:")

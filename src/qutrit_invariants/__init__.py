@@ -13,9 +13,7 @@ from .counting import (
 )
 from .lsl_qutrit import (
     AlgebraGenerators,
-    InducedMap,
     build_algebra,
-    coordinate_map,
     cubic_expansion_residual,
     cubic_invariant,
     induce_map,
@@ -28,7 +26,6 @@ from .lu_invariants import (
     all_invariants,
     independence_test,
     low_degree_invariants,
-    quartic_invariants,
 )
 from .monotones import (
     MeasurementPair,

@@ -27,14 +27,6 @@ _DT = _T3.dtilde
 DET_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class InducedMap:
-    """Real 9x9 coordinate action m of a unit-determinant 3x3 map A,
-    defined by A l_a A^dag = sum_b m[b, a] l_b."""
-
-    m: np.ndarray
-
-
 def _real_action(m, what):
     imag = np.abs(m.imag).max()
     if imag > 1e-12:
@@ -43,12 +35,13 @@ def _real_action(m, what):
 
 
 def induce_map(A):
-    """Induced real 9x9 map of A in the unit-determinant group."""
+    """Induced real 9x9 map m of A in the unit-determinant group, defined
+    by A l_a A^dag = sum_b m[b, a] l_b."""
     A = np.asarray(A, dtype=complex)
     det = np.linalg.det(A)
     if abs(det - 1) > DET_TOL:
         raise ValueError(f"determinant must be 1 (got {det})")
-    return InducedMap(_real_action(coordinate_action(A, A, 3), "induced map"))
+    return _real_action(coordinate_action(A, A, 3), "induced map")
 
 
 def induced_generator(X):
@@ -65,11 +58,6 @@ def dtilde_preservation_residual(m):
     an array over the stack for (..., 9, 9)."""
     m = np.asarray(m, dtype=float)
     return per_state(np.abs(_dressed(m) - _DT).max(axis=(-3, -2, -1)), m)
-
-
-def coordinate_map(ext, mA, mB):
-    """Two-sided coordinate action on a bipartite coordinate matrix."""
-    return mA @ ext @ mB.T
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +150,13 @@ def build_algebra(seed=0, trials=20):
     for _ in range(trials):
         A = random_local_sl(3, rng)
         B = random_local_sl(3, rng)
-        mA, mB = induce_map(A).m, induce_map(B).m
-        mAB = induce_map(A @ B).m
+        mA, mB = induce_map(A), induce_map(B)
+        mAB = induce_map(A @ B)
         homomorphism = max(homomorphism, np.abs(mAB - mA @ mB).max())
         preservation = max(preservation, dtilde_preservation_residual(mA))
         for k in (1, 2):
             triality = max(triality,
-                           np.abs(induce_map(omega ** k * A).m - mA).max())
+                           np.abs(induce_map(omega ** k * A) - mA).max())
 
     return gen, {
         "span_dimension": int(span),

@@ -135,25 +135,9 @@ def low_degree_invariants(coords):
     return low_degree_blocks(coords.r, coords.rbar, coords.R)
 
 
-def quartic_invariants(coords):
-    """The seventeen connected quartic invariants."""
-    _require_qutrit(coords)
-    return quartic_blocks(coords.r, coords.rbar, coords.R)
-
-
 def all_invariants(coords):
     _require_qutrit(coords)
     return all_blocks(coords.r, coords.rbar, coords.R)
-
-
-def disconnected_two_cycle(coords):
-    """The square of the two-cycle trace pattern of the embedded correlation
-    tensor; equals (4 K002)^2 and is the disconnected companion of the
-    connected pure-R quartics."""
-    _require_qutrit(coords)
-    T = _embedded(coords.R)
-    val = contract('ipjq,jqip->', T, T)
-    return float(val.real) ** 2
 
 
 # ---------------------------------------------------------------------------

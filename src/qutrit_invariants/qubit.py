@@ -68,62 +68,39 @@ def q_invariants(ext):
     return {k: per_state(v, ext) for k, v in vals.items()}
 
 
-def q2_expansion(coords):
-    """Block expansion of Q2 for a trace-normalized state (or each state of
-    a stack): 1/16 - r.r - rbar.rbar + sum R^2."""
-    _require_qubits(coords)
-    r, rbar, R = coords.r, coords.rbar, coords.R
-    dot = '...a,...a->...'
-    return per_state(1.0 / 16.0 - contract(dot, r, r) - contract(dot, rbar, rbar)
-                     + contract('...ab,...ab->...', R, R), coords.ext)
+def expansion_residuals(coords, q):
+    """Residuals of the block expansions of Q2, Q4 and Q4t against their
+    direct values ``q`` (the dict ``q_invariants(coords.ext)`` returns), and
+    of Q4t's epsilon form: floats for a single state, arrays over a stacked
+    state.  Raises ``ValueError`` unless every state has trace 1, where the
+    expansions hold.
 
-
-def q4_expansion(coords):
-    """Block expansion of Q4 for a trace-normalized state (or each state of
-    a stack)."""
+    Q4t, the coordinate-matrix determinant, expands as det(R)/4 minus half
+    the double-cross coupling.  The minus sign is forced by the determinant
+    itself (block expansion of the 4x4 coordinate matrix with the standard
+    epsilon orientation) and is pinned against the direct determinant by
+    the test suite.
+    """
     _require_qubits(coords)
+    require_unit_trace(coords)
     r, rbar, R = coords.r, coords.rbar, coords.R
     Rt = R.swapaxes(-1, -2)
     RRt = R @ Rt
     dot, quad = '...a,...a->...', '...a,...ab,...b->...'
     rr, bb = contract(dot, r, r), contract(dot, rbar, rbar)
-    return per_state(np.trace(RRt @ RRt, axis1=-2, axis2=-1)
-                     + rr ** 2 + bb ** 2
-                     - 2.0 * contract(quad, r, RRt, r)
-                     - 2.0 * contract(quad, rbar, Rt @ R, rbar)
-                     + contract(quad, r, R, rbar)
-                     - rr / 8.0 - bb / 8.0 + 1.0 / 256.0, coords.ext)
-
-
-def q4tilde_expansion(coords):
-    """Block expansion of the coordinate-matrix determinant for a
-    trace-normalized state (or each state of a stack): det(R)/4 minus half
-    the double-cross coupling.
-
-    The minus sign is forced by the determinant itself (block expansion of
-    the 4x4 coordinate matrix with the standard epsilon orientation) and is
-    pinned against the direct determinant by the test suite.
-    """
-    _require_qubits(coords)
-    r, rbar, R = coords.r, coords.rbar, coords.R
+    q2 = 1.0 / 16.0 - rr - bb + contract('...ab,...ab->...', R, R)
+    q4 = (np.trace(RRt @ RRt, axis1=-2, axis2=-1)
+          + rr ** 2 + bb ** 2
+          - 2.0 * contract(quad, r, RRt, r)
+          - 2.0 * contract(quad, rbar, Rt @ R, rbar)
+          + contract(quad, r, R, rbar)
+          - rr / 8.0 - bb / 8.0 + 1.0 / 256.0)
     cross = contract('ijk,pqr,...i,...jp,...kq,...r->...', _EPS3, _EPS3,
                      r, R, R, rbar)
-    return per_state(np.linalg.det(R) / 4.0 - cross / 2.0, coords.ext)
-
-
-def expansion_residuals(coords):
-    """Residuals of the three block expansions against the direct values:
-    floats for a single state, arrays over a stacked state.  Raises
-    ``ValueError`` unless every state has trace 1."""
-    _require_qubits(coords)
-    require_unit_trace(coords)
-    q = q_invariants(coords.ext)
-    return {
-        "Q2": abs(q["Q2"] - q2_expansion(coords)),
-        "Q4": abs(q["Q4"] - q4_expansion(coords)),
-        "Q4t": abs(q["Q4t"] - q4tilde_expansion(coords)),
-        "Q4t_eps": abs(q["Q4t"] - q["Q4t_eps"]),
-    }
+    q4t = np.linalg.det(R) / 4.0 - cross / 2.0
+    residuals = {"Q2": q["Q2"] - q2, "Q4": q["Q4"] - q4, "Q4t": q["Q4t"] - q4t,
+                 "Q4t_eps": q["Q4t"] - q["Q4t_eps"]}
+    return {k: per_state(abs(v), coords.ext) for k, v in residuals.items()}
 
 
 def dependence_jacobian_rank(coords):

@@ -156,10 +156,6 @@ class SchurExpr:
     def schur(cls, parts):
         return cls._of({as_partition(parts): 1})
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def coefficient(self, parts):
         return self.terms.get(as_partition(parts), 0)
 
@@ -429,7 +425,7 @@ def format_expr(expr):
 def parse_expr(text):
     text = text.strip()
     if text == "0":
-        return SchurExpr.zero()
+        return SchurExpr()
     pos = 0
     out = SchurExpr()
     first = True

@@ -73,32 +73,26 @@ def build_structure_tensors(dim):
     """Construct the basis and coefficient arrays for local dimension 2 or 3.
 
     f_abc = Tr([l_a, l_b] l_c) / 4i and d_abc = Tr({l_a, l_b} l_c) / 4,
-    evaluated once per sorted index triple and spread over all permutations,
-    so total (anti)symmetry holds exactly.
+    every entry read at its sorted index triple (f with the sign of the
+    sorting permutation), so total (anti)symmetry holds exactly.
     """
     lams = {2: PAULI, 3: GELL_MANN}.get(dim)
     if lams is None:
         raise ValueError(f"unsupported local dimension {dim}")
     n = dim * dim - 1
-    f = np.zeros((n, n, n))
-    d = np.zeros((n, n, n))
-    eps = levi_civita(3)
-    for a in range(n):
-        for b in range(a + 1, n):
-            comm = lams[a] @ lams[b] - lams[b] @ lams[a]
-            for c in range(b + 1, n):
-                val = (np.trace(comm @ lams[c]) / 4j).real
-                if abs(val) > 1e-14:
-                    for p in permutations(range(3)):
-                        f[tuple((a, b, c)[i] for i in p)] = eps[p] * val
-    for a in range(n):
-        for b in range(a, n):
-            anti = lams[a] @ lams[b] + lams[b] @ lams[a]
-            for c in range(b, n):
-                val = (np.trace(anti @ lams[c]) / 4).real
-                if abs(val) > 1e-14:
-                    for p in set(permutations((a, b, c))):
-                        d[p] = val
+    prods = lams[:, None] @ lams[None]   # l_a l_b
+    swapped = prods.swapaxes(0, 1)       # l_b l_a
+
+    def traces(x):  # Tr(x_ab l_c)
+        return np.trace(x[:, :, None] @ lams[None, None], axis1=-2, axis2=-1)
+
+    a, b, c = np.indices((n, n, n))
+    lo, mid, hi = np.sort([a, b, c], axis=0)
+    sign = np.sign((b - a) * (c - a) * (c - b))
+    f = (traces(prods - swapped) / 4j).real[lo, mid, hi]
+    d = (traces(prods + swapped) / 4).real[lo, mid, hi]
+    f = np.where(np.abs(f) > 1e-14, sign * f, 0.0)
+    d = np.where(np.abs(d) > 1e-14, d, 0.0)
 
     lam_ext = np.concatenate([np.eye(dim, dtype=complex)[None], lams])
     if dim == 2:
@@ -107,8 +101,8 @@ def build_structure_tensors(dim):
 
     dt = np.zeros((9, 9, 9))
     dt[0, 0, 0] = 1.5
-    for a in range(1, 9):
-        dt[0, a, a] = dt[a, 0, a] = dt[a, a, 0] = -0.5
+    i = np.arange(1, 9)
+    dt[0, i, i] = dt[i, 0, i] = dt[i, i, 0] = -0.5
     dt[1:, 1:, 1:] = d
     return StructureTensors(3, _freeze(lams.copy()), _freeze(lam_ext),
                             _freeze(f), _freeze(d), _freeze(dt))

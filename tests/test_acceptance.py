@@ -16,7 +16,6 @@ from qutrit_invariants.counting import (
 )
 from qutrit_invariants.lsl_qutrit import (
     build_algebra,
-    coordinate_map,
     cubic_expansion_residual,
     cubic_invariant,
     dtilde_preservation_residual,
@@ -36,6 +35,7 @@ from qutrit_invariants.monotones import (
 from qutrit_invariants.qubit import (
     dependence_jacobian_rank,
     expansion_residuals,
+    q_invariants,
 )
 from qutrit_invariants.states import (
     apply_local,
@@ -113,9 +113,9 @@ def test_criterion_07_lsl_invariance():
     c6 = sextic_invariant(st.coords.ext)
     worst = 0.0
     for _ in range(100):
-        mA = induce_map(random_local_sl(3, rng)).m
-        mB = induce_map(random_local_sl(3, rng)).m
-        ext = coordinate_map(st.coords.ext, mA, mB)
+        mA = induce_map(random_local_sl(3, rng))
+        mB = induce_map(random_local_sl(3, rng))
+        ext = mA @ st.coords.ext @ mB.T
         worst = max(worst,
                     abs(cubic_invariant(ext) - c3) / abs(c3),
                     abs(sextic_invariant(ext) - c6) / abs(c6))
@@ -140,7 +140,7 @@ def test_criterion_08_monotone_suite():
 def test_criterion_09_algebra_certificate():
     gen, cert = build_algebra(seed=909, trials=20)
     group_level = max(
-        dtilde_preservation_residual(induce_map(random_local_sl(3, s)).m)
+        dtilde_preservation_residual(induce_map(random_local_sl(3, s)))
         for s in range(909, 929))
     ok = (cert["span_dimension"] == 16
           and cert["linearized_preservation_residual"] <= 1e-12
@@ -158,7 +158,8 @@ def test_criterion_10_qubit_identities():
     rng = np.random.default_rng(1010)
     worst = {"Q2": 0.0, "Q4": 0.0, "Q4t_eps": 0.0}
     for _ in range(1000):
-        res = expansion_residuals(random_state(2, 2, rng).coords)
+        c = random_state(2, 2, rng).coords
+        res = expansion_residuals(c, q_invariants(c.ext))
         for k in worst:
             worst[k] = max(worst[k], res[k])
     ranks = [dependence_jacobian_rank(random_state(2, 2, rng).coords)

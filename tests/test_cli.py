@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qutrit_invariants import lsl_qutrit, lu_invariants
+from qutrit_invariants import lsl_qutrit, lu_invariants, qubit
 from qutrit_invariants.cli import main
 from qutrit_invariants.lsl_qutrit import cubic_expansion_residual
 from qutrit_invariants.states import BipartiteState, load_state, random_state, save_state
@@ -255,8 +255,7 @@ def test_invariants_overflowing_report_is_refused(tmp_path, capsys):
     path = tmp_path / "huge.json"
     save_state(BipartiteState.from_rho(np.eye(9) * 1e200, 3, 3), path)
     out = tmp_path / "report.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["invariants", str(path), "--out", str(out)]) == 2
+    assert main(["invariants", str(path), "--out", str(out)]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
 
@@ -290,7 +289,7 @@ def test_invariants_rejects_overflowing_diagonal(dims, index, value, tmp_path, c
 
 
 def test_invariants_evaluates_each_block_once(tmp_path, monkeypatch):
-    calls = {"low_degree_blocks": 0, "_dressed": 0}
+    calls = {"low_degree_blocks": 0, "_dressed": 0, "q_invariants": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -302,12 +301,43 @@ def test_invariants_evaluates_each_block_once(tmp_path, monkeypatch):
 
     counted(lu_invariants, "low_degree_blocks")
     counted(lsl_qutrit, "_dressed")
+    counted(qubit, "q_invariants")
     path, out = tmp_path / "state.json", tmp_path / "report.json"
     save_state(random_state(3, 3, 0), path)
     assert main(["invariants", str(path), "--out", str(out)]) == 0
     assert _strict(out.read_text())["C3_expansion_residual"] is not None
     # the K values and C3 of the report serve its expansion residual too
-    assert calls == {"low_degree_blocks": 1, "_dressed": 2}
+    assert calls == {"low_degree_blocks": 1, "_dressed": 2, "q_invariants": 0}
+    save_state(random_state(2, 2, 0), path)
+    assert main(["invariants", str(path), "--out", str(out)]) == 0
+    assert _strict(out.read_text())["expansion_residuals"] is not None
+    # so do the Q values of a two-qubit report
+    assert calls == {"low_degree_blocks": 1, "_dressed": 2, "q_invariants": 1}
+
+
+def _overflow_entry_file(path):
+    save_state(random_state(3, 3, 0), path)
+    payload = json.loads(path.read_text())
+    payload["re"][8][8] = -1.7e308
+    path.write_text(json.dumps(payload))
+
+
+def _overflow_report_file(path):
+    save_state(BipartiteState.from_rho(np.eye(9) * 1e200, 3, 3), path)
+
+
+@pytest.mark.parametrize("write", [_overflow_entry_file, _overflow_report_file],
+                         ids=["entry", "report"])
+def test_invariants_overflow_prints_one_error_line_and_no_warning(write, tmp_path):
+    # the entry overflows while loading, the report while evaluating
+    path = tmp_path / "huge.json"
+    write(path)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-m", "qutrit_invariants.cli", "invariants",
+                          str(path)], capture_output=True, text=True, env=env)
+    assert run.returncode == 2
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), run.stderr
 
 
 @pytest.mark.parametrize("rho", [random_state(3, 3, 5).rho, np.diag([1.5] + [-0.5 / 8.0] * 8)],

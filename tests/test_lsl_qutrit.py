@@ -5,7 +5,6 @@ from qutrit_invariants.lsl_qutrit import (
     _build_generators,
     _linearized_residual,
     build_algebra,
-    coordinate_map,
     cubic_expansion,
     cubic_expansion_residual,
     cubic_invariant,
@@ -18,6 +17,7 @@ from qutrit_invariants.lsl_qutrit import (
 from qutrit_invariants.lu_invariants import low_degree_invariants
 from qutrit_invariants.states import (
     BipartiteState,
+    apply_local,
     random_local_sl,
     random_local_unitary,
     random_state,
@@ -28,13 +28,23 @@ OMEGA = np.exp(2j * np.pi / 3)
 
 
 def test_identity_induces_identity():
-    assert np.abs(induce_map(np.eye(3)).m - np.eye(9)).max() < 1e-14
+    assert np.abs(induce_map(np.eye(3)) - np.eye(9)).max() < 1e-14
+
+
+def test_induced_map_is_the_real_coordinate_action():
+    rng = np.random.default_rng(13)
+    st = random_state(3, 3, rng)
+    A, B = random_local_sl(3, rng), random_local_sl(3, rng)
+    mA, mB = induce_map(A), induce_map(B)
+    assert type(mA) is np.ndarray and mA.shape == (9, 9) and mA.dtype == float
+    moved = apply_local(st, A, B, renormalize=False)
+    assert np.abs(mA @ st.coords.ext @ mB.T - moved.coords.ext).max() < 1e-10
 
 
 def test_covering_kernel():
     # the three cube roots of unity all act trivially
     for k in range(3):
-        m = induce_map(OMEGA ** k * np.eye(3)).m
+        m = induce_map(OMEGA ** k * np.eye(3))
         assert np.abs(m - np.eye(9)).max() < 1e-12
 
 
@@ -47,15 +57,15 @@ def test_homomorphism_and_preservation():
     rng = np.random.default_rng(2)
     for _ in range(100):
         A, B = random_local_sl(3, rng), random_local_sl(3, rng)
-        mA, mB = induce_map(A).m, induce_map(B).m
-        assert np.abs(induce_map(A @ B).m - mA @ mB).max() < 1e-10
+        mA, mB = induce_map(A), induce_map(B)
+        assert np.abs(induce_map(A @ B) - mA @ mB).max() < 1e-10
         assert dtilde_preservation_residual(mA) < 1e-10
 
 
 def test_stacked_dtilde_preservation_residual():
     rng = np.random.default_rng(6)
     dt = build_structure_tensors(3).dtilde
-    maps = np.stack([induce_map(random_local_sl(3, rng)).m for _ in range(12)])
+    maps = np.stack([induce_map(random_local_sl(3, rng)) for _ in range(12)])
     # generic real maps move the tensor by O(1) amounts
     maps[6:] += rng.standard_normal((6, 9, 9))
     stacked = dtilde_preservation_residual(maps.reshape(3, 4, 9, 9)).reshape(12)
@@ -92,15 +102,15 @@ def test_triality_kernel_on_random_maps():
     rng = np.random.default_rng(3)
     for _ in range(10):
         A = random_local_sl(3, rng)
-        m = induce_map(A).m
+        m = induce_map(A)
         for k in (1, 2):
-            assert np.abs(induce_map(OMEGA ** k * A).m - m).max() < 1e-12
+            assert np.abs(induce_map(OMEGA ** k * A) - m).max() < 1e-12
 
 
 def test_unitary_restriction_is_orthogonal():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        m = induce_map(random_local_unitary(3, rng)).m
+        m = induce_map(random_local_unitary(3, rng))
         block = m[1:, 1:]
         assert np.abs(block @ block.T - np.eye(8)).max() < 1e-12
         assert np.abs(m[0] - np.eye(9)[0]).max() < 1e-12
@@ -178,9 +188,9 @@ def test_invariance_under_local_sl_coordinate_maps():
     c3 = cubic_invariant(st.coords.ext)
     c6 = sextic_invariant(st.coords.ext)
     for _ in range(30):
-        mA = induce_map(random_local_sl(3, rng)).m
-        mB = induce_map(random_local_sl(3, rng)).m
-        ext = coordinate_map(st.coords.ext, mA, mB)
+        mA = induce_map(random_local_sl(3, rng))
+        mB = induce_map(random_local_sl(3, rng))
+        ext = mA @ st.coords.ext @ mB.T
         assert abs(cubic_invariant(ext) - c3) / abs(c3) < 1e-9
         assert abs(sextic_invariant(ext) - c6) / abs(c6) < 1e-8
 

@@ -10,11 +10,10 @@ from qutrit_invariants.lu_invariants import (
     LOW_DEGREE_LABELS,
     QUARTIC_LABELS,
     all_blocks,
+    _embedded,
     all_invariants,
-    disconnected_two_cycle,
     independence_test,
     low_degree_invariants,
-    quartic_invariants,
 )
 from qutrit_invariants.numdiff import poly_jacobian
 from qutrit_invariants.states import (
@@ -52,7 +51,7 @@ def test_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         low_degree_invariants(st.coords)
     with pytest.raises(ValueError):
-        quartic_invariants(st.coords)
+        all_invariants(st.coords)
 
 
 def test_product_state_factorization():
@@ -96,9 +95,13 @@ def test_exact_multigrading():
 
 
 def test_disconnected_two_cycle_matches_k002():
+    # the two-cycle trace of the embedded correlation tensor is 4 K002; its
+    # square is the disconnected companion of the connected pure-R quartics
     c = STATES[2].coords
-    v = all_invariants(c)
-    assert rel(disconnected_two_cycle(c), (4.0 * v["K002"]) ** 2) < 1e-12
+    T = _embedded(c.R)
+    two_cycle = np.einsum('ipjq,jqip->', T, T)
+    assert rel(two_cycle.real, 4.0 * all_invariants(c)["K002"]) < 1e-12
+    assert abs(two_cycle.imag) <= 1e-12 * abs(two_cycle)
 
 
 def test_pure_r_chain_relation():
@@ -106,7 +109,7 @@ def test_pure_r_chain_relation():
     # crossed pattern K004_x22 stays outside this relation and supplies the
     # fifth independent direction
     for st in STATES[:10]:
-        v = quartic_invariants(st.coords)
+        v = all_invariants(st.coords)
         lhs = v["K004_32"]
         rhs = (v["K004_33"] - v["K004_24"] - v["K004_42"] + 2 * v["K004_22"]) / 4.0
         assert abs(lhs - rhs) < 1e-15
@@ -123,7 +126,7 @@ def test_product_state_pure_r_quartics_factor():
     rB = G @ G.conj().T
     rB /= np.trace(rB).real
     st = BipartiteState.from_rho(np.kron(rA, rB), 3, 3)
-    v = quartic_invariants(st.coords)
+    v = all_invariants(st.coords)
 
     a = rA - np.trace(rA) / 3 * np.eye(3)   # traceless parts
     b = rB - np.trace(rB) / 3 * np.eye(3)

@@ -18,6 +18,10 @@ from qutrit_invariants.states import (
 )
 
 
+def residuals(coords):
+    return expansion_residuals(coords, q_invariants(coords.ext))
+
+
 def test_w_matrix_maximally_mixed():
     mm = BipartiteState.from_rho(np.eye(4) / 4, 2, 2)
     w = w_matrix(mm.coords.ext)
@@ -42,7 +46,7 @@ def test_expansions_on_random_states():
     rng = np.random.default_rng(2)
     worst = {"Q2": 0.0, "Q4": 0.0, "Q4t": 0.0, "Q4t_eps": 0.0}
     for _ in range(300):
-        res = expansion_residuals(random_state(2, 2, rng).coords)
+        res = residuals(random_state(2, 2, rng).coords)
         for k in worst:
             worst[k] = max(worst[k], res[k])
     assert worst["Q2"] < 1e-12
@@ -53,7 +57,7 @@ def test_expansions_on_random_states():
 
 def test_q4tilde_oracle_cases():
     mm = BipartiteState.from_rho(np.eye(4) / 4, 2, 2)
-    assert expansion_residuals(mm.coords)["Q4t"] < 1e-15
+    assert residuals(mm.coords)["Q4t"] < 1e-15
     rng = np.random.default_rng(3)
     psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     psi /= np.linalg.norm(psi)
@@ -61,7 +65,7 @@ def test_q4tilde_oracle_cases():
     chi /= np.linalg.norm(chi)
     prod = BipartiteState.from_rho(
         np.kron(np.outer(psi, psi.conj()), np.outer(chi, chi.conj())), 2, 2)
-    assert expansion_residuals(prod.coords)["Q4t"] < 1e-14
+    assert residuals(prod.coords)["Q4t"] < 1e-14
 
 
 def test_invariance_under_local_sl():
@@ -87,21 +91,22 @@ def test_q8_is_dependent():
 
 def test_rejects_qutrit_coords():
     st = random_state(3, 3, 0)
-    with pytest.raises(ValueError):
-        expansion_residuals(st.coords)
+    q = q_invariants(random_state(2, 2, 0).coords.ext)
+    with pytest.raises(ValueError, match="two qubits"):
+        expansion_residuals(st.coords, q)
 
 
 def test_expansions_refuse_a_trace_that_is_not_one():
     for trace in (0.5, 2.0, 1.0 + 1e-6):
         st = BipartiteState.from_rho(trace * np.eye(4) / 4, 2, 2)
         with pytest.raises(ValueError, match="trace-normalized"):
-            expansion_residuals(st.coords)
+            residuals(st.coords)
     # one state off unit trace in a stack refuses the stack
     stack = random_state(2, 2, 8, size=3)
     ext = stack.coords.ext.copy()
     ext[1] *= 2
     with pytest.raises(ValueError, match="trace-normalized"):
-        expansion_residuals(StateCoords(2, 2, ext))
+        residuals(StateCoords(2, 2, ext))
 
 
 def test_stacked_q_invariants_match_per_state_loop():
@@ -114,3 +119,25 @@ def test_stacked_q_invariants_match_per_state_loop():
         for k, v in single.items():
             assert stacked[k].shape == (30,)
             assert abs(stacked[k][i] - v) <= 1e-12 * abs(v), k
+
+
+def test_expansion_residuals_read_the_given_q():
+    # the residuals are taken against the values passed in, not recomputed
+    c = random_state(2, 2, 9).coords
+    q = q_invariants(c.ext)
+    base = expansion_residuals(c, q)
+    shifted = expansion_residuals(c, dict(q, Q2=q["Q2"] + 0.5, Q4t=q["Q4t"] + 0.25))
+    assert abs(shifted["Q2"] - 0.5) < 1e-12 and abs(shifted["Q4t"] - 0.25) < 1e-12
+    assert shifted["Q4"] == base["Q4"]
+
+
+def test_stacked_expansion_residuals_match_per_state():
+    stack = random_state(2, 2, 10, size=12)
+    c = stack.coords
+    stacked = expansion_residuals(c, q_invariants(c.ext))
+    for i in range(12):
+        single = residuals(stack[i].coords)
+        assert all(type(v) is float for v in single.values())
+        for k, v in single.items():
+            assert stacked[k].shape == (12,)
+            assert abs(stacked[k][i] - v) <= 1e-14, k

@@ -63,7 +63,7 @@ def test_outer_21_times_1():
 
 
 def test_outer_empty_annihilates():
-    assert SchurExpr.zero() * S(3, 1) == SchurExpr.zero()
+    assert SchurExpr() * S(3, 1) == SchurExpr()
 
 
 @pytest.mark.parametrize("lam,mu", [
@@ -83,8 +83,8 @@ def test_skew_21_by_1():
 
 
 def test_skew_heavier_partition_empty():
-    assert skew(S(2), S(2, 1)) == SchurExpr.zero()
-    assert skew(S(1), S(2)) == SchurExpr.zero()
+    assert skew(S(2), S(2, 1)) == SchurExpr()
+    assert skew(S(1), S(2)) == SchurExpr()
 
 
 def test_skew_consistent_with_outer():
@@ -112,7 +112,7 @@ def test_kronecker_trivial_times_sign():
 
 
 def test_kronecker_weight_mismatch_annihilates():
-    assert kronecker(S(2), S(1)) == SchurExpr.zero()
+    assert kronecker(S(2), S(1)) == SchurExpr()
 
 
 def test_kronecker_weight_bound():
@@ -189,7 +189,7 @@ def test_product_power_distributes():
 
 def test_sun_modify_column_rules():
     assert sun_modify(S(2, 1, 1), 3) == S(1)
-    assert sun_modify(S(1, 1, 1, 1), 3) == SchurExpr.zero()
+    assert sun_modify(S(1, 1, 1, 1), 3) == SchurExpr()
     assert sun_modify(S(1, 1, 1), 3) == S()
     assert sun_modify(S(3, 2), 2) == S(1)
     assert sun_modify(S(3, 2, 2), 3) == S(1)
@@ -256,8 +256,8 @@ def test_parse_format_round_trip_examples():
     assert format_expr(e) == "{2,2,1} + 3{4,2}"
     assert parse_expr(format_expr(e)) == e
     assert parse_expr("{0}") == S()
-    assert format_expr(SchurExpr.zero()) == "0"
-    assert parse_expr("0") == SchurExpr.zero()
+    assert format_expr(SchurExpr()) == "0"
+    assert parse_expr("0") == SchurExpr()
     assert parse_expr("-2{1} + {3,1}") == -2 * S(1) + S(3, 1)
 
 
@@ -424,7 +424,7 @@ def test_plethysm_of_mixed_weights_is_the_sum_of_homogeneous_parts():
     # s_lam[b1 + b2] = sum over mu of s_mu[b1] s_{lam/mu}[b2]
     for n in range(1, 4):
         for lam in partitions(n):
-            split = SchurExpr.zero()
+            split = SchurExpr()
             for m in range(n + 1):
                 for mu in partitions(m):
                     split = split + plethysm(S(*mu), b1) * plethysm(skew(S(*lam), S(*mu)), b2)

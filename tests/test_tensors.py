@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,42 @@ def test_dtilde_entries_and_symmetry():
     assert np.array_equal(dt[1:, 1:, 1:], T3.d)
     for p in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
         assert np.array_equal(dt, dt.transpose(p))
+
+
+def _loop_tables(lams):
+    """f and d by one trace per sorted index triple, spread over the
+    permutations in Python loops: the reference for the stacked tables."""
+    n = len(lams)
+    f = np.zeros((n, n, n))
+    d = np.zeros((n, n, n))
+    for a, b, c in itertools.combinations(range(n), 3):
+        comm = lams[a] @ lams[b] - lams[b] @ lams[a]
+        val = (np.trace(comm @ lams[c]) / 4j).real
+        if abs(val) > 1e-14:
+            for p in itertools.permutations(range(3)):
+                f[tuple((a, b, c)[i] for i in p)] = np.linalg.det(np.eye(3)[list(p)]) * val
+    for a, b, c in itertools.combinations_with_replacement(range(n), 3):
+        anti = lams[a] @ lams[b] + lams[b] @ lams[a]
+        val = (np.trace(anti @ lams[c]) / 4).real
+        if abs(val) > 1e-14:
+            for p in set(itertools.permutations((a, b, c))):
+                d[p] = val
+    return f, d
+
+
+@pytest.mark.parametrize("t", [T2, T3], ids=["dim2", "dim3"])
+def test_stacked_tables_equal_the_loop_tables_bit_for_bit(t):
+    f, d = _loop_tables(t.lambdas)
+    assert np.array_equal(t.f, f) and np.array_equal(np.signbit(t.f), np.signbit(f))
+    if t.dim == 3:
+        assert np.array_equal(t.d, d) and np.array_equal(np.signbit(t.d), np.signbit(d))
+        dt = np.zeros((9, 9, 9))
+        dt[0, 0, 0] = 1.5
+        for a in range(1, 9):
+            dt[0, a, a] = dt[a, 0, a] = dt[a, a, 0] = -0.5
+        dt[1:, 1:, 1:] = d
+        assert np.array_equal(t.dtilde, dt)
+        assert np.array_equal(np.signbit(t.dtilde), np.signbit(dt))
 
 
 def test_commutator_and_anticommutator_reconstruction():
