@@ -3,20 +3,23 @@
 Every invariant is a complete contraction written in index notation.  An
 operand whose term starts with ``...`` may carry leading batch axes (a
 stack of states or of stencil points); the structure tensors never do.  The
-pairwise order of each subscript string and core shapes is searched once and
-compiled into transposes, reshapes and one matrix product per pair, run by
-every later call at any batch size (opt_einsum's contraction expressions:
-Smith & Gray, JOSS 3(26):753, 2018).  A step with no batch axis on either
-operand (every step of a single state's call) runs that transpose, reshape
-and product alone, with no batch to place.  The products are the ones
-``np.einsum`` makes along that order: with at most one batch axis, the
-results are bit-for-bit equal.
+pairwise order of each subscript string and core shapes is searched once.
+Each call's full operand shapes, batch axes included, are compiled once
+from that order into a transpose and a reshape of both operands, one matrix
+product and the product's reshape and transpose per pair, kept in a table
+of COMPILED_CALLS entries (opt_einsum's contraction expressions: Smith &
+Gray, JOSS 3(26):753, 2018).  A call looks up its shapes and runs only
+those.  A batch of both operands stays a stack of matrix products; a batch
+of one is fused into its rows or columns, placed among them by size as
+numpy places it.  The products are the ones ``np.einsum`` makes along that
+order: with at most one batch axis, the results are bit-for-bit equal.
 """
 
 import sys
 from bisect import bisect_left
 from functools import lru_cache
 from math import prod
+from operator import attrgetter
 
 import numpy as np
 
@@ -24,6 +27,11 @@ import numpy as np
 # depend on the batch of the call, so results do not depend on which call
 # came first.
 PLAN_BATCH = 64
+
+# Compiled calls kept, one per subscript string and full operand shapes.
+COMPILED_CALLS = 1024
+
+_shape = attrgetter("shape")
 
 
 @lru_cache(maxsize=None)
@@ -71,45 +79,58 @@ def _plan(spec, core_shapes):
     return tuple(steps), tuple(map(cores[0].index, out.lstrip(".")))
 
 
-def _moved(x, perm, at):
-    """``x`` with its core axes permuted by ``perm`` and its leading batch
-    axes moved to position ``at`` among them."""
-    nb = x.ndim - len(perm)
-    if not nb:
-        return x.transpose(perm)
-    core = tuple(p + nb for p in perm)
-    return x.transpose(core[:at] + tuple(range(nb)) + core[at:])
+@lru_cache(maxsize=COMPILED_CALLS)
+def _compiled(spec, shapes):
+    """The call ``contract(spec, *operands)`` for operands of these full
+    shapes: per step the pair it takes, each operand's transpose and
+    reshape into a matrix (or a stack of them), the product, the product's
+    reshape and the transpose that brings its batch axes to the front; then
+    the final transpose into the output order."""
+    ndims = _core_ndims(spec)
+    plan, final = _plan(spec, tuple(s[len(s) - n:] for n, s in zip(ndims, shapes)))
+    batches = [s[:len(s) - n] for n, s in zip(ndims, shapes)]
+    steps = []
+    for (i, j), perm_a, perm_b, n_left, n_summed, l, k, r, shape, rows, cols in plan:
+        ba, bb = batches.pop(i), batches.pop(j)
+        if bool(ba) == bool(bb):  # a stack of matrix products, or one product
+            batch = np.broadcast_shapes(ba, bb) if ba else ()
+            at_a = at_b = at = 0
+            sa, sb, sc = ba + (l, k), bb + (k, r), batch + shape
+        else:  # a batch of one operand is fused into its rows or columns
+            batch = ba + bb
+            at_a, at_b = (bisect_left(g, prod(batch)) for g in (rows, cols))
+            at = at_a if ba else n_left + at_b
+            sa, sb = (prod(ba) * l, k), (k, prod(bb) * r)
+            sc = shape[:at] + batch + shape[at:]
+            at_b += n_summed  # the summed indices come first in b
+        steps.append((i, j, _batch_at(perm_a, len(ba), at_a), sa,
+                      _batch_at(perm_b, len(bb), at_b), sb,
+                      np.matmul if k > 1 else np.multiply,  # nothing summed: elementwise
+                      sc, (*range(at, at + len(batch)), *range(at),
+                           *range(at + len(batch), len(sc)))))
+        batches.append(batch)
+    return tuple(steps), _batch_at(final, len(batches[0]), 0)
 
 
-def _pair(a, b, perm_a, perm_b, n_left, n_summed, l, k, r, shape, rows, cols):
-    """One step: a batch of both operands stays a stack of matrix products, a
-    batch of one is fused into its rows or columns, placed by their sizes."""
-    product = np.matmul if k > 1 else np.multiply  # nothing summed: elementwise
-    na, nb = a.ndim - len(perm_a), b.ndim - len(perm_b)
-    if not (na or nb):
-        return product(a.transpose(perm_a).reshape(l, k),
-                       b.transpose(perm_b).reshape(k, r)).reshape(shape)
-    if na and nb:
-        c = product(_moved(a, perm_a, 0).reshape(a.shape[:na] + (l, k)),
-                    _moved(b, perm_b, 0).reshape(b.shape[:nb] + (k, r)))
-        return c.reshape(c.shape[:-2] + shape)
-    batch = a.shape[:na] + b.shape[:nb]
-    at_a, at_b = (bisect_left(g, prod(batch)) for g in (rows, cols))
-    c = product(_moved(a, perm_a, at_a).reshape(-1, k),
-                _moved(b, perm_b, n_summed + at_b).reshape(k, -1))
-    at = at_a if na else n_left + at_b
-    c = c.reshape(shape[:at] + batch + shape[at:])
-    return np.moveaxis(c, range(at, at + len(batch)), range(len(batch)))
+def _batch_at(perm, n, at):
+    """The transpose of an array with ``n`` leading batch axes that permutes
+    its other axes by ``perm`` and puts the batch axes at position ``at``
+    among them."""
+    if not n:
+        return perm
+    core = [p + n for p in perm]
+    return (*core[:at], *range(n), *core[at:])
 
 
 def contract(spec, *operands):
     """``np.einsum(spec, *operands)`` along the compiled contraction plan."""
-    core_shapes = tuple(op.shape[op.ndim - n:] for n, op in zip(_core_ndims(spec), operands))
-    steps, final = _plan(spec, core_shapes)
+    steps, final = _compiled(spec, tuple(map(_shape, operands)))
     operands = list(operands)
-    for (i, j), *step in steps:  # i > j: popping i leaves j in place
-        operands.append(_pair(operands.pop(i), operands.pop(j), *step))
-    return _moved(operands[0], final, 0)
+    for i, j, ta, sa, tb, sb, product, sc, tc in steps:  # i > j: popping i leaves j in place
+        c = product(operands.pop(i).transpose(ta).reshape(sa),
+                    operands.pop(j).transpose(tb).reshape(sb))
+        operands.append(c.reshape(sc).transpose(tc))
+    return operands[0].transpose(final)
 
 
 def per_state(value, operand):

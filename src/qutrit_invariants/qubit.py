@@ -109,13 +109,11 @@ def dependence_jacobian_rank(coords):
     one polynomial relation tying Q8 to the others."""
     _require_qubits(coords)
 
-    names = ("Q2", "Q4", "Q6", "Q8", "Q4t")
+    def fn(c):  # the five values of q_invariants, without its epsilon form
+        return np.stack([*trace_invariants(c.ext, (1, 2, 3, 4)),
+                         determinant_invariant(c.ext)], axis=-1)
 
-    def fn(c):
-        q = q_invariants(c.ext)
-        return np.stack([q[k] for k in names], axis=-1)
-
-    return jacobian_rank(coords, fn, degree=8, k=len(names))
+    return jacobian_rank(coords, fn, degree=8, k=5)
 
 
 def q8_relation_residual(ext):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -173,11 +174,18 @@ def jacobian_rank(coords, fn, degree, k):
     x0, coords_at = free_coordinates(coords)
     f = lambda x: fn(coords_at(x))
     m = k + OVERSAMPLE
-    V = None
-    if m < x0.size:
-        V = np.random.default_rng(SKETCH_SEED).standard_normal((x0.size, m))
-        V /= np.linalg.norm(V, axis=0)
+    V = _sketch(x0.size, m) if m < x0.size else None
     return numerical_rank(poly_jacobian(f, x0, degree, V), normalize_rows=True)
+
+
+@lru_cache(maxsize=None)
+def _sketch(n, m):
+    """The (n, m) unit Gaussian columns of ``jacobian_rank``, drawn from
+    ``SKETCH_SEED`` once per shape and returned read-only."""
+    V = np.random.default_rng(SKETCH_SEED).standard_normal((n, m))
+    V /= np.linalg.norm(V, axis=0)
+    V.flags.writeable = False
+    return V
 
 
 def complex_matrices(x):

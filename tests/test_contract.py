@@ -1,5 +1,6 @@
 """The compiled contraction plans of ``contract`` against ``np.einsum``."""
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -11,8 +12,9 @@ import qutrit_invariants
 from qutrit_invariants import contract as contract_module
 from qutrit_invariants.contract import contract
 
+SOURCES = sorted(Path(qutrit_invariants.__file__).parent.glob("*.py"))
 # every subscript string written in the package
-SPECS = sorted({spec for path in Path(qutrit_invariants.__file__).parent.glob("*.py")
+SPECS = sorted({spec for path in SOURCES
                 for spec in re.findall(r"'([A-Za-z.,]+->[A-Za-z.]*)'", path.read_text())})
 SIZES = (2, 3, 4)
 
@@ -95,6 +97,76 @@ def test_bits_equal_einsum_along_the_same_order(spec):
                 assert np.array_equal(contract(spec, *ops), np.einsum(spec, *ops, optimize=path))
 
 
+def _einsum_path(spec, sizes):
+    """numpy's greedy order of ``spec``, searched at the batch it is planned for."""
+    planned = operands(spec, (contract_module.PLAN_BATCH,), np.random.default_rng(0), sizes=sizes)
+    return np.einsum_path(spec, *planned, optimize=("greedy", sys.maxsize))[0]
+
+
+def _thresholds(spec, sizes):
+    """The index sizes that a one-sided batch is placed among."""
+    ops = operands(spec, (), np.random.default_rng(0), sizes=sizes)
+    steps, _ = contract_module._plan(spec, tuple(op.shape for op in ops))
+    return {t for step in steps for t in step[-2] + step[-1]}
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_bits_equal_einsum_around_the_batch_placements(spec):
+    # one-sided batches just below, at and above every size they are placed
+    # among, and the sizes around the planned batch
+    rng = np.random.default_rng(SPECS.index(spec))
+    sizes = (3, 8, 9)
+    path = _einsum_path(spec, sizes)
+    batches = {1, 2, 7, 8, 9, 63, 64, 65, 100}
+    batches |= {n + d for n in _thresholds(spec, sizes) for d in (-1, 0, 1)}
+    for n in sorted(batches):
+        ops = operands(spec, (n,), rng, sizes=sizes)
+        assert np.array_equal(contract(spec, *ops), np.einsum(spec, *ops, optimize=path)), n
+
+
+@pytest.mark.parametrize("spec", [spec for spec in SPECS if "..." in spec])
+def test_bits_equal_einsum_with_two_batch_axes(spec):
+    # two leading batch axes: fused into the rows or columns of one operand
+    # at a one-sided step, a stack of products at a two-sided one
+    rng = np.random.default_rng(SPECS.index(spec))
+    sizes = (3, 8, 9)
+    path = _einsum_path(spec, sizes)
+    for batch in [(3, 5), (8, 9), (1, 70)]:
+        for complex_batched in (False, True):
+            ops = operands(spec, batch, rng, complex_batched, sizes)
+            assert np.array_equal(contract(spec, *ops), np.einsum(spec, *ops, optimize=path))
+
+
+def test_specs_have_one_and_two_sided_steps():
+    # the batched steps above include both kinds: a stack reshaped to
+    # (..., l, k) against one, and a fused (rows, k) matrix
+    kinds = set()
+    for spec in SPECS:
+        ops = operands(spec, (3, 5), np.random.default_rng(0))
+        steps, _ = contract_module._compiled(spec, tuple(op.shape for op in ops))
+        kinds |= {(len(sa) > 2, len(sb) > 2) for _, _, _, sa, _, sb, *_ in steps}
+    assert {(True, True), (False, False)} <= kinds
+
+
+def test_alternating_batch_sizes_compile_each_placement():
+    # a placement compiled for one batch size is never run at another
+    rng = np.random.default_rng(9)
+    spec = 'abc,...a,...bd,...cd->...'
+    sizes = (3, 8, 9)
+    path = _einsum_path(spec, sizes)
+    small, large = (operands(spec, (n,), rng, sizes=sizes) for n in (7, 65))
+    first = [contract(spec, *ops) for ops in (small, large)]
+    for _ in range(3):
+        for ops, want in zip((small, large), first):
+            got = contract(spec, *ops)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, np.einsum(spec, *ops, optimize=path))
+
+
+def test_compiled_calls_are_bounded():
+    assert contract_module._compiled.cache_info().maxsize == contract_module.COMPILED_CALLS
+
+
 def test_one_path_search_per_spec_and_shapes(monkeypatch):
     calls = []
     einsum_path = np.einsum_path
@@ -105,6 +177,7 @@ def test_one_path_search_per_spec_and_shapes(monkeypatch):
 
     monkeypatch.setattr(np, "einsum_path", counting)
     contract_module._plan.cache_clear()
+    contract_module._compiled.cache_clear()
     spec = 'abc,...a,...b,...C,...cC->...'
     rng = np.random.default_rng(5)
     d = rng.standard_normal((6, 7, 5))
@@ -133,3 +206,28 @@ def test_unsupported_specs_raise(spec):
     ops = operands(spec, (4,), rng)
     with pytest.raises(ValueError, match="does not support"):
         contract(spec, *ops)
+
+
+def _calls(name):
+    """(module, enclosing function) of every call of an attribute ``name``
+    (``np.<name>(...)``) in the package sources."""
+    found = []
+    for path in SOURCES:
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == name):
+                found.append((path.stem, where))
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+        visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_one_contraction_layer():
+    # every contraction goes through contract, except the independent
+    # reference that the tests compare C6 against
+    assert [c for c in _calls("einsum") if c[0] != "contract"] == [
+        ("lsl_qutrit", "sextic_by_matching")]
+    assert _calls("tensordot") == [] and _calls("moveaxis") == []

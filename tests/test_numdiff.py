@@ -11,7 +11,7 @@ from qutrit_invariants.lu_invariants import (
     independence_test,
 )
 from qutrit_invariants.numdiff import _BLOCK, _WEIGHTS, STEP, poly_jacobian
-from qutrit_invariants.qubit import dependence_jacobian_rank
+from qutrit_invariants.qubit import dependence_jacobian_rank, q_invariants
 from qutrit_invariants.states import OVERSAMPLE, jacobian_rank, random_state
 
 # The hand-written stencil weights that the closed form now computes, kept as
@@ -131,10 +131,7 @@ def _relative_singular_values(jacobians, rank):
     return kept, dropped
 
 
-def test_sketched_certificates_clear_the_rank_threshold_by_decades(monkeypatch):
-    # the row-normalized sketched Jacobians that the certificates rank: the
-    # smallest kept relative singular value and the largest dropped one stay
-    # decades away from the 1e-8 threshold of numerical_rank
+def _captured_jacobians(monkeypatch):
     captured = []
     rank_of = states.numerical_rank
 
@@ -143,6 +140,14 @@ def test_sketched_certificates_clear_the_rank_threshold_by_decades(monkeypatch):
         return rank_of(matrix, **kwargs)
 
     monkeypatch.setattr(states, "numerical_rank", capture)
+    return captured
+
+
+def test_sketched_certificates_clear_the_rank_threshold_by_decades(monkeypatch):
+    # the row-normalized sketched Jacobians that the certificates rank: the
+    # smallest kept relative singular value and the largest dropped one stay
+    # decades away from the 1e-8 threshold of numerical_rank
+    captured = _captured_jacobians(monkeypatch)
     rng = np.random.default_rng(12)
     qutrits = [random_state(3, 3, rng) for _ in range(len(QUARTIC_LABELS) + 5)]
     low = [l for l in LOW_DEGREE_LABELS if l != "K000"]
@@ -158,3 +163,36 @@ def test_sketched_certificates_clear_the_rank_threshold_by_decades(monkeypatch):
     assert {j.shape for j in captured} == {(5, 5 + OVERSAMPLE)}
     kept, dropped = _relative_singular_values(captured, 4)
     assert kept >= 1e-5 and dropped <= 1e-10, (kept, dropped)
+
+
+def test_qubit_rank_jacobian_is_the_q_invariants_jacobian(monkeypatch):
+    # the stencil function stacks the five values without the epsilon form;
+    # its sketched Jacobian is bit for bit the one of the q_invariants dict
+    captured = _captured_jacobians(monkeypatch)
+    names = ("Q2", "Q4", "Q6", "Q8", "Q4t")
+
+    def from_q_invariants(c):
+        q = q_invariants(c.ext)
+        return np.stack([q[k] for k in names], axis=-1)
+
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        coords = random_state(2, 2, rng).coords
+        captured.clear()
+        assert dependence_jacobian_rank(coords) == 4
+        assert jacobian_rank(coords, from_q_invariants, degree=8, k=5) == 4
+        new, old = captured
+        assert new.shape == (5, 5 + OVERSAMPLE)
+        assert np.array_equal(new, old)
+
+
+def test_sketch_is_one_read_only_draw_per_shape():
+    for n, m in ((80, 20), (80, 13), (15, 8)):
+        fresh = np.random.default_rng(states.SKETCH_SEED).standard_normal((n, m))
+        fresh /= np.linalg.norm(fresh, axis=0)
+        V = states._sketch(n, m)
+        assert np.array_equal(V, fresh)
+        assert not V.flags.writeable
+        with pytest.raises(ValueError):
+            V[0, 0] = 0.0
+        assert states._sketch(n, m) is V
