@@ -16,8 +16,10 @@ from .symfunc import (
     _collect,
     character,
     class_sum,
+    hall_norm,
     partitions,
     plethysm,
+    plethysm_class,
     sun_modify,
 )
 
@@ -110,7 +112,9 @@ def graded_table(columns):
     (p) and sigma symmetrized powers of the adjoint times those of (q) and
     sigma; it includes products of lower-degree invariants, and at total
     degree 4 the only ones, pairs of quadratics, are subtracted.  One table
-    keyed by sigma holds each power, reduced and dualized once.
+    keyed by sigma holds each power, reduced and dualized once; each power
+    is expanded on the {lam} with at most 3 rows only, since the SU(3)
+    reduction drops the others.
     """
     for p, q, s in columns:
         _check_ints(p, q, s)
@@ -121,7 +125,8 @@ def graded_table(columns):
     needed = set(columns).union(*(split[c] for c in columns if c in split))
     sigmas = {(n,) if n else () for g in needed for n in g[:2]}.union(
         *(partitions(g[2]) for g in needed))
-    power = {sigma: sun_modify(plethysm(SchurExpr.schur(sigma), ADJOINT), 3) for sigma in sigmas}
+    power = {sigma: sun_modify(plethysm(SchurExpr.schur(sigma), ADJOINT, 3), 3)
+             for sigma in sigmas}
     dual = {sigma: su3_conjugate(x).terms for sigma, x in power.items()}
 
     def singlets(n, sigma):  # pair each irreducible of the (n) power with its dual in sigma's
@@ -162,17 +167,17 @@ def count_lsl(D, n):
     symmetrized-power series of the degree-3 symmetric invariant tensor; no
     modification rules are known for that case, so the result is flagged as
     a conjecture.  The weight-n part of that series, n = 3m, is the one
-    plethysm S(m)[S(3)], so only that term is computed.
+    plethysm S(m)[S(3)], and the count is the sum of its squared Schur
+    coefficients: its Hall norm, read off the class function of
+    S(m)[S(3)] without expanding it in Schur functions.
     """
     _check_degree("lsl", D, n)
     if D == 2:
         count = 0 if n % 2 else count_lu_pure(4, 2, n)
         return CountReport(n, count, "four-qubit pure-state equivalence")
-    if n % 3:
-        return CountReport(n, 0, "symmetric-cube series multiplicities",
-                           conjecture=True)
-    block = (plethysm(SchurExpr.schur((n // 3,)), SchurExpr.schur((3,))) if n
-             else SchurExpr.schur(()))  # S(0)[S(3)] = 1
-    count = sum(c * c for c in block.terms.values())
+    count = 0
+    if n % 3 == 0:
+        p, order, _ = plethysm_class(SchurExpr.schur((n // 3,)), SchurExpr.schur((3,)))
+        count = hall_norm(p, order)
     return CountReport(n, count, "symmetric-cube series multiplicities",
                        conjecture=True)

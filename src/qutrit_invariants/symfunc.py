@@ -7,7 +7,10 @@ plethysm route through the power-sum basis, where an expansion is kept as
 the integer class function X with characteristic map sum_rho X_rho
 p_rho / z_rho (Macdonald, Symmetric Functions, I.7).  Converting back is
 one exact integer class sum per Schur function against characters from
-the Murnaghan-Nakayama recursion.  No fractions and no floats appear.
+the Murnaghan-Nakayama recursion, over the Schur functions with at most a
+given number of rows only when the caller asks for no more.  The sum of
+the squared Schur coefficients, the Hall norm, needs no characters: it is
+one class sum of X^2 (``hall_norm``).  No fractions and no floats appear.
 """
 
 from __future__ import annotations
@@ -284,17 +287,22 @@ def _p_scale_parts(p, k):
     return {tuple(k * x for x in rho): x * k ** len(rho) for rho, x in p.items()}
 
 
+def _by_weight(p):
+    """Split the p-expansion ``p`` into its homogeneous parts {n: {rho: X}}."""
+    blocks = {}
+    for rho, x in p.items():
+        blocks.setdefault(sum(rho), {})[rho] = x
+    return blocks
+
+
 def _p_to_schur(p, scale=1, max_len=None):
     """Schur expansion of the p-expansion ``p`` divided by ``scale``, on the
     {lam} with at most ``max_len`` rows (the caller vouches for the rest):
     the coefficient of {lam} is the class sum of X_rho (n!/z_rho) chi^lam_rho
     over rho, divided by n! * scale.  ArithmeticError when that division is
     not exact, i.e. when the result is not a virtual character."""
-    by_weight = {}
-    for rho, x in p.items():
-        by_weight.setdefault(sum(rho), {})[rho] = x
     terms = {}
-    for n, block in by_weight.items():
+    for n, block in _by_weight(p).items():
         order = factorial(n)
         weights = [x * (order // zclass(rho)) for rho, x in block.items()]
         for lam in partitions(n, max_len):
@@ -305,6 +313,24 @@ def _p_to_schur(p, scale=1, max_len=None):
             if coeff:
                 terms[lam] = coeff
     return SchurExpr._of(terms)
+
+
+def hall_norm(p, scale=1):
+    """Hall inner product <f, f> of f, the p-expansion ``p`` divided by
+    ``scale``: the sum of its squared Schur coefficients, with no Schur
+    expansion.  Since <p_rho, p_sigma> = z_rho delta_rho,sigma (Macdonald,
+    I.4), the weight-n part gives the class sum of X_rho^2 (n!/z_rho),
+    divided by n! * scale^2.  ArithmeticError when that division is not
+    exact, since then f is not a virtual character."""
+    norm = 0
+    for n, block in _by_weight(p).items():
+        order = factorial(n)
+        total = sum(x * x * (order // zclass(rho)) for rho, x in block.items())
+        part, rest = divmod(total, order * scale * scale)
+        if rest:
+            raise ArithmeticError(f"non-integral Hall norm at weight {n}")
+        norm += part
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +349,16 @@ def kronecker(a, b):
     return _p_to_schur({rho: xa * pb[rho] for rho, xa in pa.items() if rho in pb})
 
 
-def plethysm(a, b):
-    """Plethysm (composition) s_lam[b], extended linearly in ``a``.
+def plethysm_class(a, b):
+    """Class function of the plethysm s_lam[b], extended linearly in ``a``.
 
-    plethysm(S(n), x) is the {n}-symmetrized power of x; the classical
-    product notation x (x) {n} corresponds to plethysm(S(n), x).
-
-    Only {lam} with at most L = max |mu| over ``a`` times max len(nu) over
-    ``b`` rows can occur, and only those are computed: S_mu(W) lies in W^(x|mu|),
-    and a Littlewood-Richardson term of {alpha}{beta} has at most len(alpha) +
-    len(beta) rows.  A virtual ``b`` reduces to this case through s_mu[X - Y] =
-    sum c^mu_{alpha beta} s_alpha[X] (-1)^|beta| s_beta'[Y] (Macdonald, I.8).
+    Returns (X, order, rows): a[b] is sum_rho X_rho p_rho / z_rho divided by
+    order = m!, m the largest weight in ``a``, and only {lam} with at most
+    rows = L = m times max len(nu) over ``b`` can occur in it: S_mu(W) lies
+    in W^(x|mu|), and a Littlewood-Richardson term of {alpha}{beta} has at
+    most len(alpha) + len(beta) rows.  A virtual ``b`` reduces to this case
+    through s_mu[X - Y] = sum c^mu_{alpha beta} s_alpha[X] (-1)^|beta|
+    s_beta'[Y] (Macdonald, I.8).
     """
     wmax = max((sum(lam) for lam in b.terms), default=0)
     if any(sum(lam) * wmax > PLETHYSM_WEIGHT_LIMIT for lam in a.terms):
@@ -347,11 +372,23 @@ def plethysm(a, b):
     # denominator m! of the largest weight m in ``a``
     m = max((sum(lam) for lam in a.terms), default=0)
     order = factorial(m)
-    return _p_to_schur(_collect((key, c * chi * (order // zclass(rho)) * v)
-                                for lam, c in a.terms.items()
-                                for rho, chi in _schur_term_to_p(lam).items()
-                                for key, v in composed(rho).items()), order,
-                       m * max(map(len, b.terms), default=0))
+    return (_collect((key, c * chi * (order // zclass(rho)) * v)
+                     for lam, c in a.terms.items()
+                     for rho, chi in _schur_term_to_p(lam).items()
+                     for key, v in composed(rho).items()),
+            order, m * max(map(len, b.terms), default=0))
+
+
+def plethysm(a, b, max_len=None):
+    """Plethysm (composition) s_lam[b], extended linearly in ``a``, on the
+    {lam} with at most ``max_len`` rows (all of them when None).
+
+    plethysm(S(n), x) is the {n}-symmetrized power of x; the classical
+    product notation x (x) {n} corresponds to plethysm(S(n), x).  Only the
+    {lam} within the row bound of ``plethysm_class`` are computed.
+    """
+    p, order, rows = plethysm_class(a, b)
+    return _p_to_schur(p, order, rows if max_len is None else min(rows, max_len))
 
 
 def product_power_plethysm(a, b, n):

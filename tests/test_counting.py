@@ -7,6 +7,7 @@ import pytest
 from qutrit_invariants import counting, symfunc
 from qutrit_invariants.cli import main
 from qutrit_invariants.counting import (
+    ADJOINT,
     GRADED_COLUMNS,
     count_graded_quartics,
     count_lsl,
@@ -15,7 +16,15 @@ from qutrit_invariants.counting import (
     graded_table,
     su3_conjugate,
 )
-from qutrit_invariants.symfunc import S, character, class_sum, partitions, zclass
+from qutrit_invariants.symfunc import (
+    S,
+    character,
+    class_sum,
+    partitions,
+    plethysm,
+    sun_modify,
+    zclass,
+)
 
 from bruteforce import zclass as oracle_zclass
 
@@ -73,7 +82,8 @@ def test_counts_refuse_arguments_that_are_not_ints(count, args, monkeypatch):
     # refused before any work: no symmetric-function routine is called
     def no_work(*_):
         raise AssertionError("the count ran before checking its arguments")
-    for name in ("character", "class_sum", "partitions", "plethysm", "sun_modify"):
+    for name in ("character", "class_sum", "hall_norm", "partitions", "plethysm",
+                 "plethysm_class", "sun_modify"):
         monkeypatch.setattr(counting, name, no_work)
     with pytest.raises(ValueError, match="must be integers"):
         count(*args)
@@ -241,9 +251,36 @@ def test_a_table_computes_each_plethysm_once(monkeypatch, capsys):
                                         for sigma in partitions(s))
     assert len(powers("plethysm")) == len(powers("sun_modify")) == 8
     calls.clear()
+    _record_calls(monkeypatch, calls, "plethysm_class", symfunc, counting)
+    _record_calls(monkeypatch, calls, "_p_to_schur", symfunc)
     assert main(["count", "lsl", "--dim", "3", "--max", "12"]) == 0
-    # only the weight-3m term S(m)[S(3)] of the series, once per m
-    assert calls == [("plethysm", (S(m), S(3))) for m in range(1, 5)]
+    # only the class function of the weight-3m term S(m)[S(3)] of the
+    # series, once per m, and no Schur expansion
+    assert calls == [("plethysm_class", (S(m), S(3))) for m in range(5)]
+
+
+def test_cold_tables_evaluate_only_the_characters_they_keep(monkeypatch, capsys):
+    # the qutrit SLOCC rows need characters of the one-row factors of
+    # S(m)[S(3)] only, and the graded powers none longer than sigma's 4 rows;
+    # expanding S(4)[S(3)] and S(sigma)[{2,1}] in full would reach 4 and 8 rows
+    calls = []
+    _record_calls(monkeypatch, calls, "character", symfunc, counting)
+    for argv, rows in ((["lsl", "--dim", "3", "--max", "12"], 1), (["graded"], 4)):
+        for table in vars(symfunc).values():
+            if hasattr(table, "cache_clear"):
+                table.cache_clear()
+        calls.clear()
+        assert main(["count", *argv]) == 0
+        assert max(len(args[0]) for _, args in calls) == rows, argv
+
+
+def test_graded_powers_on_three_rows_match_the_full_expansion():
+    for s in range(5):
+        for sigma in partitions(s):
+            full = plethysm(S(*sigma), ADJOINT)
+            rows3 = plethysm(S(*sigma), ADJOINT, 3)
+            assert rows3.terms == {lam: c for lam, c in full.terms.items() if len(lam) <= 3}
+            assert sun_modify(rows3, 3) == sun_modify(full, 3), sigma
 
 
 def test_cold_tables_stay_cold(monkeypatch, capsys):

@@ -13,11 +13,13 @@ from qutrit_invariants.symfunc import (
     as_partition,
     character,
     format_expr,
+    hall_norm,
     kronecker,
     outer,
     parse_expr,
     partitions,
     plethysm,
+    plethysm_class,
     plethysm_series,
     product_power_plethysm,
     skew,
@@ -413,6 +415,26 @@ def test_p_to_schur_refuses_what_is_not_a_virtual_character():
         _p_to_schur({(1, 1): 1})
     with pytest.raises(ArithmeticError):
         _p_to_schur({(1, 1): 2}, 2)
+
+
+def test_hall_norm_is_the_sum_of_squared_schur_coefficients():
+    # the qutrit SLOCC rows S(m)[S(3)] and the graded powers S(sigma)[{2,1}]
+    cases = [(S(m), S(3)) for m in range(5)] + [
+        (S(*sigma), S(2, 1)) for s in range(5) for sigma in partitions(s)]
+    for a, b in cases:
+        p, order, _ = plethysm_class(a, b)
+        assert hall_norm(p, order) == sum(c * c for c in plethysm(a, b).terms.values()), (a, b)
+    # 1 + p_1^2 = {0} + {2} + {1,1}: homogeneous parts are orthogonal
+    assert hall_norm({(): 1, (1, 1): 2}) == 3
+
+
+def test_hall_norm_refuses_what_is_not_a_virtual_character():
+    # the indicator of the identity class of S_3 is p_1^3 / 6, of norm 1/6
+    with pytest.raises(ArithmeticError):
+        hall_norm({(1, 1, 1): 1})
+    # ({2} + {1,1}) / 2 has norm 1/2
+    with pytest.raises(ArithmeticError):
+        hall_norm({(1, 1): 2}, 2)
 
 
 def test_plethysm_of_mixed_weights_is_the_sum_of_homogeneous_parts():
