@@ -81,15 +81,13 @@ def count_lu_mixed(D, n):
     """Linearly independent degree-n local-unitary invariants of a
     bipartite mixed state with local dimension D.
 
-    Sums, over partitions tau of n with at most D^2 rows, the squared
-    total multiplicity of tau in inner squares of partitions with at most
-    D rows.
+    Sums <Y, chi^tau>^2 over tau, Y = sum chi^sigma^2 over sigma of n with
+    at most D rows; the chi^tau are orthonormal, so this is <Y, Y>: one
+    ``hall_norm`` of Y, with no tau and no bound on its rows.
     """
     _check_degree("lu", D, n)
-    squares = {rho: sum(character(sigma, rho) ** 2 for sigma in partitions(n, max_len=D))
-               for rho in partitions(n)}
-    return sum(class_sum(n, lambda rho: squares[rho] * character(tau, rho)) ** 2
-               for tau in partitions(n, max_len=D * D))
+    return hall_norm({rho: sum(character(sigma, rho) ** 2 for sigma in partitions(n, max_len=D))
+                      for rho in partitions(n)})
 
 
 def su3_conjugate(expr):

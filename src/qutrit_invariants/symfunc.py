@@ -29,6 +29,17 @@ PLETHYSM_WEIGHT_LIMIT = 14
 SERIES_WEIGHT_LIMIT = 12
 
 
+def _integer(x, message):
+    """``x`` as an int if it equals one; otherwise, inf, NaN and None
+    included, ValueError(message)."""
+    try:
+        if x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(message)
+
+
 def as_partition(parts):
     """Normalize ``parts`` to a tuple of weakly decreasing positive ints.
 
@@ -36,9 +47,7 @@ def as_partition(parts):
     an integer included, raises ValueError.
     """
     parts = tuple(parts)
-    if any(p != int(p) for p in parts):
-        raise ValueError(f"partition parts must be integers: {parts!r}")
-    t = tuple(int(p) for p in parts)
+    t = tuple(_integer(p, f"partition parts must be integers: {parts!r}") for p in parts)
     while t and t[-1] == 0:
         t = t[:-1]
     if any(p <= 0 for p in t):
@@ -142,11 +151,9 @@ class SchurExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        items = list(terms.items() if isinstance(terms, dict) else terms or ())
-        for _, c in items:
-            if c != int(c):
-                raise ValueError(f"non-integer coefficient {c!r}")
-        self.terms = _collect((as_partition(lam), int(c)) for lam, c in items)
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        self.terms = _collect((as_partition(lam), _integer(c, f"non-integer coefficient {c!r}"))
+                              for lam, c in items)
 
     @classmethod
     def _of(cls, terms):
@@ -178,9 +185,8 @@ class SchurExpr:
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        if scalar != int(scalar):
-            raise ValueError("only integer scalars are supported")
-        return SchurExpr._of(_collect((lam, int(scalar) * c) for lam, c in self.terms.items()))
+        scalar = _integer(scalar, "only integer scalars are supported")
+        return SchurExpr._of(_collect((lam, scalar * c) for lam, c in self.terms.items()))
 
     def __mul__(self, other):
         if isinstance(other, SchurExpr):

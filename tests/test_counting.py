@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -26,7 +27,7 @@ from qutrit_invariants.symfunc import (
     zclass,
 )
 
-from bruteforce import zclass as oracle_zclass
+from bruteforce import _partitions as oracle_partitions, oracle_kron, zclass as oracle_zclass
 
 
 def expand_rational_series(numerator, den_factors, order):
@@ -141,6 +142,20 @@ def test_lu_mixed_qubit_series_matches_rational_form():
         numerator, [(1, 1), (2, 3), (3, 2), (4, 3), (6, 1)], 8)
     assert [count_lu_mixed(2, n) for n in range(9)] == expected
     assert expected[:3] == [1, 1, 4]
+
+
+def test_lu_mixed_is_the_sum_of_squared_oracle_multiplicities():
+    # mult_tau = sum of g(sigma, sigma, tau) over sigma with at most D rows,
+    # from the brute-force Kronecker coefficients; no tau with a nonzero
+    # multiplicity has more than D^2 rows
+    for D, top in ((2, 6), (3, 5)):
+        for n in range(top + 1):
+            mult = Counter()
+            for sigma in oracle_partitions(n):
+                if len(sigma) <= D:
+                    mult.update(oracle_kron(sigma, sigma))
+            assert count_lu_mixed(D, n) == sum(m * m for m in mult.values()), (D, n)
+            assert all(len(tau) <= D * D for tau, m in mult.items() if m), (D, n)
 
 
 def test_lu_mixed_bounds():
@@ -262,10 +277,14 @@ def test_a_table_computes_each_plethysm_once(monkeypatch, capsys):
 def test_cold_tables_evaluate_only_the_characters_they_keep(monkeypatch, capsys):
     # the qutrit SLOCC rows need characters of the one-row factors of
     # S(m)[S(3)] only, and the graded powers none longer than sigma's 4 rows;
-    # expanding S(4)[S(3)] and S(sigma)[{2,1}] in full would reach 4 and 8 rows
+    # expanding S(4)[S(3)] and S(sigma)[{2,1}] in full would reach 4 and 8 rows.
+    # The mixed lu rows need the sigma with at most D rows only; a sum over
+    # tau would reach 4 rows at D = 2 and 5 at D = 3
     calls = []
     _record_calls(monkeypatch, calls, "character", symfunc, counting)
-    for argv, rows in ((["lsl", "--dim", "3", "--max", "12"], 1), (["graded"], 4)):
+    for argv, rows in ((["lsl", "--dim", "3", "--max", "12"], 1), (["graded"], 4),
+                       (["lu", "--dim", "2", "--max", "8"], 2),
+                       (["lu", "--dim", "3", "--max", "5"], 3)):
         for table in vars(symfunc).values():
             if hasattr(table, "cache_clear"):
                 table.cache_clear()

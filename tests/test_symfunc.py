@@ -246,6 +246,19 @@ def test_non_integer_parts_are_refused(build):
         build()
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), None], ids=["inf", "nan", "None"])
+@pytest.mark.parametrize("build", [
+    lambda v: as_partition((v,)),
+    lambda v: SchurExpr({(1,): v}),
+    lambda v: v * S(1),
+], ids=["part", "coefficient", "scalar"])
+def test_values_that_are_no_integer_are_refused_with_value_error(build, value):
+    # int() raises OverflowError on inf and TypeError on None: both are
+    # turned into the module's own ValueError
+    with pytest.raises(ValueError, match="integer"):
+        build(value)
+
+
 def test_integral_float_parts_are_kept():
     assert as_partition((3.0, 1, 0)) == (3, 1)
 
