@@ -13,7 +13,6 @@ from operator import add
 
 from .symfunc import (
     SchurExpr,
-    _collect,
     character,
     class_sum,
     hall_norm,
@@ -90,18 +89,6 @@ def count_lu_mixed(D, n):
                       for rho in partitions(n)})
 
 
-def su3_conjugate(expr):
-    """Contragredient of an SU(3)-reduced character: (a, b) -> (a, a-b)."""
-    if any(len(lam) > 2 for lam in expr.terms):
-        raise ValueError("conjugation expects SU(3)-reduced partitions")
-
-    def dual(lam):
-        a, b = (lam + (0, 0))[:2]
-        return tuple(x for x in (a, a - b) if x)
-
-    return SchurExpr._of(_collect((dual(lam), c) for lam, c in expr.terms.items()))
-
-
 def graded_table(columns):
     """Connected invariants at each multidegree (p, q, s) in ``columns``, a
     list of tuples of total degree <= 4, as a list of counts.
@@ -110,9 +97,11 @@ def graded_table(columns):
     (p) and sigma symmetrized powers of the adjoint times those of (q) and
     sigma; it includes products of lower-degree invariants, and at total
     degree 4 the only ones, pairs of quadratics, are subtracted.  One table
-    keyed by sigma holds each power, reduced and dualized once; each power
-    is expanded on the {lam} with at most 3 rows only, since the SU(3)
-    reduction drops the others.
+    keyed by sigma holds each power, reduced once; each power is expanded
+    on the {lam} with at most 3 rows only, since the SU(3) reduction drops
+    the others.  The adjoint is a real representation, so every
+    symmetrized power of it is self-conjugate: the singlets of a product
+    of two powers pair their coefficients at the same irreducible.
     """
     for p, q, s in columns:
         _check_ints(p, q, s)
@@ -125,11 +114,10 @@ def graded_table(columns):
         *(partitions(g[2]) for g in needed))
     power = {sigma: sun_modify(plethysm(SchurExpr.schur(sigma), ADJOINT, 3), 3)
              for sigma in sigmas}
-    dual = {sigma: su3_conjugate(x).terms for sigma, x in power.items()}
 
-    def singlets(n, sigma):  # pair each irreducible of the (n) power with its dual in sigma's
-        one = power[(n,) if n else ()].terms
-        return sum(c * dual[sigma].get(lam, 0) for lam, c in one.items())
+    def singlets(n, sigma):  # sigma's power is its own dual: pair equal irreducibles
+        one, other = power[(n,) if n else ()].terms, power[sigma].terms
+        return sum(c * other.get(lam, 0) for lam, c in one.items())
 
     raw = {(p, q, s): sum(singlets(p, sigma) * singlets(q, sigma) for sigma in partitions(s))
            for p, q, s in needed}
@@ -171,7 +159,7 @@ def count_lsl(D, n):
     """
     _check_degree("lsl", D, n)
     if D == 2:
-        count = 0 if n % 2 else count_lu_pure(4, 2, n)
+        count = count_lu_pure(4, 2, n)
         return CountReport(n, count, "four-qubit pure-state equivalence")
     count = 0
     if n % 3 == 0:

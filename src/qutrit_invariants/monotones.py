@@ -159,6 +159,13 @@ def monotone_functional(name):
                          f"choose from {sorted(MONOTONE_FUNCTIONALS)}") from None
 
 
+def _check_count(what, value, least):
+    """Raise ``ValueError`` unless ``value`` is an int (a bool is not) of at
+    least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{what} must be at least {least} and an integer, got {value!r}")
+
+
 def trial_blocks(trials):
     """(start, stop) of each block of consecutive trial indices."""
     return [(s, min(s + TRIAL_BLOCK, trials)) for s in range(0, trials, TRIAL_BLOCK)]
@@ -201,12 +208,12 @@ def _map_blocks(jobs, workers):
     ``workers``: the calling process computes share 0 itself and child w
     computes share w, for w = 1 .. workers-1.  Every child is joined before
     this returns or raises, terminated first if its result was not read."""
-    # imported here: loading multiprocessing costs every other process
-    import multiprocessing
     shares = [jobs[w::workers] for w in range(workers)]
     children, ends, received = [], [], 0
     try:
         for share in shares[1:]:
+            # imported here: loading multiprocessing costs every other process
+            import multiprocessing
             recv, send = multiprocessing.Pipe(duplex=False)
             ends.append(recv)
             child = multiprocessing.Process(target=_send_margins, args=(share, send))
@@ -247,17 +254,12 @@ def run_trials(name, trials, seed, workers=1, tol=1e-9):
     reproduction.
     """
     monotone_functional(name)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _check_count("trials", trials, 1)
+    _check_count("workers", workers, 1)
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
     jobs = [(name, seed, start, stop) for start, stop in trial_blocks(trials)]
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        parts = _map_blocks(jobs, workers)
-    else:
-        parts = [_run_block(job) for job in jobs]
-    margins = np.concatenate(parts)
+    margins = np.concatenate(_map_blocks(jobs, min(workers, len(jobs))))
     skipped = np.isnan(margins)
     valid = margins[~skipped]
     violations = [
@@ -348,10 +350,8 @@ def scalar_inequality_scan(resolution, samples=100_000, seed=0):
     faces where the bound collapses to a trivial one.  Returns the largest
     excess over 1 found anywhere (should not exceed rounding).
     """
-    if resolution < 10:
-        raise ValueError("resolution must be at least 10 points per axis")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    _check_count("resolution", resolution, 10)
+    _check_count("samples", samples, 1)
     # the grid does not depend on the seed: it is computed once per
     # resolution, and only the random samples are drawn on every call
     grid_max, boundary_max, diagonal_residual = _grid_scan(resolution)

@@ -42,6 +42,8 @@ def w_matrix_bar(ext):
 def trace_invariants(ext, ks):
     """Tr(w^k) for each k of ``ks`` over a coordinate stack (Q2, Q4, Q6, Q8 for
     k = 1..4), forming w^k = w^ceil(k/2) @ w^floor(k/2) up to max(ks) only."""
+    if not ks or min(ks) < 1:
+        raise ValueError(f"trace powers need a non-empty list of k >= 1, got {ks!r}")
     powers = [w_matrix(ext)]
     for k in range(2, max(ks) + 1):
         powers.append(powers[(k + 1) // 2 - 1] @ powers[k // 2 - 1])

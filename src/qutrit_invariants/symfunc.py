@@ -429,17 +429,16 @@ def sun_modify(a, N):
 
 def plethysm_series(k, max_weight):
     """Truncated series of all symmetrized powers of the one-row Schur
-    function {k}: sum over n of plethysm(S(n), S(k)) up to max_weight."""
+    function {k}: sum over n of plethysm(S(n), S(k)) up to max_weight.
+
+    Plethysm is linear in its first argument, so this is the one plethysm
+    of {0} + {1} + ... + {max_weight // k}; the {0} term gives the unit."""
     if k < 1:
         raise ValueError(f"the one-row Schur function needs k >= 1, got {k}")
     if max_weight > SERIES_WEIGHT_LIMIT:
         raise ValueError(f"series supported up to weight {SERIES_WEIGHT_LIMIT}")
-    total = SchurExpr.schur(())
-    n = 1
-    while k * n <= max_weight:
-        total = total + plethysm(SchurExpr.schur((n,)), SchurExpr.schur((k,)))
-        n += 1
-    return total
+    return plethysm(SchurExpr({(n,): 1 for n in range(int(max_weight // k) + 1)}),
+                    SchurExpr.schur((k,)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from qutrit_invariants.counting import (
     count_lu_mixed,
     count_lu_pure,
     graded_table,
-    su3_conjugate,
 )
 from qutrit_invariants.symfunc import (
     S,
+    SchurExpr,
     character,
     class_sum,
     partitions,
@@ -195,11 +195,23 @@ def test_graded_bounds():
         count_graded_quartics(3, 2, 0)
 
 
-def test_su3_conjugate():
-    assert su3_conjugate(S(2, 1)) == S(2, 1)          # adjoint self-dual
-    assert su3_conjugate(S(1)) == S(1, 1)             # defining <-> dual
-    assert su3_conjugate(S(4, 2)) == S(4, 2)
-    assert su3_conjugate(S(3)) == S(3, 3)
+def test_su3_conjugation_fixes_every_symmetrized_power_of_the_adjoint():
+    # graded_table pairs equal irreducibles of two powers: that is their
+    # singlet count only if each power is its own contragredient
+    def conjugate(expr):  # SU(3)-reduced characters: (a, b) -> (a, a - b)
+        pairs = [((lam + (0, 0))[:2], c) for lam, c in expr.terms.items()]
+        return SchurExpr([((a, a - b), c) for (a, b), c in pairs])
+
+    assert conjugate(S(2, 1)) == S(2, 1)          # adjoint self-dual
+    assert conjugate(S(1)) == S(1, 1)             # defining <-> dual
+    assert conjugate(S(4, 2)) == S(4, 2)
+    assert conjugate(S(3)) == S(3, 3)
+    sigmas = [sigma for s in range(5) for sigma in partitions(s)]
+    assert len(sigmas) == 12
+    for sigma in sigmas:
+        power = sun_modify(plethysm(S(*sigma), ADJOINT, 3), 3)
+        assert power and all(len(lam) <= 2 for lam in power.terms)
+        assert conjugate(power) == power, sigma
 
 
 def test_lsl_qubit_series():

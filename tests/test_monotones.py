@@ -321,6 +321,23 @@ def test_run_trials_rejects_vacuous_arguments():
         run_trials("C3", 10, seed=1, workers=0)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: run_trials("C3", 3, 0, tol=float("nan")), id="tol-nan"),
+    pytest.param(lambda: run_trials("C3", 3, 0, tol=float("inf")), id="tol-inf"),
+    pytest.param(lambda: run_trials("C3", 3, 0, tol=-1e-9), id="tol-negative"),
+    pytest.param(lambda: run_trials("C3", True, 0), id="trials-bool"),
+    pytest.param(lambda: run_trials("C3", 3.0, 0), id="trials-float"),
+    pytest.param(lambda: run_trials("C3", 2 * TRIAL_BLOCK, 0, workers=1.5), id="workers-float"),
+    pytest.param(lambda: run_trials("C3", 3, 0, workers=True), id="workers-bool"),
+    pytest.param(lambda: scalar_inequality_scan(10.5), id="resolution-float"),
+    pytest.param(lambda: scalar_inequality_scan(10, samples=2.5), id="samples-float"),
+    pytest.param(lambda: scalar_inequality_scan(10, samples=True), id="samples-bool"),
+])
+def test_sweeps_refuse_arguments_that_are_no_count_or_tolerance(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_wrong_exponent_control_violates():
     control = wrong_exponent_counterexample()
     assert control["raw_margin"] < -1e-9

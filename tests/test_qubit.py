@@ -6,6 +6,7 @@ from qutrit_invariants.qubit import (
     expansion_residuals,
     q8_relation_residual,
     q_invariants,
+    trace_invariants,
     w_matrix,
     w_matrix_bar,
 )
@@ -107,6 +108,13 @@ def test_expansions_refuse_a_trace_that_is_not_one():
     ext[1] *= 2
     with pytest.raises(ValueError, match="trace-normalized"):
         residuals(StateCoords(2, 2, ext))
+
+
+@pytest.mark.parametrize("ks", [[], [0], [-1], [2, 0]])
+def test_trace_invariants_refuse_powers_below_one(ks):
+    ext = random_state(2, 2, 0).coords.ext
+    with pytest.raises(ValueError, match="k >= 1"):
+        trace_invariants(ext, ks)
 
 
 def test_stacked_q_invariants_match_per_state_loop():

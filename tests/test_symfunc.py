@@ -211,11 +211,21 @@ def test_sun_modify_golden_plethysms():
 def test_series_truncations():
     assert plethysm_series(2, 4) == parse_expr("{0} + {2} + {4} + {2,2}")
     assert plethysm_series(3, 6) == parse_expr("{0} + {3} + {6} + {4,2}")
+    assert plethysm_series(2.0, 6.5) == plethysm_series(2, 6)
     w12 = plethysm_series(3, 12).weight_part(12)
     assert len(w12.terms) == 12
     assert set(w12.terms.values()) == {1}
     with pytest.raises(ValueError):
         plethysm_series(3, 13)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_series_is_the_unit_plus_the_symmetrized_powers(k):
+    total = S()  # the running sum over n that the one linear plethysm replaces
+    for w in range(symfunc.SERIES_WEIGHT_LIMIT + 1):
+        if w and w % k == 0:
+            total = total + plethysm(S(w // k), S(k))
+        assert plethysm_series(k, w) == total, w
 
 
 @pytest.mark.parametrize("k", [0, -1])
