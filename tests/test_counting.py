@@ -195,7 +195,7 @@ def test_graded_bounds():
         count_graded_quartics(3, 2, 0)
 
 
-def test_su3_conjugation_fixes_every_symmetrized_power_of_the_adjoint():
+def test_su3_conjugate():
     # graded_table pairs equal irreducibles of two powers: that is their
     # singlet count only if each power is its own contragredient
     def conjugate(expr):  # SU(3)-reduced characters: (a, b) -> (a, a - b)
