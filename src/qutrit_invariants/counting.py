@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from operator import add
 
+from .checks import integer
 from .symfunc import (
     SchurExpr,
     character,
@@ -29,21 +30,16 @@ ADJOINT = SchurExpr.schur((2, 1))
 MAX_DEGREE = {"lu": {2: 8, 3: 5}, "lsl": {2: 12, 3: 12}}
 
 
-def _check_ints(*args):
-    """Raise ``ValueError`` unless every argument is an int (a bool is not)."""
-    if any(not isinstance(x, int) or isinstance(x, bool) for x in args):
-        raise ValueError(f"counting arguments must be integers, got {args!r}")
-
-
 def _check_degree(family, D, n):
-    """Raise ``ValueError`` unless the ``family`` table covers degree n at
-    local dimension D."""
-    _check_ints(D, n)
+    """(D, n) as ints; ``ValueError`` unless the ``family`` table covers
+    degree n at local dimension D."""
+    D, n = integer(D, "D"), integer(n, "n")
     limits = MAX_DEGREE[family]
     if D not in limits:
         raise ValueError("local dimension must be 2 or 3")
     if not 0 <= n <= limits[D]:
         raise ValueError(f"supported degrees: 0 <= n <= {limits[D]} for D={D}")
+    return D, n
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ def count_lu_pure(K, D, n):
     trivial representation in the K-fold inner product of the rectangular
     character (r^D), r = n/D.
     """
-    _check_ints(K, D, n)
+    K, D, n = integer(K, "K"), integer(D, "D"), integer(n, "n")
     if not 1 <= K <= 4 or D not in (2, 3) or not 0 <= n <= 12:
         raise ValueError("supported range: 1 <= K <= 4, D in {2,3}, 0 <= n <= 12")
     if n == 0:
@@ -84,7 +80,7 @@ def count_lu_mixed(D, n):
     at most D rows; the chi^tau are orthonormal, so this is <Y, Y>: one
     ``hall_norm`` of Y, with no tau and no bound on its rows.
     """
-    _check_degree("lu", D, n)
+    D, n = _check_degree("lu", D, n)
     return hall_norm({rho: sum(character(sigma, rho) ** 2 for sigma in partitions(n, max_len=D))
                       for rho in partitions(n)})
 
@@ -103,10 +99,9 @@ def graded_table(columns):
     symmetrized power of it is self-conjugate: the singlets of a product
     of two powers pair their coefficients at the same irreducible.
     """
-    for p, q, s in columns:
-        _check_ints(p, q, s)
-        if p + q + s > 4 or min(p, q, s) < 0:
-            raise ValueError("supported gradings have total degree <= 4")
+    columns = [(integer(p, "p", 0), integer(q, "q", 0), integer(s, "s", 0)) for p, q, s in columns]
+    if any(sum(c) > 4 for c in columns):
+        raise ValueError("supported gradings have total degree <= 4")
     quads = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
     split = {tuple(map(add, g1, g2)): (g1, g2) for i, g1 in enumerate(quads) for g2 in quads[i:]}
     needed = set(columns).union(*(split[c] for c in columns if c in split))
@@ -157,7 +152,7 @@ def count_lsl(D, n):
     coefficients: its Hall norm, read off the class function of
     S(m)[S(3)] without expanding it in Schur functions.
     """
-    _check_degree("lsl", D, n)
+    D, n = _check_degree("lsl", D, n)
     if D == 2:
         count = count_lu_pure(4, 2, n)
         return CountReport(n, count, "four-qubit pure-state equivalence")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import integer
 from .contract import contract, per_state
 from .lu_invariants import low_degree_invariants
 from .numdiff import numerical_rank
@@ -110,6 +111,7 @@ def build_algebra(seed=0, trials=20):
     generators, and the triality kernel and homomorphism checks on random
     unit-determinant maps.
     """
+    seed, trials = integer(seed, "seed", 0), integer(trials, "trials", 1)
     gen = _build_generators()
     f = _T3.f
     lam = _T3.lambdas
@@ -211,22 +213,6 @@ def sextic_invariant(ext):
     ext = np.asarray(ext, dtype=float)
     b = _dressed(ext).reshape(ext.shape[:-2] + (9, 81)) @ _DT_2_1
     return per_state(contract('...xw,...wx->...', b, b), ext)
-
-
-def sextic_by_matching(ext, first_group):
-    """Degree-6 contraction with an arbitrary matching: the bar-side
-    partners of the plain-side legs listed in ``first_group`` (three of
-    0..5) feed the first bar-side tensor, the rest the second.  Used to
-    check that all connected matchings agree and the aligned ones
-    degenerate to the square of the cubic invariant."""
-    first_group = tuple(first_group)
-    if len(first_group) != 3 or not all(0 <= i < 6 for i in first_group):
-        raise ValueError("first_group must name three of the six legs")
-    # legs abcdef on the plain side, their partners uvwxyz on the bar side
-    groups = (first_group, [i for i in range(6) if i not in first_group])
-    spec = 'abc,def,au,bv,cw,dx,ey,fz,' + ','.join(''.join('uvwxyz'[i] for i in g)
-                                                   for g in groups) + '->'
-    return float(np.einsum(spec, _DT, _DT, *[ext] * 6, _DT, _DT, optimize=True))
 
 
 CUBIC_CONSTANT_TERM = 1.0 / 324.0

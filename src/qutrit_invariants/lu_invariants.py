@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checks import integer
 from .contract import contract, per_state
 from .numdiff import numerical_rank
 from .numdiff import poly_jacobian  # noqa: F401  (the benchmark traces it here)
@@ -170,8 +171,7 @@ def independence_test(states, labels, jacobian_points=2):
     unknown = [l for l in labels if l not in GRADINGS]
     if unknown:
         raise ValueError(f"unknown invariant labels: {unknown}")
-    if jacobian_points < 0:
-        raise ValueError(f"jacobian_points must be non-negative, got {jacobian_points}")
+    jacobian_points = integer(jacobian_points, "jacobian_points", 0)
     if len(states) < len(labels) + 5:
         raise ValueError("sample must exceed the label count by at least 5")
     for st in states:

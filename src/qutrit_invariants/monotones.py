@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import lsl_qutrit, qubit
+from .checks import integer
 from .states import (BipartiteState, _rng, complex_matrices, ginibre, hs_state, kron,
                      special_unitary)
 from .states import random_state  # noqa: F401  (the benchmark traces it here)
@@ -64,7 +65,7 @@ def sample_measurement(dim, seed):
     """Random two-outcome pair; singular values stay SINGULAR_EPS away from
     0 and 1, so bulk trials keep both branch probabilities away from zero
     (the singular limits are exercised separately by explicit boundary cases)."""
-    if dim not in (2, 3):
+    if integer(dim, "dim") not in (2, 3):
         raise ValueError("local dimension must be 2 or 3")
     rng = _rng(seed)
     return _pair_from_draws(ginibre(rng, dim, size=3), rng.random(dim))
@@ -159,13 +160,6 @@ def monotone_functional(name):
                          f"choose from {sorted(MONOTONE_FUNCTIONALS)}") from None
 
 
-def _check_count(what, value, least):
-    """Raise ``ValueError`` unless ``value`` is an int (a bool is not) of at
-    least ``least``."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{what} must be at least {least} and an integer, got {value!r}")
-
-
 def trial_blocks(trials):
     """(start, stop) of each block of consecutive trial indices."""
     return [(s, min(s + TRIAL_BLOCK, trials)) for s in range(0, trials, TRIAL_BLOCK)]
@@ -254,8 +248,8 @@ def run_trials(name, trials, seed, workers=1, tol=1e-9):
     reproduction.
     """
     monotone_functional(name)
-    _check_count("trials", trials, 1)
-    _check_count("workers", workers, 1)
+    trials, workers = integer(trials, "trials", 1), integer(workers, "workers", 1)
+    seed = integer(seed, "seed", 0)
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
     jobs = [(name, seed, start, stop) for start, stop in trial_blocks(trials)]
@@ -263,13 +257,13 @@ def run_trials(name, trials, seed, workers=1, tol=1e-9):
     skipped = np.isnan(margins)
     valid = margins[~skipped]
     violations = [
-        {"trial": int(i), "seed": [int(seed), int(i)], "margin": float(margins[i])}
+        {"trial": int(i), "seed": [seed, int(i)], "margin": float(margins[i])}
         for i in np.nonzero(margins < -tol)[0]
     ]
     return {
         "functional": name,
         "trials": trials,
-        "seed": int(seed),
+        "seed": seed,
         "tolerance": tol,
         "skipped_degenerate": int(skipped.sum()),
         "min_margin": float(valid.min()) if valid.size else None,
@@ -350,8 +344,8 @@ def scalar_inequality_scan(resolution, samples=100_000, seed=0):
     faces where the bound collapses to a trivial one.  Returns the largest
     excess over 1 found anywhere (should not exceed rounding).
     """
-    _check_count("resolution", resolution, 10)
-    _check_count("samples", samples, 1)
+    resolution, samples = integer(resolution, "resolution", 10), integer(samples, "samples", 1)
+    seed = integer(seed, "seed", 0)
     # the grid does not depend on the seed: it is computed once per
     # resolution, and only the random samples are drawn on every call
     grid_max, boundary_max, diagonal_residual = _grid_scan(resolution)
@@ -360,9 +354,9 @@ def scalar_inequality_scan(resolution, samples=100_000, seed=0):
     random_max = max(float((_lhs(*abc[:, s:s + SCAN_SLICE]) - 1.0).max())
                      for s in range(0, samples, SCAN_SLICE))
     return {
-        "resolution": int(resolution),
-        "random_samples": int(samples),
-        "seed": int(seed),
+        "resolution": resolution,
+        "random_samples": samples,
+        "seed": seed,
         "max_violation": max(grid_max, random_max),
         "boundary_max_violation": boundary_max,
         "diagonal_equality_residual": diagonal_residual,

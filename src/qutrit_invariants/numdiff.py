@@ -12,6 +12,7 @@ from math import factorial
 
 import numpy as np
 
+from .checks import integer
 from .contract import contract
 
 STEP = 0.25  # spacing of the stencil points
@@ -39,7 +40,7 @@ def poly_jacobian(fn, x0, degree, directions=None):
     coordinate; the stencil then differentiates it exactly up to rounding.
     All stencil points are evaluated in stacks of at most ``_BLOCK``.
     """
-    if not 1 <= degree <= max(_WEIGHTS):
+    if not 1 <= integer(degree, "degree") <= max(_WEIGHTS):
         raise ValueError(f"stencil degree must be between 1 and {max(_WEIGHTS)}, "
                          f"got {degree}")
     order = min(o for o in _WEIGHTS if o >= degree)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checks import integer
 from .contract import contract, per_state
 from .states import jacobian_rank, require_unit_trace
 from .tensors import levi_civita
@@ -42,7 +43,8 @@ def w_matrix_bar(ext):
 def trace_invariants(ext, ks):
     """Tr(w^k) for each k of ``ks`` over a coordinate stack (Q2, Q4, Q6, Q8 for
     k = 1..4), forming w^k = w^ceil(k/2) @ w^floor(k/2) up to max(ks) only."""
-    if not ks or min(ks) < 1:
+    ks = [integer(k, "trace power k", 1) for k in ks]
+    if not ks:
         raise ValueError(f"trace powers need a non-empty list of k >= 1, got {ks!r}")
     powers = [w_matrix(ext)]
     for k in range(2, max(ks) + 1):

@@ -5,7 +5,7 @@ matrix and as the real (dA^2 x dB^2) coordinate matrix over the extended
 Hermitian bases (identity in slot 0), related by trace inner products.
 Either may be a stack with leading batch axes, (..., D, D) and
 (..., dA^2, dB^2).  Sampling of states and of local transformations is
-deterministic given a seed.
+deterministic given a seed: an integer or a Generator, never None.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .checks import integer
 from .contract import contract, per_state
 from .numdiff import numerical_rank, poly_jacobian
 from .tensors import build_structure_tensors
@@ -30,7 +31,7 @@ SKETCH_SEED = 0
 def _rng(seed):
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(integer(seed, "seed", 0))
 
 
 def _norms(dim):
@@ -79,7 +80,8 @@ class BipartiteState:
 
     @classmethod
     def from_rho(cls, rho, dimA, dimB):
-        return cls(dimA, dimB, rho, to_coords(rho, dimA, dimB))
+        coords = to_coords(rho, dimA, dimB)  # checks the dimensions
+        return cls(coords.dimA, coords.dimB, rho, coords)
 
     def __getitem__(self, index):
         """A state, or a smaller stack, taken from a stacked state."""
@@ -95,6 +97,7 @@ def to_coords(rho, dimA, dimB):
     otherwise, so ext[0, 0] = Tr(rho) / (dimA dimB).  Every matrix must be
     finite and Hermitian.
     """
+    dimA, dimB = integer(dimA, "dimA", 1), integer(dimB, "dimB", 1)
     rho = np.asarray(rho, dtype=complex)
     D = dimA * dimB
     if rho.shape[-2:] != (D, D):
@@ -199,8 +202,9 @@ def ginibre(rng, dim, size=None):
     drawn in one call, equal to ``size`` single draws one after another.
     Every sampler draws through this or ``complex_matrices``, so a sample's
     draws do not depend on how samples are stacked."""
-    return complex_matrices(rng.standard_normal((2, dim, dim) if size is None
-                                                else (size, 2, dim, dim)))
+    dim = integer(dim, "dim", 1)
+    shape = (2, dim, dim) if size is None else (integer(size, "size", 0), 2, dim, dim)
+    return complex_matrices(rng.standard_normal(shape))
 
 
 def hs_state(G, dimA, dimB):
@@ -215,6 +219,7 @@ def random_state(dimA, dimB, seed, size=None):
     """Hilbert-Schmidt ensemble state; with ``size``, a stack of that many
     states drawn one after another from the same generator, equal to
     ``size`` single calls on it."""
+    dimA, dimB = integer(dimA, "dimA", 1), integer(dimB, "dimB", 1)
     return hs_state(ginibre(_rng(seed), dimA * dimB, size), dimA, dimB)
 
 

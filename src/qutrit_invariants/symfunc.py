@@ -22,6 +22,8 @@ from itertools import chain, repeat
 from math import comb, factorial, prod
 from operator import mul
 
+from .checks import integer
+
 # Hard caps keep the memoized tables small: nothing in this package needs
 # symmetric-group data beyond S_14.
 KRONECKER_WEIGHT_LIMIT = 12
@@ -29,29 +31,16 @@ PLETHYSM_WEIGHT_LIMIT = 14
 SERIES_WEIGHT_LIMIT = 12
 
 
-def _integer(x, message):
-    """``x`` as an int if it equals one; otherwise, inf, NaN and None
-    included, ValueError(message)."""
-    try:
-        if x == int(x):
-            return int(x)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(message)
-
-
 def as_partition(parts):
     """Normalize ``parts`` to a tuple of weakly decreasing positive ints.
 
     Trailing zeros are stripped; anything else invalid, a part that is not
-    an integer included, raises ValueError.
+    an integer or is negative included, raises ValueError.
     """
     parts = tuple(parts)
-    t = tuple(_integer(p, f"partition parts must be integers: {parts!r}") for p in parts)
+    t = tuple(integer(p, "partition part", 0) for p in parts)
     while t and t[-1] == 0:
         t = t[:-1]
-    if any(p <= 0 for p in t):
-        raise ValueError(f"partition parts must be positive: {parts!r}")
     if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
         raise ValueError(f"partition parts must be weakly decreasing: {parts!r}")
     return t
@@ -152,7 +141,7 @@ class SchurExpr:
 
     def __init__(self, terms=None):
         items = terms.items() if isinstance(terms, dict) else terms or ()
-        self.terms = _collect((as_partition(lam), _integer(c, f"non-integer coefficient {c!r}"))
+        self.terms = _collect((as_partition(lam), integer(c, "coefficient"))
                               for lam, c in items)
 
     @classmethod
@@ -170,6 +159,7 @@ class SchurExpr:
         return self.terms.get(as_partition(parts), 0)
 
     def weight_part(self, n):
+        n = integer(n, "weight", 0)
         return SchurExpr._of({lam: c for lam, c in self.terms.items() if sum(lam) == n})
 
     def __bool__(self):
@@ -185,7 +175,7 @@ class SchurExpr:
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        scalar = _integer(scalar, "only integer scalars are supported")
+        scalar = integer(scalar, "scalar")
         return SchurExpr._of(_collect((lam, scalar * c) for lam, c in self.terms.items()))
 
     def __mul__(self, other):
@@ -393,8 +383,9 @@ def plethysm(a, b, max_len=None):
     product notation x (x) {n} corresponds to plethysm(S(n), x).  Only the
     {lam} within the row bound of ``plethysm_class`` are computed.
     """
+    cap = None if max_len is None else integer(max_len, "max_len", 0)
     p, order, rows = plethysm_class(a, b)
-    return _p_to_schur(p, order, rows if max_len is None else min(rows, max_len))
+    return _p_to_schur(p, order, rows if cap is None else min(rows, cap))
 
 
 def product_power_plethysm(a, b, n):
@@ -404,7 +395,7 @@ def product_power_plethysm(a, b, n):
     sigma of weight n; the symmetrized power of the product is the sum of
     the pairwise products of the two columns.
     """
-    if n > 6:
+    if integer(n, "n", 0) > 6:
         raise ValueError("product power supported up to n = 6")
     out = []
     for sigma in partitions(n):
@@ -416,7 +407,7 @@ def product_power_plethysm(a, b, n):
 def sun_modify(a, N):
     """Restrict to SU(N) characters: drop terms longer than N and strip
     full columns of length N, merging coefficients."""
-    if N not in (2, 3):
+    if integer(N, "N") not in (2, 3):
         raise ValueError("only SU(2) and SU(3) are supported")
 
     def stripped(lam):
@@ -433,11 +424,10 @@ def plethysm_series(k, max_weight):
 
     Plethysm is linear in its first argument, so this is the one plethysm
     of {0} + {1} + ... + {max_weight // k}; the {0} term gives the unit."""
-    if k < 1:
-        raise ValueError(f"the one-row Schur function needs k >= 1, got {k}")
+    k, max_weight = integer(k, "k", 1), integer(max_weight, "max_weight", 0)
     if max_weight > SERIES_WEIGHT_LIMIT:
         raise ValueError(f"series supported up to weight {SERIES_WEIGHT_LIMIT}")
-    return plethysm(SchurExpr({(n,): 1 for n in range(int(max_weight // k) + 1)}),
+    return plethysm(SchurExpr({(n,): 1 for n in range(max_weight // k + 1)}),
                     SchurExpr.schur((k,)))
 
 

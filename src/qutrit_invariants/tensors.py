@@ -15,6 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
+from .checks import integer
 from .contract import contract, per_state
 
 _SQ3 = np.sqrt(3.0)
@@ -76,7 +77,7 @@ def build_structure_tensors(dim):
     every entry read at its sorted index triple (f with the sign of the
     sorting permutation), so total (anti)symmetry holds exactly.
     """
-    lams = {2: PAULI, 3: GELL_MANN}.get(dim)
+    lams = {2: PAULI, 3: GELL_MANN}.get(integer(dim, "dim"))
     if lams is None:
         raise ValueError(f"unsupported local dimension {dim}")
     n = dim * dim - 1

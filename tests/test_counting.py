@@ -86,7 +86,7 @@ def test_counts_refuse_arguments_that_are_not_ints(count, args, monkeypatch):
     for name in ("character", "class_sum", "hall_norm", "partitions", "plethysm",
                  "plethysm_class", "sun_modify"):
         monkeypatch.setattr(counting, name, no_work)
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match=r"\b[KDnpqs] must be an integer"):
         count(*args)
 
 

@@ -11,7 +11,6 @@ from qutrit_invariants.lsl_qutrit import (
     dtilde_preservation_residual,
     induce_map,
     induced_generator,
-    sextic_by_matching,
     sextic_invariant,
 )
 from qutrit_invariants.lu_invariants import low_degree_invariants
@@ -23,6 +22,7 @@ from qutrit_invariants.states import (
     random_state,
 )
 from qutrit_invariants.tensors import build_structure_tensors
+from sextic_reference import sextic_by_matching
 
 OMEGA = np.exp(2j * np.pi / 3)
 

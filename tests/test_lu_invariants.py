@@ -271,7 +271,7 @@ def test_independence_test_sketch_finds_the_k004_32_relation():
 
 @pytest.mark.parametrize("points", [-1, -24])
 def test_independence_test_rejects_negative_jacobian_points(points):
-    with pytest.raises(ValueError, match="jacobian_points must be non-negative"):
+    with pytest.raises(ValueError, match="jacobian_points must be at least 0"):
         independence_test(STATES, QUARTIC_LABELS, jacobian_points=points)
 
 

@@ -113,7 +113,7 @@ def test_expansions_refuse_a_trace_that_is_not_one():
 @pytest.mark.parametrize("ks", [[], [0], [-1], [2, 0]])
 def test_trace_invariants_refuse_powers_below_one(ks):
     ext = random_state(2, 2, 0).coords.ext
-    with pytest.raises(ValueError, match="k >= 1"):
+    with pytest.raises(ValueError, match="k >= 1|trace power k must be at least 1"):
         trace_invariants(ext, ks)
 
 
