@@ -33,8 +33,9 @@ from qutrit_invariants.symfunc import (S, SchurExpr, as_partition, plethysm, ple
                                        product_power_plethysm, sun_modify)
 from qutrit_invariants.tensors import build_structure_tensors
 
-BAD = {"True": True, "2.5": 2.5, "nan": float("nan"), "inf": float("inf"), "None": None,
-       "-1": -1}
+# 2.0 is the integral float that the one rule refuses too
+BAD = {"True": True, "2.0": 2.0, "2.5": 2.5, "nan": float("nan"), "inf": float("inf"),
+       "None": None, "-1": -1}
 
 STATES = [random_state(3, 3, seed) for seed in range(6)]
 RHO = STATES[0].rho
