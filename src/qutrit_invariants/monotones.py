@@ -19,8 +19,8 @@ import numpy as np
 
 from . import lsl_qutrit, qubit
 from .checks import integer
-from .states import (BipartiteState, _rng, complex_matrices, ginibre, hs_state, kron,
-                     special_unitary)
+from .states import (BipartiteState, SeedWords, _rng, complex_matrices, ginibre, hs_state,
+                     kron, special_unitary, trial_seed_words)
 from .states import random_state  # noqa: F401  (the benchmark traces it here)
 
 DEGENERATE_P = 1e-14
@@ -172,10 +172,11 @@ def _run_block(args):
     D, n = dim * dim, stop - start
     normals = np.empty((n, 2 * D * D + 6 * dim * dim))
     u = np.empty((n, dim + 1))
-    for k in range(n):
+    for k, words in enumerate(trial_seed_words(seed, start, stop)):
         # each trial's own draws in the order of random_state, sample_measurement
-        # and the side choice: all the normals, then the uniforms
-        rng = np.random.default_rng(np.random.SeedSequence((seed, start + k)))
+        # and the side choice: all the normals, then the uniforms; the trial's
+        # generator is that of SeedSequence((seed, start + k)), from its words
+        rng = np.random.Generator(np.random.PCG64(SeedWords(words)))
         rng.standard_normal(out=normals[k])
         rng.random(out=u[k])
     G = complex_matrices(normals[:, :2 * D * D].reshape(n, 2, D, D))

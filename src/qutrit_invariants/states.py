@@ -34,6 +34,123 @@ def _rng(seed):
     return np.random.default_rng(integer(seed, "seed", 0))
 
 
+# numpy's SeedSequence: a pool of 4 uint32 words, O'Neill's seed_seq hash
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _int_words(n):
+    """The uint32 words of a non-negative int, least significant first; 0 is [0]."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_consts(init, mult, count):
+    """init * mult**j mod 2**32 for j = 0 .. count, as a column of uint32."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, np.uint32)[:, None]
+
+
+def _pool_state(entropy):
+    """generate_state(4, np.uint64) of the SeedSequence of each column of the
+    (words, n) uint32 stack ``entropy``, as an (n, 4) stack.
+
+    Each hash step takes the next constant of a fixed sequence, so the steps
+    that numpy takes for several pool words in turn, with a value that none
+    of them changes, are taken for all of them at once here.
+    """
+    length, n = entropy.shape
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * max(length, _POOL))
+    used = 0
+
+    def hashmix(value, rows):  # one row for each of the next constants
+        nonlocal used
+        value = value ^ consts[used:used + rows]
+        value *= consts[used + 1:used + rows + 1]
+        used += rows
+        value ^= value >> _SHIFT
+        return value
+
+    def mix(x, y):
+        x = x * _MIX_L
+        x -= y * _MIX_R
+        x ^= x >> _SHIFT
+        return x
+
+    pool = np.zeros((_POOL, n), np.uint32)
+    pool[:length] = entropy[:_POOL]
+    pool = hashmix(pool, _POOL)
+    # mix all words together so that late words reach early ones: word src
+    # into every other word, in order
+    for src in range(_POOL):
+        h = hashmix(pool[src], _POOL - 1)
+        if src:
+            pool[:src] = mix(pool[:src], h[:src])
+        if src < _POOL - 1:
+            pool[src + 1:] = mix(pool[src + 1:], h[src:])
+    # the words past the pool are mixed into every pool word
+    for word in entropy[_POOL:]:
+        pool = mix(pool, hashmix(word, _POOL))
+    consts = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+    state = np.concatenate([pool, pool]) ^ consts[:-1]
+    state *= consts[1:]
+    state ^= state >> _SHIFT
+    # consecutive uint32 words are the low and high halves of a uint64 word
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+
+
+def trial_seed_words(seed, start, stop):
+    """Row k is ``SeedSequence((seed, start + k)).generate_state(4, np.uint64)``,
+    for every trial index of [start, stop) at once: the words that seed the
+    PCG64 generator of each trial (see `SeedWords`).
+
+    The entropy words are numpy's: those of the seed then those of the index,
+    least significant first, one word 0 for 0.  Indices stop below 2**64, so
+    an index has one word below 2**32 and two above; each part of the range
+    is hashed as one stack.
+    """
+    seed = integer(seed, "seed", 0)
+    start = integer(start, "start", 0)
+    stop = integer(stop, "stop", start)
+    if stop > 2 ** 64:
+        raise ValueError(f"trial indices must stay below 2**64, got stop={stop}")
+    seed_words = np.array(_int_words(seed), np.uint32)[:, None]
+    split = min(max(2 ** 32 - start, 0), stop - start)
+    out = np.empty((stop - start, 4), np.uint64)
+    for rows, words in ((slice(0, split), 1), (slice(split, stop - start), 2)):
+        if rows.start < rows.stop:
+            index = np.arange(start + rows.start, start + rows.stop, dtype=np.uint64)
+            entropy = np.empty((len(seed_words) + words, len(index)), np.uint32)
+            entropy[:len(seed_words)] = seed_words
+            entropy[len(seed_words)] = index  # the cast keeps the low 32 bits
+            if words == 2:
+                entropy[-1] = index >> np.uint64(32)
+            out[rows] = _pool_state(entropy)
+    return out
+
+
+class SeedWords(np.random.bit_generator.ISeedSequence):
+    """The seed sequence that PCG64 sees: it hands over words computed
+    beforehand, such as a row of `trial_seed_words`, so that
+    ``PCG64(SeedWords(words))`` seeds as ``PCG64(SeedSequence(...))`` does."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("the words are 4 of uint64, as PCG64 asks")
+        return self.words
+
+
 def _norms(dim):
     # Tr(l_a l_b) = 2 delta_ab on the traceless block, Tr(I I) = dim
     n = np.full(dim * dim, 2.0)

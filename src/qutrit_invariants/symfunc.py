@@ -22,7 +22,7 @@ from itertools import chain, repeat
 from math import comb, factorial, prod
 from operator import mul
 
-from .checks import integer
+from .checks import integer, integer_cache
 
 # Hard caps keep the memoized tables small: nothing in this package needs
 # symmetric-group data beyond S_14.
@@ -46,7 +46,7 @@ def as_partition(parts):
     return t
 
 
-@lru_cache(maxsize=None)
+@integer_cache("n")
 def partitions(n, max_len=None):
     """All partitions of ``n`` as tuples, length bounded by ``max_len``;
     descending lexicographic order."""

@@ -10,12 +10,11 @@ special-linear transformations of a single qutrit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
-from .checks import integer
+from .checks import integer_cache
 from .contract import contract, per_state
 
 _SQ3 = np.sqrt(3.0)
@@ -69,7 +68,7 @@ def _freeze(a):
     return a
 
 
-@lru_cache(maxsize=None)
+@integer_cache("dim")
 def build_structure_tensors(dim):
     """Construct the basis and coefficient arrays for local dimension 2 or 3.
 
@@ -77,7 +76,7 @@ def build_structure_tensors(dim):
     every entry read at its sorted index triple (f with the sign of the
     sorting permutation), so total (anti)symmetry holds exactly.
     """
-    lams = {2: PAULI, 3: GELL_MANN}.get(integer(dim, "dim"))
+    lams = {2: PAULI, 3: GELL_MANN}.get(dim)
     if lams is None:
         raise ValueError(f"unsupported local dimension {dim}")
     n = dim * dim - 1

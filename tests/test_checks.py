@@ -28,9 +28,10 @@ from qutrit_invariants.monotones import run_trials, sample_measurement, scalar_i
 from qutrit_invariants.numdiff import poly_jacobian
 from qutrit_invariants.qubit import trace_invariants
 from qutrit_invariants.states import (BipartiteState, ginibre, random_local_sl,
-                                      random_local_unitary, random_state, to_coords)
-from qutrit_invariants.symfunc import (S, SchurExpr, as_partition, plethysm, plethysm_series,
-                                       product_power_plethysm, sun_modify)
+                                      random_local_unitary, random_state, to_coords,
+                                      trial_seed_words)
+from qutrit_invariants.symfunc import (S, SchurExpr, as_partition, partitions, plethysm,
+                                       plethysm_series, product_power_plethysm, sun_modify)
 from qutrit_invariants.tensors import build_structure_tensors
 
 # 2.0 is the integral float that the one rule refuses too
@@ -87,11 +88,15 @@ TABLE = [
     Row(random_state, "seed", 5, lambda v: random_state(3, 2, v), "seed"),
     Row(random_state, "size", 2, lambda v: random_state(3, 2, 5, size=v), "size",
         optional=True),
+    Row(trial_seed_words, "seed", 5, lambda v: trial_seed_words(v, 0, 3), "seed"),
+    Row(trial_seed_words, "start", 2, lambda v: trial_seed_words(5, v, 3), "start"),
+    Row(trial_seed_words, "stop", 3, lambda v: trial_seed_words(5, 2, v), "stop"),
     Row(to_coords, "dimA", 3, lambda v: to_coords(RHO, v, 3), "dimA"),
     Row(to_coords, "dimB", 3, lambda v: to_coords(RHO, 3, v), "dimB"),
     Row(BipartiteState.from_rho, "dimA", 3, lambda v: BipartiteState.from_rho(RHO, v, 3), "dimA"),
     Row(BipartiteState.from_rho, "dimB", 3, lambda v: BipartiteState.from_rho(RHO, 3, v), "dimB"),
     Row(build_structure_tensors, "dim", 3, lambda v: build_structure_tensors(v), "dim"),
+    Row(partitions, "n", 6, lambda v: partitions(v), "n", bounded=False),
     Row(S, "parts", 2, lambda v: S(v, 1), "partition part"),
     Row(SchurExpr, "terms", 2, lambda v: SchurExpr({(v, 1): 1}), "partition part"),
     Row(SchurExpr, "coefficient", 2, lambda v: SchurExpr({(2, 1): v}), "coefficient",
@@ -117,8 +122,8 @@ ROW_IDS = [f"{row.fn.__name__}-{row.param}" for row in TABLE]
 
 # the parameter names that take an integer or a seed, wherever they appear
 INTEGER_PARAMS = {"K", "D", "n", "N", "p", "q", "s", "k", "ks", "dim", "dimA", "dimB", "size",
-                  "seed", "trials", "workers", "samples", "resolution", "jacobian_points",
-                  "max_len", "max_weight", "parts", "degree"}
+                  "seed", "start", "stop", "trials", "workers", "samples", "resolution",
+                  "jacobian_points", "max_len", "max_weight", "parts", "degree"}
 
 
 def same(a, b):
@@ -195,6 +200,17 @@ def test_integers_pass_as_ints(value):
 def test_everything_else_is_refused(value):
     with pytest.raises(ValueError, match="x must be an integer"):
         integer(value, "x")
+
+
+@pytest.mark.parametrize("table, value", [(build_structure_tensors, 3), (partitions, 6)],
+                         ids=["build_structure_tensors", "partitions"])
+def test_a_numpy_integer_shares_the_cache_entry_of_the_int(table, value):
+    # the integer goes through the one check before the lookup, so a numpy
+    # integer finds the entry of the equal int and adds none
+    first = table(value)
+    entries = table.cache_info().currsize
+    assert table(np.int64(value)) is first and table(np.uint8(value)) is first
+    assert table.cache_info().currsize == entries
 
 
 def test_a_bound_is_inclusive():

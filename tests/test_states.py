@@ -17,8 +17,10 @@ from qutrit_invariants.states import (
     random_local_unitary,
     random_state,
     save_state,
+    SeedWords,
     to_coords,
     to_single_coords,
+    trial_seed_words,
 )
 from qutrit_invariants.tensors import GELL_MANN
 
@@ -355,3 +357,42 @@ def test_state_file_validation(tmp_path):
     path.write_text('{"dimA": 3')
     with pytest.raises((ValueError, json.JSONDecodeError)):
         load_state(path)
+
+
+# seeds of one to five entropy words (2**128 + 3 gives five, six with the
+# index: the words past the pool), and index ranges from 0, inside a block
+# and across 2**32, where an index goes from one word to two
+SEED_WORD_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 + 1, 2 ** 128 + 3]
+SEED_WORD_RANGES = [(0, 64), (384, 400), (2 ** 32 - 2, 2 ** 32 + 2)]
+
+
+@pytest.mark.parametrize("start, stop", SEED_WORD_RANGES)
+@pytest.mark.parametrize("seed", SEED_WORD_SEEDS)
+def test_trial_seed_words_are_the_seed_sequence_words(seed, start, stop):
+    words = trial_seed_words(seed, start, stop)
+    assert words.dtype == np.uint64 and words.shape == (stop - start, 4)
+    for k, i in enumerate(range(start, stop)):
+        expected = np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+        assert words[k].tobytes() == expected.tobytes(), (seed, i)
+
+
+def test_seed_words_seed_the_generator_of_the_seed_sequence():
+    words = trial_seed_words(2 ** 64 + 1, 2 ** 32 - 1, 2 ** 32 + 1)
+    for k, i in enumerate(range(2 ** 32 - 1, 2 ** 32 + 1)):
+        rng = np.random.Generator(np.random.PCG64(SeedWords(words[k])))
+        expected = np.random.default_rng(np.random.SeedSequence((2 ** 64 + 1, i)))
+        assert rng.standard_normal(50).tobytes() == expected.standard_normal(50).tobytes()
+        assert rng.random(5).tobytes() == expected.random(5).tobytes()
+    with pytest.raises(ValueError, match="4 of uint64"):
+        SeedWords(words[0]).generate_state(8, np.uint32)
+
+
+def test_trial_seed_words_edges():
+    assert trial_seed_words(5, 7, 7).shape == (0, 4)
+    last = trial_seed_words(5, 2 ** 64 - 1, 2 ** 64)
+    assert last[0].tobytes() == np.random.SeedSequence((5, 2 ** 64 - 1)).generate_state(
+        4, np.uint64).tobytes()
+    with pytest.raises(ValueError, match="below 2\\*\\*64"):
+        trial_seed_words(5, 2 ** 64 - 1, 2 ** 64 + 1)
+    with pytest.raises(ValueError, match="stop must be at least 7"):
+        trial_seed_words(5, 7, 6)
