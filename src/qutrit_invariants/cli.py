@@ -233,6 +233,9 @@ def _verify_args_error(args):
             else os.cpu_count() or 1)
     if not 1 <= args.workers <= cpus:
         return f"--workers must be 1 to {cpus} (CPUs this process may use), got {args.workers}"
+    if args.workers > 1 and args.suite != "monotone":
+        return (f"--workers {args.workers} belongs to verify monotone alone; "
+                f"verify {args.suite} runs in one process")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
         return f"--tol must be a finite non-negative number, got {args.tol}"
     if args.tol is not None and args.suite == "algebra":

@@ -39,6 +39,8 @@ def induce_map(A):
     """Induced real 9x9 map m of A in the unit-determinant group, defined
     by A l_a A^dag = sum_b m[b, a] l_b."""
     A = np.asarray(A, dtype=complex)
+    if not np.isfinite(A).all():
+        raise ValueError("A has non-finite entries")
     det = np.linalg.det(A)
     if abs(det - 1) > DET_TOL:
         raise ValueError(f"determinant must be 1 (got {det})")
@@ -48,6 +50,8 @@ def induce_map(A):
 def induced_generator(X):
     """Derivative of the induced map along A(t) = exp(tX) at t = 0,
     computed exactly from rho -> X rho + rho X^dag."""
+    if not np.isfinite(X).all():
+        raise ValueError("X has non-finite entries")
     eye = np.eye(3)
     m = coordinate_action(X, eye, 3) + coordinate_action(eye, X, 3)
     return _real_action(m, "induced generator")

@@ -168,6 +168,8 @@ def independence_test(states, labels, jacobian_points=2):
     """
     states = list(states)
     labels = list(labels)
+    if not labels:
+        raise ValueError("independence_test needs at least one label, got an empty list")
     unknown = [l for l in labels if l not in GRADINGS]
     if unknown:
         raise ValueError(f"unknown invariant labels: {unknown}")

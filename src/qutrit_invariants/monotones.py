@@ -12,6 +12,8 @@ generator, and the linear algebra of the whole block runs on stacks.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -251,7 +253,8 @@ def run_trials(name, trials, seed, workers=1, tol=1e-9):
     monotone_functional(name)
     trials, workers = integer(trials, "trials", 1), integer(workers, "workers", 1)
     seed = integer(seed, "seed", 0)
-    if not (np.isfinite(tol) and tol >= 0):
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not (math.isfinite(tol) and tol >= 0)):
         raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
     jobs = [(name, seed, start, stop) for start, stop in trial_blocks(trials)]
     margins = np.concatenate(_map_blocks(jobs, min(workers, len(jobs))))

@@ -31,9 +31,9 @@ _WEIGHTS = {2 * m: {k: Fraction((-1) ** (abs(k) + 1) * factorial(m) ** 2,
 _BLOCK = 64
 
 
-def poly_jacobian(fn, x0, degree, directions=None):
-    """Jacobian J of ``fn`` at ``x0``, or the (k, m) product J V along the
-    columns of an (n, m) matrix V of ``directions`` (None: the identity).
+def poly_jacobian(fn, x0, degree, directions):
+    """The (k, m) product J V of the Jacobian J of ``fn`` at ``x0`` with the
+    columns of an (n, m) matrix V of ``directions``: J itself for V the identity.
 
     ``fn`` maps an (M, n) stack of points to the (M, k) stack of its values
     and must be polynomial of total degree <= ``degree`` (1 to 8) in each
@@ -46,7 +46,7 @@ def poly_jacobian(fn, x0, degree, directions=None):
     order = min(o for o in _WEIGHTS if o >= degree)
     offsets, weights = zip(*_WEIGHTS[order].items())
     x0 = np.asarray(x0, dtype=float)
-    V = np.eye(x0.size) if directions is None else np.asarray(directions, dtype=float)
+    V = np.asarray(directions, dtype=float)
     m, k = V.shape[1], len(offsets)
     # point j * k + i is x0 + offsets[i] * STEP * V[:, j]
     points = x0 + (V.T[:, None, :] * np.multiply(offsets, STEP)[:, None]).reshape(m * k, -1)
@@ -55,15 +55,11 @@ def poly_jacobian(fn, x0, degree, directions=None):
     return contract('jim,i->mj', values.reshape(m, k, -1), np.array(weights, dtype=float)) / STEP
 
 
-def numerical_rank(matrix, rel_threshold=1e-8, normalize_rows=False):
+def numerical_rank(matrix, rel_threshold=1e-8):
     """Rank by SVD with a threshold relative to the largest singular value."""
     m = np.asarray(matrix, dtype=float)
     if m.size == 0:
         return 0
-    if normalize_rows:
-        norms = np.linalg.norm(m, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        m = m / norms
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0

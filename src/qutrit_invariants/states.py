@@ -206,6 +206,20 @@ class BipartiteState:
                               StateCoords(self.dimA, self.dimB, self.coords.ext[index]))
 
 
+def _hermitian_matrices(rho, D, dims):
+    """``rho`` as a complex array, after checking that it is a finite
+    Hermitian (D, D) matrix or a stack of them; ``dims`` names the dimensions."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (D, D):
+        raise ValueError(f"expected a {D}x{D} matrix for {dims}")
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix has non-finite entries")
+    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    if (herm > HERMITICITY_TOL).any():
+        raise ValueError(f"matrix is not Hermitian (residual {herm.max():.2e})")
+    return rho
+
+
 def to_coords(rho, dimA, dimB):
     """Extract the real coordinate matrix of a Hermitian ``rho``, or of
     each matrix of a stack (..., D, D).
@@ -215,15 +229,7 @@ def to_coords(rho, dimA, dimB):
     finite and Hermitian.
     """
     dimA, dimB = integer(dimA, "dimA", 1), integer(dimB, "dimB", 1)
-    rho = np.asarray(rho, dtype=complex)
-    D = dimA * dimB
-    if rho.shape[-2:] != (D, D):
-        raise ValueError(f"expected a {D}x{D} matrix for dims ({dimA},{dimB})")
-    if not np.isfinite(rho).all():
-        raise ValueError("matrix has non-finite entries")
-    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    if (herm > HERMITICITY_TOL).any():
-        raise ValueError(f"matrix is not Hermitian (residual {herm.max():.2e})")
+    rho = _hermitian_matrices(rho, dimA * dimB, f"dims ({dimA},{dimB})")
     lamA = build_structure_tensors(dimA).lam_ext
     lamB = build_structure_tensors(dimB).lam_ext
     rho4 = rho.reshape(rho.shape[:-2] + (dimA, dimB, dimA, dimB))
@@ -251,8 +257,9 @@ def from_coords(coords):
 
 def to_single_coords(rho, dim):
     """Coordinates (r0, r1, ..) of a single-system Hermitian matrix, or of
-    each matrix of a stack (..., dim, dim)."""
-    rho = np.asarray(rho, dtype=complex)
+    each matrix of a stack (..., dim, dim), checked as `to_coords` checks."""
+    dim = integer(dim, "dim", 1)
+    rho = _hermitian_matrices(rho, dim, f"dim {dim}")
     lam = build_structure_tensors(dim).lam_ext
     return contract('...ij,aji->...a', rho, lam).real / _norms(dim)
 
@@ -264,38 +271,22 @@ def from_single_coords(coords, dim):
     return _hermitian_part(contract('...a,aij->...ij', np.asarray(coords, dtype=float), lam))
 
 
-def free_coordinates(coords):
-    """The free coordinates of one state and the map back from them.
-
-    The free coordinates are every entry of ``ext`` except the trace entry
-    ``ext[0, 0]``, in row-major order.  Returns them as a vector x0 together
-    with the map taking a stack of such vectors (..., D^2 - 1) to the
-    ``StateCoords`` stack that shares the state's trace entry.
-    """
-    ext = np.asarray(coords.ext, dtype=float)
-    flat = ext.reshape(-1)
-
-    def coords_at(x):
-        x = np.asarray(x, dtype=float)
-        stack = np.concatenate([np.full(x.shape[:-1] + (1,), flat[0]), x], axis=-1)
-        return StateCoords(coords.dimA, coords.dimB, stack.reshape(x.shape[:-1] + ext.shape))
-
-    return flat[1:], coords_at
-
-
 def jacobian_rank(coords, fn, degree, k):
     """Row-normalized rank of the Jacobian J of ``fn`` over the n free
-    coordinates of one state; ``fn`` maps a ``StateCoords`` stack to its
-    (..., k) values, polynomial of total degree <= ``degree``.  When
-    k + OVERSAMPLE < n, the rank of J V along k + OVERSAMPLE unit Gaussian
-    columns V from ``SKETCH_SEED``: never above rank J, and equal to it for
-    all V outside a set of measure zero (Halko, Martinsson & Tropp 2011).
+    coordinates of one state, every entry of ``ext`` but the trace entry
+    ``ext[0, 0]``; ``fn`` maps a ``StateCoords`` stack to its (..., k) values,
+    polynomial of total degree <= ``degree``.  The rank of J V along
+    k + OVERSAMPLE unit Gaussian columns V from ``SKETCH_SEED``, below a zero
+    row that holds the trace entry still: never above rank J, and equal to it
+    for all V outside a set of measure zero (Halko, Martinsson & Tropp 2011).
     """
-    x0, coords_at = free_coordinates(coords)
-    f = lambda x: fn(coords_at(x))
-    m = k + OVERSAMPLE
-    V = _sketch(x0.size, m) if m < x0.size else None
-    return numerical_rank(poly_jacobian(f, x0, degree, V), normalize_rows=True)
+    ext, m = coords.ext, k + OVERSAMPLE
+    V = np.concatenate([np.zeros((1, m)), _sketch(ext.size - 1, m)])
+    J = poly_jacobian(lambda x: fn(StateCoords(coords.dimA, coords.dimB,
+                                               x.reshape(x.shape[:-1] + ext.shape))),
+                      ext.reshape(-1), degree, V)
+    norms = np.linalg.norm(J, axis=1, keepdims=True)
+    return numerical_rank(J / np.where(norms == 0, 1.0, norms))
 
 
 @lru_cache(maxsize=None)
@@ -374,6 +365,8 @@ def apply_local(state, A, B, renormalize=True):
     for M, d in ((A, state.dimA), (B, state.dimB)):
         if M.shape != (d, d):
             raise ValueError("local map shape does not match state dimensions")
+        if not np.isfinite(M).all():
+            raise ValueError("local map has non-finite entries")
         if abs(np.linalg.det(M)) < 1e-12:
             raise ValueError("local map is singular")
     E = kron(A, B)

@@ -115,7 +115,7 @@ TABLE = [
     Row(ginibre, "size", 2, lambda v: ginibre(np.random.default_rng(0), 3, size=v), "size",
         optional=True),
     Row(poly_jacobian, "degree", 2,
-        lambda v: poly_jacobian(lambda x: x ** 2, np.ones(2), v), "degree"),
+        lambda v: poly_jacobian(lambda x: x ** 2, np.ones(2), v, np.eye(2)), "degree"),
 ]
 
 ROW_IDS = [f"{row.fn.__name__}-{row.param}" for row in TABLE]

@@ -496,6 +496,20 @@ def test_options_a_command_ignores_are_refused(argv, option, monkeypatch, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suite", ["tensors", "algebra", "expansion"])
+def test_verify_refuses_workers_that_a_suite_would_not_start(suite, monkeypatch, tmp_path,
+                                                            capsys):
+    # with CPUs to spare, the refusal is that the suite runs in one process
+    _refuse_suites(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    out = tmp_path / "cert.json"
+    assert main(["verify", suite, "--trials", "5", "--workers", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "--workers 2 belongs to verify monotone alone" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("suite", ["tensors", "algebra", "expansion", "monotone"])
 def test_workers_is_accepted_by_every_suite(suite, tmp_path):
     out = tmp_path / "cert.json"

@@ -53,6 +53,22 @@ def test_determinant_gate():
         induce_map(2.0 * np.eye(3))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_slocc_maps_refuse_non_finite_matrices(bad):
+    # refused before any linear algebra: no numpy warning, no NaN map
+    A = random_local_sl(3, 6)
+    A[1, 2] = bad
+    st = random_state(3, 3, 6)
+    with pytest.raises(ValueError, match="non-finite"):
+        induce_map(A)
+    with pytest.raises(ValueError, match="non-finite"):
+        induced_generator(A)
+    for pair in ((A, np.eye(3)), (np.eye(3), A)):
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_local(st, *pair)
+
+
 def test_homomorphism_and_preservation():
     rng = np.random.default_rng(2)
     for _ in range(100):

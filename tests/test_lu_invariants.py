@@ -179,6 +179,11 @@ def test_sample_size_guard():
         independence_test(STATES, ["K_nonexistent"])
 
 
+def test_independence_test_refuses_an_empty_label_list():
+    with pytest.raises(ValueError, match="empty list"):
+        independence_test(STATES, [])
+
+
 def test_ranks_never_exceed_combinatorial_counts():
     from qutrit_invariants.counting import (
         GRADED_COLUMNS,
@@ -229,14 +234,14 @@ def test_poly_jacobian_exact_on_batched_polynomial():
     expected[1, :4] = [x0[1] * x0[2] * x0[3], x0[0] * x0[2] * x0[3],
                        x0[0] * x0[1] * x0[3], x0[0] * x0[1] * x0[2]]
     expected[2] = 3 * (x0 @ a) ** 2 * a
-    jac = poly_jacobian(fn, x0, degree=4)
+    jac = poly_jacobian(fn, x0, 4, np.eye(20))
     assert np.abs(jac - expected).max() < 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("degree", [0, 9])
 def test_poly_jacobian_rejects_unsupported_degree(degree):
     with pytest.raises(ValueError, match="between 1 and 8"):
-        poly_jacobian(lambda x: x, np.zeros(3), degree=degree)
+        poly_jacobian(lambda x: x, np.zeros(3), degree, np.eye(3))
 
 
 def test_independence_test_block_calls_do_not_grow_with_labels(monkeypatch):

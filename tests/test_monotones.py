@@ -325,6 +325,9 @@ def test_run_trials_rejects_vacuous_arguments():
     pytest.param(lambda: run_trials("C3", 3, 0, tol=float("nan")), id="tol-nan"),
     pytest.param(lambda: run_trials("C3", 3, 0, tol=float("inf")), id="tol-inf"),
     pytest.param(lambda: run_trials("C3", 3, 0, tol=-1e-9), id="tol-negative"),
+    pytest.param(lambda: run_trials("C3", 3, 0, tol=True), id="tol-bool"),
+    pytest.param(lambda: run_trials("C3", 3, 0, tol=None), id="tol-none"),
+    pytest.param(lambda: run_trials("C3", 3, 0, tol="1e-9"), id="tol-string"),
     pytest.param(lambda: run_trials("C3", True, 0), id="trials-bool"),
     pytest.param(lambda: run_trials("C3", 3.0, 0), id="trials-float"),
     pytest.param(lambda: run_trials("C3", 2 * TRIAL_BLOCK, 0, workers=1.5), id="workers-float"),

@@ -8,11 +8,17 @@ from qutrit_invariants.contract import contract
 from qutrit_invariants.lu_invariants import (
     LOW_DEGREE_LABELS,
     QUARTIC_LABELS,
+    _label_values,
     independence_test,
 )
 from qutrit_invariants.numdiff import _BLOCK, _WEIGHTS, STEP, poly_jacobian
-from qutrit_invariants.qubit import dependence_jacobian_rank, q_invariants
-from qutrit_invariants.states import OVERSAMPLE, jacobian_rank, random_state
+from qutrit_invariants.qubit import (
+    dependence_jacobian_rank,
+    determinant_invariant,
+    q_invariants,
+    trace_invariants,
+)
+from qutrit_invariants.states import OVERSAMPLE, StateCoords, jacobian_rank, random_state
 
 # The hand-written stencil weights that the closed form now computes, kept as
 # the reference for the derived table.
@@ -86,7 +92,7 @@ def test_poly_jacobian_along_directions_is_the_jacobian_times_them(degree):
         sketched = poly_jacobian(fn, x0, degree, V)
         assert sketched.shape == (3, m)
         np.testing.assert_allclose(sketched, jac(x0) @ V, rtol=1e-9, atol=1e-11)
-    np.testing.assert_allclose(poly_jacobian(fn, x0, degree), jac(x0), rtol=1e-9, atol=1e-11)
+    np.testing.assert_allclose(poly_jacobian(fn, x0, degree, np.eye(n)), jac(x0), rtol=1e-9, atol=1e-11)
 
 
 def _coordinate_stencil(fn, x0, degree):
@@ -104,7 +110,7 @@ def _coordinate_stencil(fn, x0, degree):
 
 
 @pytest.mark.parametrize("degree", [2, 3, 8])
-def test_poly_jacobian_without_directions_is_the_coordinate_stencil_bit_for_bit(degree):
+def test_poly_jacobian_along_the_identity_is_the_coordinate_stencil_bit_for_bit(degree):
     rng = np.random.default_rng(40 + degree)
     x0 = rng.standard_normal(15)
     fn, _ = _polynomial(degree, *rng.standard_normal((3, 15)))
@@ -114,7 +120,7 @@ def test_poly_jacobian_without_directions_is_the_coordinate_stencil_bit_for_bit(
         seen.append(x.copy())
         return fn(x)
 
-    jac = poly_jacobian(recorded, x0, degree)
+    jac = poly_jacobian(recorded, x0, degree, np.eye(x0.size))
     points, expected = _coordinate_stencil(fn, x0, degree)
     assert np.array_equal(np.concatenate(seen), points)
     assert np.array_equal(jac, expected)
@@ -184,6 +190,76 @@ def test_qubit_rank_jacobian_is_the_q_invariants_jacobian(monkeypatch):
         new, old = captured
         assert new.shape == (5, 5 + OVERSAMPLE)
         assert np.array_equal(new, old)
+
+
+def _free_coordinate_stencil(coords, fn, degree, k):
+    """The sketched stencil as it was built over the free coordinates
+    x = ext.flat[1:], with the trace entry put back in front of every point:
+    the coordinate matrices of the points, and the row-normalized Jacobian."""
+    flat = coords.ext.reshape(-1)
+    V = states._sketch(flat.size - 1, k + OVERSAMPLE)
+    order = min(o for o in _WEIGHTS if o >= degree)
+    offsets, weights = zip(*_WEIGHTS[order].items())
+    free = np.array([flat[1:] + o * STEP * V[:, j] for j in range(V.shape[1]) for o in offsets])
+    points = np.concatenate([np.full((len(free), 1), flat[0]), free], axis=1)
+    points = points.reshape((-1,) + coords.ext.shape)
+    values = np.concatenate([fn(StateCoords(coords.dimA, coords.dimB, points[s:s + _BLOCK]))
+                             for s in range(0, len(points), _BLOCK)])
+    jac = contract('jim,i->mj', values.reshape(V.shape[1], len(offsets), -1),
+                   np.array(weights, dtype=float)) / STEP
+    norms = np.linalg.norm(jac, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return points, jac / norms
+
+
+def _qubit_values(c):
+    return np.stack([*trace_invariants(c.ext, (1, 2, 3, 4)), determinant_invariant(c.ext)],
+                    axis=-1)
+
+
+LOW_DEGREE = [l for l in LOW_DEGREE_LABELS if l != "K000"]
+
+
+def test_certificates_rank_the_free_coordinate_jacobian_bit_for_bit(monkeypatch):
+    # the certificates differentiate ext itself with the trace entry held
+    # still; the Jacobians they rank are those of the free-coordinate stencil
+    captured = _captured_jacobians(monkeypatch)
+    rng = np.random.default_rng(23)
+    qutrits = [random_state(3, 3, rng) for _ in range(len(QUARTIC_LABELS) + 5)]
+    for labels, degree in ((QUARTIC_LABELS, 4), (LOW_DEGREE, 3)):
+        captured.clear()
+        independence_test(qutrits, labels, jacobian_points=2)
+        for st, jac in zip(qutrits[:2], captured, strict=True):
+            _, expected = _free_coordinate_stencil(
+                st.coords, lambda c: _label_values(labels, c), degree, len(labels))
+            assert np.array_equal(jac, expected), labels
+    for _ in range(3):
+        coords = random_state(2, 2, rng).coords
+        captured.clear()
+        dependence_jacobian_rank(coords)
+        _, expected = _free_coordinate_stencil(coords, _qubit_values, 8, 5)
+        assert np.array_equal(captured[0], expected)
+
+
+@pytest.mark.parametrize("dims,fn,degree,k", [
+    ((3, 3), lambda c: _label_values(QUARTIC_LABELS, c), 4, len(QUARTIC_LABELS)),
+    ((3, 3), lambda c: _label_values(LOW_DEGREE, c), 3, len(LOW_DEGREE)),
+    ((2, 2), _qubit_values, 8, 5),
+])
+def test_stencil_points_keep_the_trace_entry(dims, fn, degree, k):
+    coords = random_state(*dims, 31).coords
+    seen = []
+
+    def recorded(c):
+        assert len(c.ext) <= _BLOCK
+        seen.append(c.ext.copy())
+        return fn(c)
+
+    jacobian_rank(coords, recorded, degree, k)
+    points, _ = _free_coordinate_stencil(coords, fn, degree, k)
+    stack = np.concatenate(seen)
+    assert np.all(stack[:, 0, 0] == coords.ext[0, 0])
+    assert np.array_equal(stack, points)
 
 
 def test_sketch_is_one_read_only_draw_per_shape():

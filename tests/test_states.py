@@ -7,7 +7,6 @@ from qutrit_invariants.states import (
     BipartiteState,
     apply_local,
     coordinate_action,
-    free_coordinates,
     from_coords,
     from_single_coords,
     ginibre,
@@ -109,6 +108,24 @@ def test_to_coords_rejects_non_hermitian():
         to_coords(rho, 3, 3)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [2, 3])
+def test_to_single_coords_refuses_what_to_coords_refuses(dim):
+    H = np.eye(dim, dtype=complex) / dim
+    for bad, match in ((np.eye(dim + 1), "expected a"), (np.ones(dim), "expected a")):
+        with pytest.raises(ValueError, match=match):
+            to_single_coords(bad, dim)
+    stack = np.stack([H, H])
+    for value, match in ((np.nan, "non-finite"), (np.inf, "non-finite"),
+                         (-np.inf, "non-finite"), (0.5, "not Hermitian")):
+        bad = stack.copy()
+        bad[1, 0, 1] = value
+        with pytest.raises(ValueError, match=match):
+            to_single_coords(bad, dim)
+        with pytest.raises(ValueError, match=match):
+            to_single_coords(bad[1], dim)
+
+
 def test_single_system_coords_round_trip():
     rng = np.random.default_rng(9)
     H = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -131,22 +148,6 @@ def test_stacked_single_system_coords(dim):
         for j in range(5):
             assert np.abs(v[i, j] - to_single_coords(H[i, j], dim)).max() < 1e-12
             assert np.abs(rebuilt[i, j] - from_single_coords(v[i, j], dim)).max() < 1e-12
-
-
-@pytest.mark.parametrize("dims", [(3, 3), (2, 2)])
-def test_free_coordinates_round_trip(dims):
-    st = random_state(*dims, 12)
-    x0, coords_at = free_coordinates(st.coords)
-    D2 = dims[0] ** 2 * dims[1] ** 2
-    assert x0.shape == (D2 - 1,)
-    assert np.array_equal(coords_at(x0).ext, st.coords.ext)
-    # a stack of moved points keeps the trace entry and reads back its vector
-    x = x0 + np.random.default_rng(1).standard_normal((7, D2 - 1))
-    moved = coords_at(x)
-    assert moved.ext.shape == (7,) + st.coords.ext.shape
-    assert np.array_equal(moved.trace_entry, np.full(7, st.coords.trace_entry))
-    assert np.array_equal(moved.ext.reshape(7, -1)[:, 1:], x)
-    assert (moved.dimA, moved.dimB) == dims
 
 
 def test_trace_entry_float_for_one_state_array_for_a_stack():
