@@ -70,14 +70,9 @@ def cmd_invariants(args):
     if dims == (3, 3):
         k = lu_invariants.all_invariants(state.coords)
         report["invariants"] = k
-        c3 = lsl_qutrit.cubic_invariant(state.coords.ext)
-        c6 = lsl_qutrit.sextic_invariant(state.coords.ext)
-        report["C3"] = c3
-        report["C6"] = c6
-        report["monotones"] = {
-            "abs_C3^(1/3)": abs(c3) ** (1.0 / 3.0),
-            "abs_C6^(1/6)": abs(c6) ** (1.0 / 6.0),
-        }
+        values = {"C3": lsl_qutrit.cubic_invariant(state.coords.ext),
+                  "C6": lsl_qutrit.sextic_invariant(state.coords.ext)}
+        report.update(values)
         # the residual of cubic_expansion_residual, from the values reported
         try:
             states.require_unit_trace(state.coords)
@@ -85,26 +80,21 @@ def cmd_invariants(args):
             residual = None
             report["warnings"].append(f"C3 expansion residual not evaluated: {exc}")
         else:
-            residual = abs(c3 - lsl_qutrit.cubic_expansion(k))
+            residual = abs(values["C3"] - lsl_qutrit.cubic_expansion(k))
         report["C3_expansion_residual"] = residual
     elif dims == (2, 2):
-        q = qubit.q_invariants(state.coords.ext)
-        report["invariants"] = q
+        values = qubit.q_invariants(state.coords.ext)
+        report["invariants"] = values
         report["det_rho"] = float(np.linalg.det(state.rho).real)
-        report["monotones"] = {
-            "abs_Q2^(1/2)": abs(q["Q2"]) ** 0.5,
-            "abs_Q4^(1/4)": abs(q["Q4"]) ** 0.25,
-            "abs_Q4t^(1/4)": abs(q["Q4t"]) ** 0.25,
-            "abs_Q6^(1/6)": abs(q["Q6"]) ** (1.0 / 6.0),
-        }
         try:
-            residuals = qubit.expansion_residuals(state.coords, q)
+            residuals = qubit.expansion_residuals(state.coords, values)
         except ValueError as exc:  # the expansions hold on unit trace only
             residuals = None
             report["warnings"].append(f"expansion residuals not evaluated: {exc}")
         report["expansion_residuals"] = residuals
     else:
         return _error(f"unsupported dimensions {dims}; expected (3,3) or (2,2)")
+    report["monotones"] = monotones.monotone_roots(values)
     return _emit(report, args.out)
 
 
@@ -163,8 +153,7 @@ def _verify_tensors(args):
     worst, near_singular = 0.0, 0
     for start, stop in monotones.trial_blocks(args.trials):
         G = states.ginibre(rng, 3, size=stop - start)
-        H = (G + G.conj().swapaxes(-1, -2)) / 2
-        cubic, det = det_from_dtilde(states.to_single_coords(H, 3))
+        cubic, det = det_from_dtilde(states.to_single_coords(states.hermitian_part(G), 3))
         regular = np.abs(det) > 1e-9
         worst = max(worst, float(np.abs(cubic[regular] / det[regular] - 1.5).max(initial=0.0)))
         near_singular += int((~regular).sum())
@@ -207,7 +196,7 @@ def _verify_expansion(args):
 
 
 def _verify_monotone(args):
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = args.tol if args.tol is not None else monotones.MARGIN_TOL
     report = monotones.run_trials(args.functional or "C3", args.trials, args.seed,
                                   workers=args.workers, tol=tol)
     scan = monotones.scalar_inequality_scan(100, seed=args.seed)
@@ -217,7 +206,7 @@ def _verify_monotone(args):
     ok = (report["min_margin"] is not None
           and not report["violations"]
           and scan["max_violation"] <= 1e-12
-          and raw < -1e-9 and proper >= -tol)
+          and raw < -monotones.MARGIN_TOL and proper >= -tol)
     return cert, ok
 
 
@@ -225,6 +214,8 @@ def _verify_args_error(args):
     """Why the verify arguments cannot run, or None."""
     if args.trials < 1:
         return f"--trials must be at least 1, got {args.trials}"
+    if args.suite == "monotone" and args.trials > states.TRIAL_INDICES:
+        return f"--trials must be at most 2**32 for verify monotone, got {args.trials}"
     if args.suite == "algebra" and args.trials < ALGEBRA_MIN_TRIALS:
         return f"verify algebra needs --trials {ALGEBRA_MIN_TRIALS} or more, got {args.trials}"
     if args.seed < 0:

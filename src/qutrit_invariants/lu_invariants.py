@@ -16,7 +16,7 @@ from .checks import integer
 from .contract import contract, per_state
 from .numdiff import numerical_rank
 from .numdiff import poly_jacobian  # noqa: F401  (the benchmark traces it here)
-from .states import StateCoords, jacobian_rank
+from .states import StateCoords, jacobian_rank, require_dims
 from .tensors import build_structure_tensors
 
 # Every label is K<pqs>: its (p, q, s) multidegree, with a suffix for the
@@ -42,11 +42,6 @@ QUARTIC_LABELS = [l for l in ALL_QUARTIC_LABELS if l != "K004_32"]
 _T3 = build_structure_tensors(3)
 _F, _D = _T3.f, _T3.d
 _LAM = _T3.lambdas
-
-
-def _require_qutrit(coords):
-    if coords.dimA != 3 or coords.dimB != 3:
-        raise ValueError("local-unitary invariants require two qutrits")
 
 
 def _result(vals, R):
@@ -132,12 +127,12 @@ def all_blocks(r, rbar, R):
 
 def low_degree_invariants(coords):
     """Degree <= 3 invariants (the connected quadratics and cubics)."""
-    _require_qutrit(coords)
+    require_dims(coords, 3)
     return low_degree_blocks(coords.r, coords.rbar, coords.R)
 
 
 def all_invariants(coords):
-    _require_qutrit(coords)
+    require_dims(coords, 3)
     return all_blocks(coords.r, coords.rbar, coords.R)
 
 
@@ -177,7 +172,7 @@ def independence_test(states, labels, jacobian_points=2):
     if len(states) < len(labels) + 5:
         raise ValueError("sample must exceed the label count by at least 5")
     for st in states:
-        _require_qutrit(st.coords)
+        require_dims(st.coords, 3)
 
     values = _label_values(labels, StateCoords(3, 3, np.stack([st.coords.ext for st in states])))
     col = np.linalg.norm(values, axis=0, keepdims=True)

@@ -21,12 +21,13 @@ import numpy as np
 
 from . import lsl_qutrit, qubit
 from .checks import integer
-from .states import (BipartiteState, SeedWords, _rng, complex_matrices, ginibre, hs_state,
-                     kron, special_unitary, trial_seed_words)
+from .states import (TRIAL_INDICES, BipartiteState, SeedWords, _rng, complex_matrices,
+                     ginibre, hs_state, kron, special_unitary, trial_seed_words)
 from .states import random_state  # noqa: F401  (the benchmark traces it here)
 
 DEGENERATE_P = 1e-14
 SINGULAR_EPS = 1e-3
+MARGIN_TOL = 1e-9  # a trial whose margin is below -MARGIN_TOL violates concavity
 
 # Trials per block: enough to amortize the per-call cost of the stacked
 # linear algebra, few enough that memory does not grow with the trial
@@ -75,8 +76,13 @@ def sample_measurement(dim, seed):
 
 def assemble_measurement(U1, U2, V, singular_values):
     """The pair U1 diag(s) V, U2 diag(sqrt(1 - s^2)) V; the arguments may
-    carry the same leading batch axes."""
+    carry the same leading batch axes.  Raises ``ValueError`` for a
+    non-finite entry or a singular value outside [0, 1]."""
     sv = np.asarray(singular_values, dtype=float)
+    if not np.isfinite(sv).all() or ((sv < 0) | (sv > 1)).any():
+        raise ValueError(f"singular values must be finite and in [0, 1], got {sv}")
+    if not all(np.isfinite(M).all() for M in (U1, U2, V)):
+        raise ValueError("measurement factors U1, U2 and V must be finite")
     c = np.sqrt(1.0 - sv ** 2)
     return MeasurementPair((U1 * sv[..., None, :]) @ V, (U2 * c[..., None, :]) @ V,
                            U1, U2, V, sv)
@@ -139,27 +145,39 @@ def concavity_trial(state, pair, functional, side="A"):
 
 
 # ---------------------------------------------------------------------------
-# Monotone functionals: each maps a coordinate matrix (..., d^2, d^2), or a
-# stack of them, to its values over the stack.
+# Monotone functionals |invariant|^(1/degree), as (local dimension, invariant,
+# degree); the invariant maps coordinate matrices (..., d^2, d^2) to values.
 
 MONOTONE_FUNCTIONALS = {
-    "C3": (3, lambda ext: np.abs(lsl_qutrit.cubic_invariant(ext)) ** (1.0 / 3.0)),
-    "C6": (3, lambda ext: np.abs(lsl_qutrit.sextic_invariant(ext)) ** (1.0 / 6.0)),
-    # deliberate wrong-exponent control: homogeneity 3 instead of 1
-    "C3_raw": (3, lambda ext: lsl_qutrit.cubic_invariant(ext)),
-    "Q2": (2, lambda ext: np.abs(qubit.trace_invariants(ext, [1])[0]) ** (1.0 / 2.0)),
-    "Q4": (2, lambda ext: np.abs(qubit.trace_invariants(ext, [2])[0]) ** (1.0 / 4.0)),
-    "Q4t": (2, lambda ext: np.abs(qubit.determinant_invariant(ext)) ** (1.0 / 4.0)),
-    "Q6": (2, lambda ext: np.abs(qubit.trace_invariants(ext, [3])[0]) ** (1.0 / 6.0)),
+    "C3": (3, lambda ext: lsl_qutrit.cubic_invariant(ext), 3),
+    "C6": (3, lambda ext: lsl_qutrit.sextic_invariant(ext), 6),
+    # deliberate wrong-exponent control, no root: homogeneity 3 instead of 1
+    "C3_raw": (3, lambda ext: lsl_qutrit.cubic_invariant(ext), None),
+    "Q2": (2, lambda ext: qubit.trace_invariants(ext, [1])[0], 2),
+    "Q4": (2, lambda ext: qubit.trace_invariants(ext, [2])[0], 4),
+    "Q4t": (2, lambda ext: qubit.determinant_invariant(ext), 4),
+    "Q6": (2, lambda ext: qubit.trace_invariants(ext, [3])[0], 6),
 }
 
 
 def monotone_functional(name):
+    """(local dimension, functional) of a `MONOTONE_FUNCTIONALS` entry."""
     try:
-        return MONOTONE_FUNCTIONALS[name]
+        dim, invariant, degree = MONOTONE_FUNCTIONALS[name]
     except KeyError:
         raise ValueError(f"unknown functional {name!r}; "
                          f"choose from {sorted(MONOTONE_FUNCTIONALS)}") from None
+    if degree is None:
+        return dim, invariant
+    return dim, lambda ext: np.abs(invariant(ext)) ** (1.0 / degree)
+
+
+def monotone_roots(values):
+    """The ``abs_<I>^(1/<degree>)`` entries of an invariants report: the root of
+    each value of ``values``, a dict by name, that `MONOTONE_FUNCTIONALS` roots."""
+    return {f"abs_{name}^(1/{degree})": abs(values[name]) ** (1.0 / degree)
+            for name, (_, _, degree) in MONOTONE_FUNCTIONALS.items()
+            if name in values and degree is not None}
 
 
 def trial_blocks(trials):
@@ -241,7 +259,7 @@ def _map_blocks(jobs, workers):
     return [results[k % workers][k // workers] for k in range(len(jobs))]
 
 
-def run_trials(name, trials, seed, workers=1, tol=1e-9):
+def run_trials(name, trials, seed, workers=1, tol=MARGIN_TOL):
     """Monte-Carlo concavity sweep; the report is a JSON-ready dict.
 
     Each trial derives its own generator from (seed, index), and trials run
@@ -252,6 +270,8 @@ def run_trials(name, trials, seed, workers=1, tol=1e-9):
     """
     monotone_functional(name)
     trials, workers = integer(trials, "trials", 1), integer(workers, "workers", 1)
+    if trials > TRIAL_INDICES:  # refused before the job list is built
+        raise ValueError(f"trials must be at most 2**32, got {trials}")
     seed = integer(seed, "seed", 0)
     if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
             or not (math.isfinite(tol) and tol >= 0)):
@@ -298,8 +318,8 @@ def wrong_exponent_counterexample():
     state = BipartiteState.from_rho(rho, dim, dim)
     pair = assemble_measurement(np.eye(3), np.eye(3), np.eye(3),
                                 np.array([0.45, 0.95, 0.95]))
-    raw_margin, _ = concavity_trial(state, pair, MONOTONE_FUNCTIONALS["C3_raw"][1])
-    proper_margin, _ = concavity_trial(state, pair, MONOTONE_FUNCTIONALS["C3"][1])
+    raw_margin, _ = concavity_trial(state, pair, monotone_functional("C3_raw")[1])
+    proper_margin, _ = concavity_trial(state, pair, monotone_functional("C3")[1])
     return {
         "state": state,
         "pair": pair,

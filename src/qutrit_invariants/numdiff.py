@@ -16,6 +16,7 @@ from .checks import integer
 from .contract import contract
 
 STEP = 0.25  # spacing of the stencil points
+RANK_THRESHOLD = 1e-8  # of the largest singular value, in numerical_rank
 
 # order 2m -> offset k -> weight of the first-derivative stencil, exact for
 # polynomials of degree <= 2m, offsets -m..-1, 1..m in order:
@@ -55,7 +56,7 @@ def poly_jacobian(fn, x0, degree, directions):
     return contract('jim,i->mj', values.reshape(m, k, -1), np.array(weights, dtype=float)) / STEP
 
 
-def numerical_rank(matrix, rel_threshold=1e-8):
+def numerical_rank(matrix, rel_threshold=RANK_THRESHOLD):
     """Rank by SVD with a threshold relative to the largest singular value."""
     m = np.asarray(matrix, dtype=float)
     if m.size == 0:

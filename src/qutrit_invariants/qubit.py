@@ -14,17 +14,12 @@ import numpy as np
 
 from .checks import integer
 from .contract import contract, per_state
-from .states import jacobian_rank, require_unit_trace
+from .states import jacobian_rank, require_dims, require_unit_trace
 from .tensors import levi_civita
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 _EPS4 = levi_civita(4)
 _EPS3 = levi_civita(3)
-
-
-def _require_qubits(coords):
-    if coords.dimA != 2 or coords.dimB != 2:
-        raise ValueError("these invariants require two qubits")
 
 
 def w_matrix(ext):
@@ -85,7 +80,7 @@ def expansion_residuals(coords, q):
     epsilon orientation) and is pinned against the direct determinant by
     the test suite.
     """
-    _require_qubits(coords)
+    require_dims(coords, 2)
     require_unit_trace(coords)
     r, rbar, R = coords.r, coords.rbar, coords.R
     Rt = R.swapaxes(-1, -2)
@@ -111,7 +106,7 @@ def dependence_jacobian_rank(coords):
     """Rank of the Jacobian of (Q2, Q4, Q6, Q8, Q4t) over the fifteen free
     coordinates of a normalized state; the expected value is 4, witnessing
     one polynomial relation tying Q8 to the others."""
-    _require_qubits(coords)
+    require_dims(coords, 2)
 
     def fn(c):  # the five values of q_invariants, without its epsilon form
         return np.stack([*trace_invariants(c.ext, (1, 2, 3, 4)),

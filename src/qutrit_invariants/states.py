@@ -18,7 +18,7 @@ import numpy as np
 
 from .checks import integer
 from .contract import contract, per_state
-from .numdiff import numerical_rank, poly_jacobian
+from .numdiff import RANK_THRESHOLD, numerical_rank, poly_jacobian
 from .tensors import build_structure_tensors
 
 HERMITICITY_TOL = 1e-10
@@ -26,6 +26,7 @@ PHYSICALITY_TOL = 1e-10
 UNIT_TRACE_TOL = 1e-8  # of the trace entry, for the block expansions
 OVERSAMPLE = 3  # sketch directions beyond the output count
 SKETCH_SEED = 0
+TRIAL_INDICES = 2 ** 32  # trial indices hash as one uint32 entropy word
 
 
 def _rng(seed):
@@ -41,14 +42,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
-
-
-def _int_words(n):
-    """The uint32 words of a non-negative int, least significant first; 0 is [0]."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
 
 
 def _hash_consts(init, mult, count):
@@ -112,29 +105,19 @@ def trial_seed_words(seed, start, stop):
     for every trial index of [start, stop) at once: the words that seed the
     PCG64 generator of each trial (see `SeedWords`).
 
-    The entropy words are numpy's: those of the seed then those of the index,
-    least significant first, one word 0 for 0.  Indices stop below 2**64, so
-    an index has one word below 2**32 and two above; each part of the range
-    is hashed as one stack.
+    The entropy words are numpy's: the seed's, least significant first (0 is
+    one word 0), then the index's one word, as indices stay below
+    ``TRIAL_INDICES`` = 2**32.  The whole range is hashed as one stack.
     """
     seed = integer(seed, "seed", 0)
     start = integer(start, "start", 0)
     stop = integer(stop, "stop", start)
-    if stop > 2 ** 64:
-        raise ValueError(f"trial indices must stay below 2**64, got stop={stop}")
-    seed_words = np.array(_int_words(seed), np.uint32)[:, None]
-    split = min(max(2 ** 32 - start, 0), stop - start)
-    out = np.empty((stop - start, 4), np.uint64)
-    for rows, words in ((slice(0, split), 1), (slice(split, stop - start), 2)):
-        if rows.start < rows.stop:
-            index = np.arange(start + rows.start, start + rows.stop, dtype=np.uint64)
-            entropy = np.empty((len(seed_words) + words, len(index)), np.uint32)
-            entropy[:len(seed_words)] = seed_words
-            entropy[len(seed_words)] = index  # the cast keeps the low 32 bits
-            if words == 2:
-                entropy[-1] = index >> np.uint64(32)
-            out[rows] = _pool_state(entropy)
-    return out
+    if stop > TRIAL_INDICES:
+        raise ValueError(f"trial indices must stay below 2**32, got stop={stop}")
+    words = max(1, (seed.bit_length() + 31) // 32)  # 0 is one word 0
+    seed_words = np.frombuffer(seed.to_bytes(4 * words, "little"), "<u4")[:, None]
+    index = np.arange(start, stop, dtype=np.uint32)
+    return _pool_state(np.vstack([seed_words.repeat(stop - start, axis=1), index]))
 
 
 class SeedWords(np.random.bit_generator.ISeedSequence):
@@ -238,7 +221,8 @@ def to_coords(rho, dimA, dimB):
     return StateCoords(dimA, dimB, ext)
 
 
-def _hermitian_part(rho):
+def hermitian_part(rho):
+    """(rho + rho^dag) / 2, of a matrix or each matrix of a stack."""
     return (rho + rho.conj().swapaxes(-1, -2)) / 2.0
 
 
@@ -252,7 +236,7 @@ def from_coords(coords):
     lamA = build_structure_tensors(dimA).lam_ext
     lamB = build_structure_tensors(dimB).lam_ext
     rho4 = contract('...ab,aij,bpq->...ipjq', ext, lamA, lamB)
-    return _hermitian_part(rho4.reshape(ext.shape[:-2] + (dimA * dimB, dimA * dimB)))
+    return hermitian_part(rho4.reshape(ext.shape[:-2] + (dimA * dimB, dimA * dimB)))
 
 
 def to_single_coords(rho, dim):
@@ -268,7 +252,7 @@ def from_single_coords(coords, dim):
     """The Hermitian matrix of single-system coordinates, or of each vector
     of a stack (..., dim^2)."""
     lam = build_structure_tensors(dim).lam_ext
-    return _hermitian_part(contract('...a,aij->...ij', np.asarray(coords, dtype=float), lam))
+    return hermitian_part(contract('...a,aij->...ij', np.asarray(coords, dtype=float), lam))
 
 
 def jacobian_rank(coords, fn, degree, k):
@@ -285,8 +269,10 @@ def jacobian_rank(coords, fn, degree, k):
     J = poly_jacobian(lambda x: fn(StateCoords(coords.dimA, coords.dimB,
                                                x.reshape(x.shape[:-1] + ext.shape))),
                       ext.reshape(-1), degree, V)
+    # a row at the rounding level of the largest, such as a constant's, is zero
     norms = np.linalg.norm(J, axis=1, keepdims=True)
-    return numerical_rank(J / np.where(norms == 0, 1.0, norms))
+    zero = norms <= RANK_THRESHOLD * norms.max(initial=0.0)
+    return numerical_rank(np.where(zero, 0.0, J / np.where(zero, 1.0, norms)))
 
 
 @lru_cache(maxsize=None)
@@ -336,8 +322,7 @@ def special_unitary(Z):
     a stack (..., d, d): QR with phase fixing, determinant set to 1."""
     Q, R = np.linalg.qr(Z)
     diag = np.diagonal(R, axis1=-2, axis2=-1)
-    Q = Q * (diag / np.abs(diag))[..., None, :]
-    return Q / (np.linalg.det(Q) ** (1.0 / Z.shape[-1]))[..., None, None]
+    return _unit_determinant(Q * (diag / np.abs(diag))[..., None, :])
 
 
 def random_local_unitary(dim, seed):
@@ -347,8 +332,12 @@ def random_local_unitary(dim, seed):
 
 def random_local_sl(dim, seed):
     """Random unit-determinant complex matrix (Gaussian entries rescaled)."""
-    A = ginibre(_rng(seed), dim)
-    return A / np.linalg.det(A) ** (1.0 / dim)
+    return _unit_determinant(ginibre(_rng(seed), dim))
+
+
+def _unit_determinant(M):
+    """M / det(M)**(1/d) for a (d, d) matrix M or each matrix of a stack."""
+    return M / (np.linalg.det(M) ** (1.0 / M.shape[-1]))[..., None, None]
 
 
 def kron(X, Y):
@@ -394,7 +383,7 @@ def physicality(state):
     rho = state.rho
     herm = float(np.abs(rho - rho.conj().T).max())
     with np.errstate(over="ignore", invalid="ignore"):
-        h = _hermitian_part(rho)
+        h = hermitian_part(rho)
     if not np.isfinite(h).all():
         raise ValueError("matrix entries overflow the Hermitian part")
     eigs = np.linalg.eigvalsh(h)
@@ -406,6 +395,13 @@ def physicality(state):
         "physical": bool(herm <= PHYSICALITY_TOL and eigs.min() >= -PHYSICALITY_TOL
                          and abs(tr - 1) <= PHYSICALITY_TOL),
     }
+
+
+def require_dims(coords, dim):
+    """Raise ``ValueError`` unless both local dimensions of ``coords`` are ``dim``."""
+    if (coords.dimA, coords.dimB) != (dim, dim):
+        raise ValueError(f"these invariants require two {'qubits' if dim == 2 else 'qutrits'} "
+                         f"({dim}, {dim}), got dimensions ({coords.dimA}, {coords.dimB})")
 
 
 def require_unit_trace(coords):

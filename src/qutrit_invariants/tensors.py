@@ -145,13 +145,15 @@ def det_from_dtilde(coords):
     Returns (cubic value, determinant of the reconstructed matrix): floats
     for one coordinate vector, arrays over the stack for (..., 9).  The two
     are proportional; the constant is measured by the test suite rather than
-    assumed.
+    assumed.  Raises ``ValueError`` for a non-finite coordinate.
     """
     from .states import from_single_coords  # states builds on this module
 
     coords = np.asarray(coords, dtype=float)
     if coords.shape[-1:] != (9,):
         raise ValueError("expected 9 single-qutrit coordinates")
+    if not np.isfinite(coords).all():
+        raise ValueError("single-qutrit coordinates must be finite")
     dt = build_structure_tensors(3).dtilde
     cubic = contract('abc,...a,...b,...c->...', dt, coords, coords, coords)
     rho = from_single_coords(coords, 3)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qutrit_invariants import lsl_qutrit, lu_invariants, qubit
+from qutrit_invariants import lsl_qutrit, lu_invariants, monotones, qubit
 from qutrit_invariants.cli import main
 from qutrit_invariants.lsl_qutrit import cubic_expansion_residual
 from qutrit_invariants.states import BipartiteState, load_state, random_state, save_state
@@ -52,6 +52,25 @@ def test_invariants_qubit_dispatch(mm22, tmp_path):
     assert "Q2" in report["invariants"]
     assert "C3" not in report
     assert abs(report["det_rho"] - 1.0 / 256.0) < 1e-15
+
+
+# the report key of each monotone, by the dimensions of the state
+MONOTONE_KEYS = {
+    (3, 3): {"C3": "abs_C3^(1/3)", "C6": "abs_C6^(1/6)"},
+    (2, 2): {"Q2": "abs_Q2^(1/2)", "Q4": "abs_Q4^(1/4)", "Q4t": "abs_Q4t^(1/4)",
+             "Q6": "abs_Q6^(1/6)"},
+}
+
+
+@pytest.mark.parametrize("dims", sorted(MONOTONE_KEYS))
+def test_invariants_monotones_are_the_monotone_functionals(dims, tmp_path):
+    path, out = tmp_path / "state.json", tmp_path / "report.json"
+    save_state(random_state(*dims, 7), path)
+    assert main(["invariants", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["monotones"]
+    ext = load_state(path).coords.ext
+    assert report == {key: monotones.monotone_functional(name)[1](ext)
+                      for name, key in MONOTONE_KEYS[dims].items()}
 
 
 def test_invariants_nonphysical_warns(tmp_path):
@@ -193,6 +212,17 @@ def test_verify_worker_bounds_start_no_process(monkeypatch, capsys):
     # one block of trials starts no child, whatever the worker count
     assert main(["verify", "monotone", "--trials", "10",
                  "--workers", str(min(2, cpus))]) == 0
+
+
+def test_verify_monotone_refuses_trials_past_one_seed_word(monkeypatch, tmp_path, capsys):
+    # refused before any child process starts or any trial runs
+    monkeypatch.setattr(multiprocessing, "Process", _no_process)
+    monkeypatch.setattr(monotones, "run_trials", _no_process)
+    out = tmp_path / "cert.json"
+    assert main(["verify", "monotone", "--trials", str(2 ** 32 + 1),
+                 "--workers", str(min(2, USABLE_CPUS)), "--out", str(out)]) == 2
+    assert "--trials must be at most 2**32" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_worker_bound_is_the_affinity_set(monkeypatch, capsys):

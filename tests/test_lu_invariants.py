@@ -7,6 +7,7 @@ from qutrit_invariants import lu_invariants, numdiff
 from qutrit_invariants.lu_invariants import (
     ALL_QUARTIC_LABELS,
     GRADINGS,
+    LABELS,
     LOW_DEGREE_LABELS,
     QUARTIC_LABELS,
     all_blocks,
@@ -52,6 +53,17 @@ def test_rejects_wrong_dimension():
         low_degree_invariants(st.coords)
     with pytest.raises(ValueError):
         all_invariants(st.coords)
+
+
+def test_lu_invariants_refuse_other_dimensions():
+    for dims in ((2, 2), (2, 3), (3, 2)):
+        st = random_state(*dims, 0)
+        message = rf"two qutrits \(3, 3\), got dimensions \({dims[0]}, {dims[1]}\)"
+        for call in (lambda: low_degree_invariants(st.coords),
+                     lambda: all_invariants(st.coords),
+                     lambda: independence_test([st] * 6, ["K200"], jacobian_points=0)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_product_state_factorization():
@@ -158,6 +170,14 @@ def test_quadratic_cubic_jacobian_rank():
     labels = [l for l in LOW_DEGREE_LABELS if l != "K000"]
     rep = independence_test(STATES, labels, jacobian_points=2)
     assert rep["jacobian_rank"] == 10
+
+
+def test_constant_invariant_adds_nothing_to_the_jacobian_rank():
+    # K000 is the constant 1: its stencil row is rounding noise (norm about
+    # 6e-16), which the rank counts as a zero row, not as a direction
+    rep = independence_test(STATES, LOW_DEGREE_LABELS, jacobian_points=3)
+    assert rep["jacobian_ranks"] == [10, 10, 10]
+    assert independence_test(STATES, LABELS, jacobian_points=1)["jacobian_rank"] == 27
 
 
 def test_quartic_jacobian_rank_17():

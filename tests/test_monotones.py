@@ -321,6 +321,33 @@ def test_run_trials_rejects_vacuous_arguments():
         run_trials("C3", 10, seed=1, workers=0)
 
 
+def test_run_trials_refuses_trials_past_one_seed_word(monkeypatch):
+    # refused before the job list (2**26 blocks) is built
+    def no_blocks(trials):
+        raise AssertionError("the job list was built")
+
+    monkeypatch.setattr(monotones, "trial_blocks", no_blocks)
+    for trials in (2 ** 32 + 1, 2 ** 64):
+        with pytest.raises(ValueError, match=r"trials must be at most 2\*\*32"):
+            run_trials("C3", trials, 0, workers=2)
+
+
+@pytest.mark.parametrize("sv", [[1.5, 0.5, 0.5], [0.5, -1e-12, 0.5], [0.5, 0.5, np.nan],
+                                [np.inf, 0.5, 0.5]])
+def test_assemble_measurement_refuses_singular_values_outside_the_unit_interval(sv):
+    with pytest.raises(ValueError, match="singular values must be finite and in"):
+        assemble_measurement(np.eye(3), np.eye(3), np.eye(3), sv)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("which", range(3))
+def test_assemble_measurement_refuses_non_finite_factors(which, bad):
+    factors = [np.eye(3, dtype=complex) for _ in range(3)]
+    factors[which][1, 2] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        assemble_measurement(*factors, [0.5, 0.5, 0.5])
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: run_trials("C3", 3, 0, tol=float("nan")), id="tol-nan"),
     pytest.param(lambda: run_trials("C3", 3, 0, tol=float("inf")), id="tol-inf"),

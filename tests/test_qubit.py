@@ -97,6 +97,17 @@ def test_rejects_qutrit_coords():
         expansion_residuals(st.coords, q)
 
 
+def test_qubit_invariants_refuse_other_dimensions():
+    q = q_invariants(random_state(2, 2, 0).coords.ext)
+    for dims in ((3, 3), (2, 3), (3, 2)):
+        coords = random_state(*dims, 0).coords
+        message = rf"two qubits \(2, 2\), got dimensions \({dims[0]}, {dims[1]}\)"
+        with pytest.raises(ValueError, match=message):
+            expansion_residuals(coords, q)
+        with pytest.raises(ValueError, match=message):
+            dependence_jacobian_rank(coords)
+
+
 def test_expansions_refuse_a_trace_that_is_not_one():
     for trace in (0.5, 2.0, 1.0 + 1e-6):
         st = BipartiteState.from_rho(trace * np.eye(4) / 4, 2, 2)

@@ -362,9 +362,9 @@ def test_state_file_validation(tmp_path):
 
 # seeds of one to five entropy words (2**128 + 3 gives five, six with the
 # index: the words past the pool), and index ranges from 0, inside a block
-# and across 2**32, where an index goes from one word to two
+# and up to 2**32, the last index that is one entropy word
 SEED_WORD_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 + 1, 2 ** 128 + 3]
-SEED_WORD_RANGES = [(0, 64), (384, 400), (2 ** 32 - 2, 2 ** 32 + 2)]
+SEED_WORD_RANGES = [(0, 64), (384, 400), (2 ** 32 - 4, 2 ** 32)]
 
 
 @pytest.mark.parametrize("start, stop", SEED_WORD_RANGES)
@@ -378,8 +378,8 @@ def test_trial_seed_words_are_the_seed_sequence_words(seed, start, stop):
 
 
 def test_seed_words_seed_the_generator_of_the_seed_sequence():
-    words = trial_seed_words(2 ** 64 + 1, 2 ** 32 - 1, 2 ** 32 + 1)
-    for k, i in enumerate(range(2 ** 32 - 1, 2 ** 32 + 1)):
+    words = trial_seed_words(2 ** 64 + 1, 2 ** 32 - 2, 2 ** 32)
+    for k, i in enumerate(range(2 ** 32 - 2, 2 ** 32)):
         rng = np.random.Generator(np.random.PCG64(SeedWords(words[k])))
         expected = np.random.default_rng(np.random.SeedSequence((2 ** 64 + 1, i)))
         assert rng.standard_normal(50).tobytes() == expected.standard_normal(50).tobytes()
@@ -390,10 +390,10 @@ def test_seed_words_seed_the_generator_of_the_seed_sequence():
 
 def test_trial_seed_words_edges():
     assert trial_seed_words(5, 7, 7).shape == (0, 4)
-    last = trial_seed_words(5, 2 ** 64 - 1, 2 ** 64)
-    assert last[0].tobytes() == np.random.SeedSequence((5, 2 ** 64 - 1)).generate_state(
+    last = trial_seed_words(5, 2 ** 32 - 1, 2 ** 32)
+    assert last[0].tobytes() == np.random.SeedSequence((5, 2 ** 32 - 1)).generate_state(
         4, np.uint64).tobytes()
-    with pytest.raises(ValueError, match="below 2\\*\\*64"):
-        trial_seed_words(5, 2 ** 64 - 1, 2 ** 64 + 1)
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        trial_seed_words(5, 2 ** 32 - 1, 2 ** 32 + 1)
     with pytest.raises(ValueError, match="stop must be at least 7"):
         trial_seed_words(5, 7, 6)

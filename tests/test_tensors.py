@@ -190,3 +190,12 @@ def test_det_from_dtilde_shape_check():
         det_from_dtilde(np.zeros(8))
     with pytest.raises(ValueError):
         det_from_dtilde(np.zeros((4, 8)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_det_from_dtilde_refuses_non_finite_coordinates(bad):
+    coords = np.full((2, 9), 0.1)
+    coords[1, 4] = bad
+    for c in (coords, coords[1]):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            det_from_dtilde(c)
