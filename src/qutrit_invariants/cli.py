@@ -24,7 +24,14 @@ from . import counting, lsl_qutrit, lu_invariants, monotones, qubit, states
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VIOLATION = 3
-ALGEBRA_MIN_TRIALS = 5  # the fewest random maps verify algebra certifies on
+
+VERIFY_TOL = 1e-10         # default --tol of the tensors and expansion suites
+ALGEBRA_TIGHT_TOL = 1e-12  # algebra: linearized preservation, commutators, triality
+ALGEBRA_LOOSE_TOL = 1e-10  # algebra: dtilde preservation of the maps, homomorphism
+SCAN_TOL = 1e-12           # the largest violation the scalar inequality scan may show
+# each verify suite and its default --tol; None where the bounds are fixed
+VERIFY_SUITES = {"tensors": VERIFY_TOL, "algebra": None, "expansion": VERIFY_TOL,
+                 "monotone": monotones.MARGIN_TOL}
 
 
 def _error(message):
@@ -158,8 +165,7 @@ def _verify_tensors(args):
         worst = max(worst, float(np.abs(cubic[regular] / det[regular] - 1.5).max(initial=0.0)))
         near_singular += int((~regular).sum())
     residuals["cubic_determinant_ratio_deviation_from_1.5"] = worst
-    tol = args.tol if args.tol is not None else 1e-10
-    ok = max(residuals.values()) <= tol
+    ok = max(residuals.values()) <= args.tol
     return dict(residuals, skipped_near_singular=near_singular), ok
 
 
@@ -168,8 +174,8 @@ def _verify_algebra(args):
     tight = ("linearized_preservation_residual", "commutator_residual_9x9",
              "commutator_residual_3x3", "triality_kernel_residual")
     loose = ("dtilde_preservation_residual", "homomorphism_residual")
-    ok = (cert["span_dimension"] == 16 and all(cert[k] <= 1e-12 for k in tight)
-          and all(cert[k] <= 1e-10 for k in loose))
+    ok = (cert["span_dimension"] == 16 and all(cert[k] <= ALGEBRA_TIGHT_TOL for k in tight)
+          and all(cert[k] <= ALGEBRA_LOOSE_TOL for k in loose))
     return cert, ok
 
 
@@ -177,36 +183,33 @@ def _verify_expansion(args):
     # one generator draws every qutrit state, then every qubit state, in
     # blocks of consecutive states
     rng = np.random.default_rng(args.seed)
-    tol = args.tol if args.tol is not None else 1e-10
-    blocks = [stop - start for start, stop in monotones.trial_blocks(args.trials)]
     worst3 = 0.0
-    for n in blocks:
-        res = lsl_qutrit.cubic_expansion_residual(states.random_state(3, 3, rng, size=n))
-        worst3 = max(worst3, float(res.max()))
+    for start, stop in monotones.trial_blocks(args.trials):
+        state = states.random_state(3, 3, rng, size=stop - start)
+        worst3 = max(worst3, float(lsl_qutrit.cubic_expansion_residual(state).max()))
     worstq = {}
-    for n in blocks:
-        coords = states.random_state(2, 2, rng, size=n).coords
+    for start, stop in monotones.trial_blocks(args.trials):
+        coords = states.random_state(2, 2, rng, size=stop - start).coords
         res = qubit.expansion_residuals(coords, qubit.q_invariants(coords.ext))
         worstq = {k: max(worstq.get(k, 0.0), float(v.max())) for k, v in res.items()}
     cert = {"seed": args.seed, "trials": args.trials,
             "max_cubic_expansion_residual": worst3,
             "max_qubit_expansion_residuals": worstq}
-    ok = worst3 <= tol and max(worstq.values()) <= tol
+    ok = worst3 <= args.tol and max(worstq.values()) <= args.tol
     return cert, ok
 
 
 def _verify_monotone(args):
-    tol = args.tol if args.tol is not None else monotones.MARGIN_TOL
     report = monotones.run_trials(args.functional or "C3", args.trials, args.seed,
-                                  workers=args.workers, tol=tol)
+                                  workers=args.workers, tol=args.tol)
     scan = monotones.scalar_inequality_scan(100, seed=args.seed)
     raw, proper = monotones.control_margins()
     cert = {"trials_report": report, "scalar_scan": scan,
             "wrong_exponent_control": {"raw_margin": raw, "proper_margin": proper}}
     ok = (report["min_margin"] is not None
           and not report["violations"]
-          and scan["max_violation"] <= 1e-12
-          and raw < -monotones.MARGIN_TOL and proper >= -tol)
+          and scan["max_violation"] <= SCAN_TOL
+          and raw < -monotones.MARGIN_TOL and proper >= -args.tol)
     return cert, ok
 
 
@@ -216,8 +219,9 @@ def _verify_args_error(args):
         return f"--trials must be at least 1, got {args.trials}"
     if args.suite == "monotone" and args.trials > states.TRIAL_INDICES:
         return f"--trials must be at most 2**32 for verify monotone, got {args.trials}"
-    if args.suite == "algebra" and args.trials < ALGEBRA_MIN_TRIALS:
-        return f"verify algebra needs --trials {ALGEBRA_MIN_TRIALS} or more, got {args.trials}"
+    if args.suite == "algebra" and args.trials < lsl_qutrit.ALGEBRA_MIN_TRIALS:
+        return (f"verify algebra needs --trials {lsl_qutrit.ALGEBRA_MIN_TRIALS} or more, "
+                f"got {args.trials}")
     if args.seed < 0:
         return f"--seed must be non-negative, got {args.seed}"
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -229,24 +233,20 @@ def _verify_args_error(args):
                 f"verify {args.suite} runs in one process")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
         return f"--tol must be a finite non-negative number, got {args.tol}"
-    if args.tol is not None and args.suite == "algebra":
-        return "--tol does not apply to verify algebra, whose tolerances are fixed"
+    if args.tol is not None and VERIFY_SUITES[args.suite] is None:
+        return f"--tol does not apply to verify {args.suite}, whose tolerances are fixed"
     if args.functional is not None and args.suite != "monotone":
         return f"--functional belongs to verify monotone alone, not verify {args.suite}"
     return None
 
 
 def cmd_verify(args):
-    suites = {
-        "tensors": _verify_tensors,
-        "algebra": _verify_algebra,
-        "expansion": _verify_expansion,
-        "monotone": _verify_monotone,
-    }
     problem = _verify_args_error(args)
     if problem:
         return _error(problem)
-    cert, ok = suites[args.suite](args)  # argparse allows only these suites
+    if args.tol is None:
+        args.tol = VERIFY_SUITES[args.suite]
+    cert, ok = globals()[f"_verify_{args.suite}"](args)  # argparse allows only these
     report = {"suite": args.suite, "seed": args.seed, "trials": args.trials,
               "passed": bool(ok), "certificate": cert}
     if not ok:
@@ -273,7 +273,7 @@ def build_parser():
     p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("count", help="invariant-count tables")
-    p.add_argument("family", choices=["lu", "lsl", "graded"])
+    p.add_argument("family", choices=[*counting.MAX_DEGREE, "graded"])
     p.add_argument("--dim", type=int, default=3, choices=[2, 3])
     p.add_argument("--max", type=int, default=None, help="maximum degree")
     p.add_argument("--pqs", help="single grading for the graded family, e.g. 004")
@@ -283,7 +283,7 @@ def build_parser():
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("verify", help="run an identity/property suite")
-    p.add_argument("suite", choices=["tensors", "algebra", "expansion", "monotone"])
+    p.add_argument("suite", choices=list(VERIFY_SUITES))
     p.add_argument("--functional", choices=sorted(monotones.MONOTONE_FUNCTIONALS),
                    help="monotone functional of the monotone suite (default C3)")
     p.add_argument("--trials", type=int, default=1000)

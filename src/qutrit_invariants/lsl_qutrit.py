@@ -26,6 +26,7 @@ _T3 = build_structure_tensors(3)
 _DT = _T3.dtilde
 
 DET_TOL = 1e-10
+ALGEBRA_MIN_TRIALS = 5  # the fewest random maps the algebra certificate is built on
 
 
 def _real_action(m, what):
@@ -115,7 +116,7 @@ def build_algebra(seed=0, trials=20):
     generators, and the triality kernel and homomorphism checks on random
     unit-determinant maps.
     """
-    seed, trials = integer(seed, "seed", 0), integer(trials, "trials", 1)
+    seed, trials = integer(seed, "seed", 0), integer(trials, "trials", ALGEBRA_MIN_TRIALS)
     gen = _build_generators()
     f = _T3.f
     lam = _T3.lambdas

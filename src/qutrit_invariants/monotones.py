@@ -181,8 +181,10 @@ def monotone_roots(values):
 
 
 def trial_blocks(trials):
-    """(start, stop) of each block of consecutive trial indices."""
-    return [(s, min(s + TRIAL_BLOCK, trials)) for s in range(0, trials, TRIAL_BLOCK)]
+    """(start, stop) of each block of consecutive trial indices, one at a
+    time: memory does not grow with ``trials``."""
+    for start in range(0, trials, TRIAL_BLOCK):
+        yield start, min(start + TRIAL_BLOCK, trials)
 
 
 def _run_block(args):

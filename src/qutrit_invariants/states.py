@@ -361,7 +361,7 @@ def apply_local(state, A, B, renormalize=True):
     E = kron(A, B)
     rho = E @ state.rho @ E.conj().T
     if renormalize:
-        rho = rho / np.trace(rho).real
+        rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     return BipartiteState.from_rho(rho, state.dimA, state.dimB)
 
 
@@ -377,10 +377,12 @@ def coordinate_action(X, Y, dim):
 
 
 def physicality(state):
-    """Trace, Hermiticity residual and minimum eigenvalue diagnostics.
-    Raises ``ValueError`` when entries are so large (near the largest
-    float) that the Hermitian part overflows."""
+    """Trace, Hermiticity residual and minimum eigenvalue diagnostics of one
+    state.  Raises ``ValueError`` for a stacked state, and when entries are
+    so large (near the largest float) that the Hermitian part overflows."""
     rho = state.rho
+    if rho.ndim != 2:
+        raise ValueError(f"physicality takes one state, got a stack of shape {rho.shape[:-2]}")
     herm = float(np.abs(rho - rho.conj().T).max())
     with np.errstate(over="ignore", invalid="ignore"):
         h = hermitian_part(rho)

@@ -77,17 +77,17 @@ def zclass(rho):
     return z
 
 
-def class_sum(n, fn):
-    """Exact average of the class function ``fn`` over S_n: the sum over
-    cycle types rho of fn(rho) * (n!/z_rho), divided by n!, in integers.
-
-    Raises ArithmeticError when the average is not an integer.
+def class_sum(n, fn, scale=1):
+    """Exact average of the class function ``fn`` over S_n, divided by
+    ``scale``: the sum over cycle types rho of fn(rho) * (n!/z_rho), divided
+    by n! * scale, in integers.  ArithmeticError when it is not an integer.
     """
     order = factorial(n)
     total = sum(fn(rho) * (order // zclass(rho)) for rho in partitions(n))
-    if total % order:
+    average, rest = divmod(total, order * scale)
+    if rest:
         raise ArithmeticError(f"class sum over S_{n} is not an integer")
-    return total // order
+    return average
 
 
 def _collect(pairs):
@@ -315,18 +315,11 @@ def hall_norm(p, scale=1):
     """Hall inner product <f, f> of f, the p-expansion ``p`` divided by
     ``scale``: the sum of its squared Schur coefficients, with no Schur
     expansion.  Since <p_rho, p_sigma> = z_rho delta_rho,sigma (Macdonald,
-    I.4), the weight-n part gives the class sum of X_rho^2 (n!/z_rho),
-    divided by n! * scale^2.  ArithmeticError when that division is not
-    exact, since then f is not a virtual character."""
-    norm = 0
-    for n, block in _by_weight(p).items():
-        order = factorial(n)
-        total = sum(x * x * (order // zclass(rho)) for rho, x in block.items())
-        part, rest = divmod(total, order * scale * scale)
-        if rest:
-            raise ArithmeticError(f"non-integral Hall norm at weight {n}")
-        norm += part
-    return norm
+    I.4), the weight-n part is the `class_sum` of X_rho^2 divided by
+    scale^2.  ArithmeticError when that division is not exact, since then
+    f is not a virtual character."""
+    return sum(class_sum(n, lambda rho: block.get(rho, 0) ** 2, scale * scale)
+               for n, block in _by_weight(p).items())
 
 
 # ---------------------------------------------------------------------------

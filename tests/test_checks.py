@@ -64,8 +64,8 @@ TABLE = [
     Row(count_graded_quartics, "p", 1, lambda v: count_graded_quartics(v, 1, 2), "p"),
     Row(count_graded_quartics, "q", 1, lambda v: count_graded_quartics(1, v, 2), "q"),
     Row(count_graded_quartics, "s", 2, lambda v: count_graded_quartics(1, 1, v), "s"),
-    Row(build_algebra, "seed", 3, lambda v: build_algebra(v, 1), "seed"),
-    Row(build_algebra, "trials", 1, lambda v: build_algebra(3, v), "trials"),
+    Row(build_algebra, "seed", 3, lambda v: build_algebra(v, 5), "seed"),
+    Row(build_algebra, "trials", 5, lambda v: build_algebra(3, v), "trials"),
     Row(independence_test, "jacobian_points", 1,
         lambda v: independence_test(STATES, ["K200"], v), "jacobian_points"),
     Row(run_trials, "trials", 2, lambda v: run_trials("C3", v, 5), "trials"),

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qutrit_invariants import lsl_qutrit, lu_invariants, monotones, qubit
+from qutrit_invariants import cli, lsl_qutrit, lu_invariants, monotones, qubit
 from qutrit_invariants.cli import main
 from qutrit_invariants.lsl_qutrit import cubic_expansion_residual
 from qutrit_invariants.states import BipartiteState, load_state, random_state, save_state
@@ -524,6 +524,24 @@ def test_options_a_command_ignores_are_refused(argv, option, monkeypatch, tmp_pa
     assert option in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("suite, tol", cli.VERIFY_SUITES.items())
+def test_verify_tol_is_the_suite_default_or_refused_where_fixed(suite, tol, monkeypatch,
+                                                              tmp_path, capsys):
+    out = [tmp_path / "default.json", tmp_path / "given.json"]
+    if tol is None:  # fixed bounds: --tol is refused before the suite runs
+        _refuse_suites(monkeypatch)
+        assert main(["verify", suite, "--trials", "5", "--tol", "1e-3",
+                     "--out", str(out[0])]) == 2
+        captured = capsys.readouterr()
+        assert f"--tol does not apply to verify {suite}" in captured.err
+        assert captured.out == "" and not out[0].exists()
+        return
+    argv = ["verify", suite, "--trials", "5"]
+    assert main([*argv, "--out", str(out[0])]) == 0
+    assert main([*argv, "--tol", repr(tol), "--out", str(out[1])]) == 0
+    assert out[0].read_bytes() == out[1].read_bytes()
 
 
 @pytest.mark.parametrize("suite", ["tensors", "algebra", "expansion"])

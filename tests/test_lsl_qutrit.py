@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qutrit_invariants.lsl_qutrit import (
+    ALGEBRA_MIN_TRIALS,
     _build_generators,
     _linearized_residual,
     build_algebra,
@@ -147,6 +148,13 @@ def test_algebra_certificate():
     # generator octets
     assert np.allclose(cert["measured_normalization_D"], 2.0, atol=1e-12)
     assert np.allclose(cert["measured_normalization_F"], -2.0, atol=1e-12)
+
+
+def test_build_algebra_refuses_fewer_maps_than_its_floor():
+    # the command line refuses the same count; the certificate needs 5 maps
+    assert ALGEBRA_MIN_TRIALS == 5
+    with pytest.raises(ValueError, match="trials must be at least 5, got 4"):
+        build_algebra(trials=ALGEBRA_MIN_TRIALS - 1)
 
 
 def test_generator_entries_and_shapes():

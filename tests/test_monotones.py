@@ -21,6 +21,7 @@ from qutrit_invariants.monotones import (
     run_trials,
     sample_measurement,
     scalar_inequality_scan,
+    trial_blocks,
     wrong_exponent_counterexample,
 )
 from qutrit_invariants.qubit import q_invariants
@@ -444,6 +445,28 @@ def test_scalar_scan_equals_the_full_grid(resolution):
     assert monotones._grid_scan.cache_info().hits == hits + 1
     for key in ("resolution", "boundary_max_violation", "diagonal_equality_residual"):
         assert again[key] == ref[key]
+
+
+def test_trial_blocks_are_consecutive_blocks_of_64():
+    assert TRIAL_BLOCK == 64
+    assert list(trial_blocks(1)) == [(0, 1)]
+    assert list(trial_blocks(64)) == [(0, 64)]
+    assert list(trial_blocks(65)) == [(0, 64), (64, 65)]
+    assert list(trial_blocks(130)) == [(0, 64), (64, 128), (128, 130)]
+    assert list(trial_blocks(0)) == []
+
+
+def test_trial_blocks_are_made_one_at_a_time():
+    # a list of the blocks of 10**9 trials would hold 15,625,000 tuples
+    tracemalloc.start()
+    try:
+        blocks = iter(trial_blocks(10 ** 9))
+        first = [next(blocks) for _ in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [(0, 64), (64, 128), (128, 192)]
+    assert peak < 10_000, f"peak {peak} bytes"
 
 
 def test_scalar_scan_memory_stays_small():

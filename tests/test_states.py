@@ -278,6 +278,17 @@ def test_apply_local_matches_numpy_kron():
         assert np.array_equal(apply_local(st, A, B).rho, rho / np.trace(rho).real)
 
 
+@pytest.mark.parametrize("renormalize", [True, False])
+def test_apply_local_of_a_stack_is_the_per_state_loop(renormalize):
+    stack = random_state(3, 3, 0, size=5)
+    A, B = random_local_sl(3, 1), random_local_sl(3, 2)
+    moved = apply_local(stack, A, B, renormalize)
+    for k in range(5):
+        one = apply_local(stack[k], A, B, renormalize)
+        assert np.array_equal(moved.rho[k], one.rho)
+        assert np.array_equal(moved.coords.ext[k], one.coords.ext)
+
+
 def test_apply_local_rejects_singular():
     st = random_state(3, 3, 0)
     with pytest.raises(ValueError):
@@ -303,6 +314,11 @@ def test_physicality_diagnostics():
     assert diag["physical"]
     bad = BipartiteState.from_rho(np.diag([2.0] + [-1.0 / 8.0] * 8), 3, 3)
     assert not physicality(bad)["physical"]
+
+
+def test_physicality_refuses_a_stacked_state():
+    with pytest.raises(ValueError, match="physicality takes one state"):
+        physicality(random_state(3, 3, 0, size=4))
 
 
 def test_state_file_round_trip(tmp_path):
