@@ -41,15 +41,18 @@ def _error(message):
 
 def _emit(report, out_path, code=EXIT_OK):
     """Write the report and return ``code``; a report holding NaN or
-    Infinity (from extreme input values) is not written, and the input
-    error code is returned instead."""
+    Infinity (from extreme input values), or one that cannot be written to
+    ``out_path``, returns the input error code instead."""
     try:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         return _error(f"report has a non-finite value ({exc})")
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _error(f"cannot write the report to {out_path!r}: {exc.strerror or exc}")
     else:
         print(text)
     return code

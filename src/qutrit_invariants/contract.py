@@ -28,6 +28,13 @@ import numpy as np
 # came first.
 PLAN_BATCH = 64
 
+# The most stencil points or coordinate matrices one stacked kernel call
+# evaluates.  Slices of 32 keep the kernels' temporaries (32 x 729 doubles
+# in the cubic kernel) in the heap that malloc reuses; stacks of 64 or of
+# 64 x 3 matrices crossed its mmap and trim thresholds and faulted fresh
+# pages on every call.
+STACK = 32
+
 # Compiled calls kept, one per subscript string and full operand shapes.
 COMPILED_CALLS = 1024
 

@@ -12,11 +12,12 @@ the cubic invariant in local-unitary invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from .checks import integer
-from .contract import contract, per_state
+from .contract import STACK, contract, per_state
 from .lu_invariants import low_degree_invariants
 from .numdiff import numerical_rank
 from .states import coordinate_action, random_local_sl, require_unit_trace
@@ -203,21 +204,57 @@ def _dressed(ext):
     return a.reshape(batch + (9, 9, 9))
 
 
+# The last product of C3 and C6 runs over the last batch axis of a stack in
+# one BLAS call, whose rounding depends on that axis's length; numpy loops
+# over the other batch axes one entry at a time.  So a stack is sliced along
+# its other batch axes, and along its last one only the dressing is.
+
+def _dressed_stack(ext):
+    """``_dressed`` of a coordinate matrix (9, 9) or a stack (..., 9, 9),
+    evaluated on slices of at most ``STACK`` matrices."""
+    flat = ext.reshape((-1,) + ext.shape[-2:])
+    if len(flat) <= STACK:
+        return _dressed(ext)
+    a = np.empty(flat.shape + (9,))
+    for s in range(0, len(flat), STACK):
+        a[s:s + STACK] = _dressed(flat[s:s + STACK])
+    return a.reshape(ext.shape + (9,))
+
+
+def _by_slices(kernel, ext):
+    """``kernel`` of one coordinate matrix (9, 9) as a float, or of a stack
+    (..., 9, 9) as an array over it, on slices along the leading batch axes
+    of at most ``STACK`` matrices where the last batch axis allows."""
+    ext = np.asarray(ext, dtype=float)
+    if ext.ndim <= 3:
+        return per_state(kernel(ext), ext)
+    lead = ext.reshape((prod(ext.shape[:-3]),) + ext.shape[-3:])
+    step = max(1, STACK // max(1, lead.shape[1]))
+    return np.concatenate([kernel(lead[s:s + step])
+                           for s in range(0, len(lead) or 1, step)]).reshape(ext.shape[:-2])
+
+
+def _cubic(ext):
+    return _dressed_stack(ext).reshape(ext.shape[:-2] + (729,)) @ _DT_FLAT
+
+
+def _sextic(ext):
+    b = _dressed_stack(ext).reshape(ext.shape[:-2] + (9, 81)) @ _DT_2_1
+    return contract('...xw,...wx->...', b, b)
+
+
 def cubic_invariant(ext):
     """Triple contraction of two copies of the symmetric tensor with three
     copies of the bipartite coordinate matrix: a float for one (9, 9)
     matrix, an array over the stack for (..., 9, 9)."""
-    ext = np.asarray(ext, dtype=float)
-    return per_state(_dressed(ext).reshape(ext.shape[:-2] + (729,)) @ _DT_FLAT, ext)
+    return _by_slices(_cubic, ext)
 
 
 def sextic_invariant(ext):
     """Degree-6 invariant with crossed bar-side matchings, evaluated by
     staged pairwise contractions (cost ~9^5); a float for one (9, 9)
     matrix, an array over the stack for (..., 9, 9)."""
-    ext = np.asarray(ext, dtype=float)
-    b = _dressed(ext).reshape(ext.shape[:-2] + (9, 81)) @ _DT_2_1
-    return per_state(contract('...xw,...wx->...', b, b), ext)
+    return _by_slices(_sextic, ext)
 
 
 CUBIC_CONSTANT_TERM = 1.0 / 324.0

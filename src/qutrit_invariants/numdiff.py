@@ -13,7 +13,7 @@ from math import factorial
 import numpy as np
 
 from .checks import integer
-from .contract import contract
+from .contract import STACK, contract
 
 STEP = 0.25  # spacing of the stencil points
 RANK_THRESHOLD = 1e-8  # of the largest singular value, in numerical_rank
@@ -26,11 +26,6 @@ _WEIGHTS = {2 * m: {k: Fraction((-1) ** (abs(k) + 1) * factorial(m) ** 2,
                     for k in [*range(-m, 0), *range(1, m + 1)]}
             for m in range(1, 5)}
 
-# Stencil points per call of the evaluated map: large enough to amortize the
-# per-call overhead, small enough that peak memory does not grow with the
-# number of coordinates.
-_BLOCK = 64
-
 
 def poly_jacobian(fn, x0, degree, directions):
     """The (k, m) product J V of the Jacobian J of ``fn`` at ``x0`` with the
@@ -39,7 +34,7 @@ def poly_jacobian(fn, x0, degree, directions):
     ``fn`` maps an (M, n) stack of points to the (M, k) stack of its values
     and must be polynomial of total degree <= ``degree`` (1 to 8) in each
     coordinate; the stencil then differentiates it exactly up to rounding.
-    All stencil points are evaluated in stacks of at most ``_BLOCK``.
+    All stencil points are evaluated in stacks of at most ``STACK``.
     """
     if not 1 <= integer(degree, "degree") <= max(_WEIGHTS):
         raise ValueError(f"stencil degree must be between 1 and {max(_WEIGHTS)}, "
@@ -51,8 +46,8 @@ def poly_jacobian(fn, x0, degree, directions):
     m, k = V.shape[1], len(offsets)
     # point j * k + i is x0 + offsets[i] * STEP * V[:, j]
     points = x0 + (V.T[:, None, :] * np.multiply(offsets, STEP)[:, None]).reshape(m * k, -1)
-    values = np.concatenate([np.asarray(fn(points[s:s + _BLOCK]), dtype=float)
-                             for s in range(0, m * k, _BLOCK)])
+    values = np.concatenate([np.asarray(fn(points[s:s + STACK]), dtype=float)
+                             for s in range(0, m * k, STACK)])
     return contract('jim,i->mj', values.reshape(m, k, -1), np.array(weights, dtype=float)) / STEP
 
 

@@ -598,3 +598,18 @@ def test_module_runs_the_command_line():
     assert table.returncode == 0
     assert [line.split()[:2] for line in table.stdout.splitlines()] == [
         ["0", "1"], ["1", "0"], ["2", "0"], ["3", "1"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "STATE"],
+    ["count", "lu", "--dim", "2", "--max", "2"],
+    ["verify", "expansion", "--trials", "5"],
+])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_out_is_an_input_error(argv, where, mm33, tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json" if where == "missing_dir" else tmp_path
+    argv = [mm33 if a == "STATE" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the report to")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -1,7 +1,9 @@
 """The compiled contraction plans of ``contract`` against ``np.einsum``."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -230,3 +232,38 @@ def test_one_contraction_layer():
     # that the tests compare C6 against lives in tests/
     assert [c for c in _calls("einsum") if c[0] != "contract"] == []
     assert _calls("tensordot") == [] and _calls("moveaxis") == []
+
+
+# Minor page faults per warm call of a stacked kernel, counted in a fresh
+# interpreter: stacks of 64 (x 3) matrices faulted 788 pages per cubic call
+# and about 200-500 per quartic certificate; slices of STACK fault none.
+FAULTS_PER_CALL = """
+import resource, sys
+import numpy as np
+from qutrit_invariants import lsl_qutrit, lu_invariants, states
+
+rng = np.random.default_rng(3)
+if sys.argv[1] == "cubic":
+    ext = states.random_state(3, 3, rng, size=192).coords.ext.reshape(64, 3, 9, 9)
+    call = lambda: lsl_qutrit.cubic_invariant(ext)
+else:
+    qutrits = [states.random_state(3, 3, rng) for _ in range(22)]
+    call = lambda: lu_invariants.independence_test(qutrits, lu_invariants.QUARTIC_LABELS,
+                                                    jacobian_points=1)
+for _ in range(3):
+    call()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    call()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the fault counts are those of glibc malloc on Linux")
+@pytest.mark.parametrize("kernel", ["cubic", "quartic"])
+def test_stacked_kernels_fault_no_fresh_pages_when_warm(kernel):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_CALL, kernel], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert float(out) <= 50, f"{float(out)} minor faults per warm {kernel} call"

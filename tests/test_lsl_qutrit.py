@@ -1,9 +1,16 @@
+from math import prod
+
 import numpy as np
 import pytest
 
+from qutrit_invariants import lsl_qutrit
+from qutrit_invariants.contract import STACK, contract
 from qutrit_invariants.lsl_qutrit import (
+    _DT_2_1,
+    _DT_FLAT,
     ALGEBRA_MIN_TRIALS,
     _build_generators,
+    _dressed,
     _linearized_residual,
     build_algebra,
     cubic_expansion,
@@ -274,6 +281,34 @@ def test_stacked_cubic_and_sextic_match_per_state():
             # direct contraction as an independent reference
             ref = np.einsum('abc,ax,by,cz,xyz->', dt, ext, ext, ext, dt)
             assert abs(single3 - ref) <= 1e-12 * abs(ref)
+
+
+def _unsliced(ext):
+    """C3 and C6 of a stack from one ``_dressed`` call on the whole stack."""
+    a = _dressed(ext)
+    b = a.reshape(ext.shape[:-2] + (9, 81)) @ _DT_2_1
+    return (a.reshape(ext.shape[:-2] + (729,)) @ _DT_FLAT,
+            contract('...xw,...wx->...', b, b))
+
+
+@pytest.mark.parametrize("shape", [(1,), (STACK - 1,), (STACK,), (STACK + 1,),
+                                   (3 * STACK + 1,), (11, 3), (64, 3), (2, STACK + 8)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_sliced_cubic_and_sextic_equal_the_unsliced_formula_bit_for_bit(shape, monkeypatch):
+    ext = random_state(3, 3, 50, size=prod(shape)).coords.ext.reshape(shape + (9, 9))
+    c3, c6 = _unsliced(ext)
+    sizes = []
+
+    def recorded(x):
+        sizes.append(prod(x.shape[:-2]))
+        return _dressed(x)
+
+    monkeypatch.setattr(lsl_qutrit, "_dressed", recorded)
+    for fn, expected in ((cubic_invariant, c3), (sextic_invariant, c6)):
+        sizes.clear()
+        value = fn(ext)
+        assert value.shape == shape and np.array_equal(value, expected)
+        assert max(sizes) <= STACK and sum(sizes) == prod(shape)
 
 
 def test_stacked_cubic_expansion_residual():

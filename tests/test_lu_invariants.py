@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qutrit_invariants import lu_invariants, numdiff
+from qutrit_invariants import lu_invariants
+from qutrit_invariants.contract import STACK
 from qutrit_invariants.lu_invariants import (
     ALL_QUARTIC_LABELS,
     GRADINGS,
@@ -284,7 +285,7 @@ def test_independence_test_block_calls_do_not_grow_with_labels(monkeypatch):
         # points along each of the len(labels) + OVERSAMPLE sketch
         # directions: every block evaluates all labels at once
         m = len(labels) + OVERSAMPLE
-        assert calls == {"quartic_blocks": 1 + math.ceil(4 * m / numdiff._BLOCK)}, labels
+        assert calls == {"quartic_blocks": 1 + math.ceil(4 * m / STACK)}, labels
 
 
 def test_independence_test_sketch_finds_the_k004_32_relation():

@@ -3,15 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qutrit_invariants import states
-from qutrit_invariants.contract import contract
+from qutrit_invariants import numdiff, states
+from qutrit_invariants.contract import STACK, contract
 from qutrit_invariants.lu_invariants import (
     LOW_DEGREE_LABELS,
     QUARTIC_LABELS,
     _label_values,
     independence_test,
 )
-from qutrit_invariants.numdiff import _BLOCK, _WEIGHTS, STEP, poly_jacobian
+from qutrit_invariants.numdiff import _WEIGHTS, STEP, poly_jacobian
 from qutrit_invariants.qubit import (
     dependence_jacobian_rank,
     determinant_invariant,
@@ -103,8 +103,8 @@ def _coordinate_stencil(fn, x0, degree):
     n, k = x0.size, len(offsets)
     points = np.tile(x0, (n * k, 1))
     points[np.arange(n * k), np.repeat(np.arange(n), k)] += np.tile(np.multiply(offsets, STEP), n)
-    values = np.concatenate([np.asarray(fn(points[s:s + _BLOCK]), dtype=float)
-                             for s in range(0, n * k, _BLOCK)])
+    values = np.concatenate([np.asarray(fn(points[s:s + STACK]), dtype=float)
+                             for s in range(0, n * k, STACK)])
     jac = contract('jim,i->mj', values.reshape(n, k, -1), np.array(weights, dtype=float)) / STEP
     return points, jac
 
@@ -203,8 +203,8 @@ def _free_coordinate_stencil(coords, fn, degree, k):
     free = np.array([flat[1:] + o * STEP * V[:, j] for j in range(V.shape[1]) for o in offsets])
     points = np.concatenate([np.full((len(free), 1), flat[0]), free], axis=1)
     points = points.reshape((-1,) + coords.ext.shape)
-    values = np.concatenate([fn(StateCoords(coords.dimA, coords.dimB, points[s:s + _BLOCK]))
-                             for s in range(0, len(points), _BLOCK)])
+    values = np.concatenate([fn(StateCoords(coords.dimA, coords.dimB, points[s:s + STACK]))
+                             for s in range(0, len(points), STACK)])
     jac = contract('jim,i->mj', values.reshape(V.shape[1], len(offsets), -1),
                    np.array(weights, dtype=float)) / STEP
     norms = np.linalg.norm(jac, axis=1, keepdims=True)
@@ -241,6 +241,31 @@ def test_certificates_rank_the_free_coordinate_jacobian_bit_for_bit(monkeypatch)
         assert np.array_equal(captured[0], expected)
 
 
+def test_rank_jacobians_equal_those_of_64_point_stacks_bit_for_bit(monkeypatch):
+    # the certificates of the rank benchmark (a quartic and a low-degree
+    # independence test at one state, qubit dependence ranks) rank the same
+    # Jacobians as when the stencil was evaluated 64 points per call
+    captured = _captured_jacobians(monkeypatch)
+    rng = np.random.default_rng(29)
+    qutrits = [random_state(3, 3, rng) for _ in range(len(QUARTIC_LABELS) + 5)]
+    qubits = [random_state(2, 2, rng).coords for _ in range(4)]
+
+    def certificates():
+        captured.clear()
+        independence_test(qutrits, QUARTIC_LABELS, jacobian_points=1)
+        independence_test(qutrits[:len(LOW_DEGREE) + 5], LOW_DEGREE, jacobian_points=1)
+        for coords in qubits:
+            dependence_jacobian_rank(coords)
+        return list(captured)
+
+    sliced = certificates()
+    monkeypatch.setattr(numdiff, "STACK", 64)
+    reference = certificates()
+    assert len(sliced) == len(reference) == 6
+    for new, old in zip(sliced, reference):
+        assert np.array_equal(new, old)
+
+
 @pytest.mark.parametrize("dims,fn,degree,k", [
     ((3, 3), lambda c: _label_values(QUARTIC_LABELS, c), 4, len(QUARTIC_LABELS)),
     ((3, 3), lambda c: _label_values(LOW_DEGREE, c), 3, len(LOW_DEGREE)),
@@ -251,7 +276,7 @@ def test_stencil_points_keep_the_trace_entry(dims, fn, degree, k):
     seen = []
 
     def recorded(c):
-        assert len(c.ext) <= _BLOCK
+        assert len(c.ext) <= STACK
         seen.append(c.ext.copy())
         return fn(c)
 
