@@ -19,14 +19,14 @@ import sys
 
 import numpy as np
 
-from . import counting, lsl_qutrit, lu_invariants, monotones, qubit, states
+from . import counting, lsl_qutrit, lu_invariants, monotones, qubit, states, tensors
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 
 VERIFY_TOL = 1e-10         # default --tol of the tensors and expansion suites
-ALGEBRA_TIGHT_TOL = 1e-12  # algebra: linearized preservation, commutators, triality
+ALGEBRA_TIGHT_TOL = 1e-12  # algebra: linearized preservation, commutators, derivatives, triality
 ALGEBRA_LOOSE_TOL = 1e-10  # algebra: dtilde preservation of the maps, homomorphism
 SCAN_TOL = 1e-12           # the largest violation the scalar inequality scan may show
 # each verify suite and its default --tol; None where the bounds are fixed
@@ -156,14 +156,13 @@ def cmd_count(args):
 
 
 def _verify_tensors(args):
-    from .tensors import build_structure_tensors, cyclic_identity_check, det_from_dtilde
-    residuals = cyclic_identity_check(build_structure_tensors(3))
+    residuals = tensors.cyclic_identity_check(tensors.build_structure_tensors(3))
     # one generator draws the samples in blocks: memory stays flat in --trials
     rng = np.random.default_rng(args.seed)
     worst, near_singular = 0.0, 0
     for start, stop in monotones.trial_blocks(args.trials):
         G = states.ginibre(rng, 3, size=stop - start)
-        cubic, det = det_from_dtilde(states.to_single_coords(states.hermitian_part(G), 3))
+        cubic, det = tensors.det_from_dtilde(states.to_single_coords(states.hermitian_part(G), 3))
         regular = np.abs(det) > 1e-9
         worst = max(worst, float(np.abs(cubic[regular] / det[regular] - 1.5).max(initial=0.0)))
         near_singular += int((~regular).sum())
@@ -175,7 +174,8 @@ def _verify_tensors(args):
 def _verify_algebra(args):
     _, cert = lsl_qutrit.build_algebra(seed=args.seed, trials=args.trials)
     tight = ("linearized_preservation_residual", "commutator_residual_9x9",
-             "commutator_residual_3x3", "triality_kernel_residual")
+             "commutator_residual_3x3", "derivative_match_residual",
+             "triality_kernel_residual")
     loose = ("dtilde_preservation_residual", "homomorphism_residual")
     ok = (cert["span_dimension"] == 16 and all(cert[k] <= ALGEBRA_TIGHT_TOL for k in tight)
           and all(cert[k] <= ALGEBRA_LOOSE_TOL for k in loose))

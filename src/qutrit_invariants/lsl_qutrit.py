@@ -16,18 +16,22 @@ from math import prod
 
 import numpy as np
 
+from . import tensors
 from .checks import integer
 from .contract import STACK, contract, per_state
 from .lu_invariants import low_degree_invariants
 from .numdiff import numerical_rank
 from .states import coordinate_action, random_local_sl, require_unit_trace
-from .tensors import build_structure_tensors
-
-_T3 = build_structure_tensors(3)
-_DT = _T3.dtilde
 
 DET_TOL = 1e-10
 ALGEBRA_MIN_TRIALS = 5  # the fewest random maps the algebra certificate is built on
+
+
+def _dtilde(*shape):
+    """dtilde as `tensors` builds it, read at call time and reshaped to
+    ``shape``: it is exactly symmetric in its three slots, so a reshape
+    alone moves any slot last."""
+    return tensors.build_structure_tensors(3).dtilde.reshape(shape)
 
 
 def _real_action(m, what):
@@ -64,7 +68,7 @@ def dtilde_preservation_residual(m):
     three copies of m from the tensor itself: a float for one (9, 9) map,
     an array over the stack for (..., 9, 9)."""
     m = np.asarray(m, dtype=float)
-    return per_state(np.abs(_dressed(m) - _DT).max(axis=(-3, -2, -1)), m)
+    return per_state(np.abs(_dressed(m) - _dtilde(9, 9, 9)).max(axis=(-3, -2, -1)), m)
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +89,11 @@ class AlgebraGenerators:
 
 
 def _build_generators():
-    f, d = _T3.f, _T3.d
+    t = tensors.build_structure_tensors(3)
     F = np.zeros((8, 9, 9))
     D = np.zeros((8, 9, 9))
-    F[:, 1:, 1:] = f
-    D[:, 1:, 1:] = d
+    F[:, 1:, 1:] = t.f
+    D[:, 1:, 1:] = t.d
     for a in range(8):
         D[a, 0, a + 1] = 1.0
         D[a, a + 1, 0] = 2.0 / 3.0
@@ -100,9 +104,10 @@ def _linearized_residual(X):
     """Max-abs linearized tensor-preservation residual of a generator (9, 9),
     or of each generator of a stack (..., 9, 9)."""
     # generator layout pairs its second index with the tensor slots
-    t = (contract('...ip,pjk->...ijk', X, _DT)
-         + contract('...jp,ipk->...ijk', X, _DT)
-         + contract('...kp,ijp->...ijk', X, _DT))
+    dt = _dtilde(9, 9, 9)
+    t = (contract('...ip,pjk->...ijk', X, dt)
+         + contract('...jp,ipk->...ijk', X, dt)
+         + contract('...kp,ijp->...ijk', X, dt))
     return per_state(np.abs(t).max(axis=(-3, -2, -1)), X)
 
 
@@ -119,8 +124,8 @@ def build_algebra(seed=0, trials=20):
     """
     seed, trials = integer(seed, "seed", 0), integer(trials, "trials", ALGEBRA_MIN_TRIALS)
     gen = _build_generators()
-    f = _T3.f
-    lam = _T3.lambdas
+    t = tensors.build_structure_tensors(3)
+    f, lam = t.f, t.lambdas
 
     lin_res = float(_linearized_residual(gen.all()).max())
     span = numerical_rank(gen.all().reshape(16, 81), 1e-10)
@@ -185,22 +190,14 @@ def build_algebra(seed=0, trials=20):
 # ---------------------------------------------------------------------------
 # Degree-3 and degree-6 invariants of the product group
 
-# dtilde is exactly symmetric in all three slots (tensors spreads every
-# sorted index triple over its permutations), so any slot can be moved last
-# by a reshape alone.
-_DT_FLAT = _DT.reshape(-1)
-_DT_1_2 = _DT.reshape(9, 81)
-_DT_2_1 = _DT.reshape(81, 9)
-
-
 def _dressed(ext):
     """a[..., x, z, y] = dtilde_abc ext_ax ext_by ext_cz for a coordinate
     matrix (9, 9) or a stack (..., 9, 9), as three batched matrix products;
     a is symmetric in its last three slots."""
     batch = ext.shape[:-2]
-    a = (ext.swapaxes(-1, -2) @ _DT_1_2).reshape(batch + (81, 9))  # (x, b), c
-    a = (a @ ext).reshape(batch + (9, 9, 9))                          # x, b, z
-    a = a.swapaxes(-1, -2).reshape(batch + (81, 9)) @ ext            # (x, z), y
+    a = (ext.swapaxes(-1, -2) @ _dtilde(9, 81)).reshape(batch + (81, 9))  # (x, b), c
+    a = (a @ ext).reshape(batch + (9, 9, 9))                                 # x, b, z
+    a = a.swapaxes(-1, -2).reshape(batch + (81, 9)) @ ext                   # (x, z), y
     return a.reshape(batch + (9, 9, 9))
 
 
@@ -235,11 +232,11 @@ def _by_slices(kernel, ext):
 
 
 def _cubic(ext):
-    return _dressed_stack(ext).reshape(ext.shape[:-2] + (729,)) @ _DT_FLAT
+    return _dressed_stack(ext).reshape(ext.shape[:-2] + (729,)) @ _dtilde(729)
 
 
 def _sextic(ext):
-    b = _dressed_stack(ext).reshape(ext.shape[:-2] + (9, 81)) @ _DT_2_1
+    b = _dressed_stack(ext).reshape(ext.shape[:-2] + (9, 81)) @ _dtilde(81, 9)
     return contract('...xw,...wx->...', b, b)
 
 

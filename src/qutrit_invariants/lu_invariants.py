@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import tensors
 from .checks import integer
 from .contract import contract, per_state
 from .numdiff import numerical_rank
 from .numdiff import poly_jacobian  # noqa: F401  (the benchmark traces it here)
 from .states import StateCoords, jacobian_rank, require_dims
-from .tensors import build_structure_tensors
 
 # Every label is K<pqs>: its (p, q, s) multidegree, with a suffix for the
 # variant contractions at one grading.  The exact scaling law under
@@ -39,10 +39,6 @@ ALL_QUARTIC_LABELS = [l for l in LABELS if sum(GRADINGS[l]) == 4]
 # evaluated and reported.
 QUARTIC_LABELS = [l for l in ALL_QUARTIC_LABELS if l != "K004_32"]
 
-_T3 = build_structure_tensors(3)
-_F, _D = _T3.f, _T3.d
-_LAM = _T3.lambdas
-
 
 def _result(vals, R):
     """Arrays over the batch axes, or plain floats for a single state."""
@@ -52,14 +48,16 @@ def _result(vals, R):
 def _embedded(R):
     """Correlation tensor in the defining representation, T[..., i, p, j, q]
     carrying (superscript, superscript-bar, subscript, subscript-bar)."""
-    return contract('...ab,aij,bpq->...ipjq', R, _LAM, _LAM)
+    lam = tensors.build_structure_tensors(3).lambdas
+    return contract('...ab,aij,bpq->...ipjq', R, lam, lam)
 
 
 def low_degree_blocks(r, rbar, R):
     """Degree <= 3 invariants of r, rbar (..., 8) and R (..., 8, 8) with
     shared leading batch axes: a dict of arrays over the batch axes, or of
     floats for a single state's blocks."""
-    d, f = _D, _F
+    t = tensors.build_structure_tensors(3)
+    d, f = t.d, t.f
     vals = {
         "K000": np.ones(R.shape[:-2]),
         "K200": contract('...a,...a->...', r, r),
@@ -80,7 +78,8 @@ def quartic_blocks(r, rbar, R):
     """The connected quartics of r, rbar (..., 8) and R (..., 8, 8) with
     shared leading batch axes: a dict of arrays over the batch axes, or of
     floats for a single state's blocks."""
-    d, f = _D, _F
+    t = tensors.build_structure_tensors(3)
+    d, f = t.d, t.f
     Rt = R.swapaxes(-1, -2)
     RtR = Rt @ R    # bar-bar
     RRt = R @ Rt    # plain-plain

@@ -95,16 +95,22 @@ def _branches(state, pair, on_a):
     Returns the branch probabilities (..., 2), the mask of degenerate
     branches (probability below DEGENERATE_P) and the branch states as a
     (..., 2)-stacked state, each divided by its probability unless
-    degenerate.
+    degenerate.  Raises ``ValueError`` unless the pair's dimension equals
+    both local dimensions.
     """
-    dimA, dimB = state.dimA, state.dimB
+    dim, dimA, dimB = pair.E1.shape[-1], state.dimA, state.dimB
+    if dimA != dim or dimB != dim:
+        raise ValueError(f"a measurement pair of dimension {dim} needs a state of local "
+                         f"dimensions ({dim}, {dim}), got ({dimA}, {dimB})")
+    # per trial, the factors of E (x) 1 on side A and of 1 (x) E on side B
     E = np.stack([pair.E1, pair.E2], axis=-3)
-    ops = np.where(np.asarray(on_a)[..., None, None, None],
-                   kron(E, np.eye(dimB)), kron(np.eye(dimA), E))
+    on_a, eye = np.asarray(on_a)[..., None, None, None], np.eye(dim)
+    ops = kron(np.where(on_a, E, eye), np.where(on_a, eye, E))
     out = ops @ state.rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)
+    del ops  # the largest temporary: freed before the branch states are built
     p = np.trace(out, axis1=-2, axis2=-1).real
     degenerate = p < DEGENERATE_P
-    out = out / np.where(degenerate, 1.0, p)[..., None, None]
+    out /= np.where(degenerate, 1.0, p)[..., None, None]
     return p, degenerate, BipartiteState.from_rho(out, dimA, dimB)
 
 

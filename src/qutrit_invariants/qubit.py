@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import tensors
 from .checks import integer
 from .contract import contract, per_state
 from .states import jacobian_rank, require_dims, require_unit_trace
-from .tensors import levi_civita
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-_EPS4 = levi_civita(4)
-_EPS3 = levi_civita(3)
+_EPS4 = tensors.levi_civita(4)
 
 
 def w_matrix(ext):
@@ -94,8 +93,8 @@ def expansion_residuals(coords, q):
           - 2.0 * contract(quad, rbar, Rt @ R, rbar)
           + contract(quad, r, R, rbar)
           - rr / 8.0 - bb / 8.0 + 1.0 / 256.0)
-    cross = contract('ijk,pqr,...i,...jp,...kq,...r->...', _EPS3, _EPS3,
-                     r, R, R, rbar)
+    eps3 = tensors.build_structure_tensors(2).f  # su(2)'s f is the 3-index epsilon
+    cross = contract('ijk,pqr,...i,...jp,...kq,...r->...', eps3, eps3, r, R, R, rbar)
     q4t = np.linalg.det(R) / 4.0 - cross / 2.0
     residuals = {"Q2": q["Q2"] - q2, "Q4": q["Q4"] - q4, "Q4t": q["Q4t"] - q4t,
                  "Q4t_eps": q["Q4t"] - q["Q4t_eps"]}

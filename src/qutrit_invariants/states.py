@@ -16,10 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import tensors
 from .checks import integer
 from .contract import contract, per_state
 from .numdiff import RANK_THRESHOLD, numerical_rank, poly_jacobian
-from .tensors import build_structure_tensors
 
 HERMITICITY_TOL = 1e-10
 PHYSICALITY_TOL = 1e-10
@@ -213,8 +213,8 @@ def to_coords(rho, dimA, dimB):
     """
     dimA, dimB = integer(dimA, "dimA", 1), integer(dimB, "dimB", 1)
     rho = _hermitian_matrices(rho, dimA * dimB, f"dims ({dimA},{dimB})")
-    lamA = build_structure_tensors(dimA).lam_ext
-    lamB = build_structure_tensors(dimB).lam_ext
+    lamA = tensors.build_structure_tensors(dimA).lam_ext
+    lamB = tensors.build_structure_tensors(dimB).lam_ext
     rho4 = rho.reshape(rho.shape[:-2] + (dimA, dimB, dimA, dimB))
     ext = contract('...ipjq,aji,bqp->...ab', rho4, lamA, lamB)
     ext = ext.real / np.outer(_norms(dimA), _norms(dimB))
@@ -233,8 +233,8 @@ def from_coords(coords):
     ext = np.asarray(coords.ext, dtype=float)
     if ext.shape[-2:] != (dimA * dimA, dimB * dimB):
         raise ValueError("coordinate shape does not match declared dimensions")
-    lamA = build_structure_tensors(dimA).lam_ext
-    lamB = build_structure_tensors(dimB).lam_ext
+    lamA = tensors.build_structure_tensors(dimA).lam_ext
+    lamB = tensors.build_structure_tensors(dimB).lam_ext
     rho4 = contract('...ab,aij,bpq->...ipjq', ext, lamA, lamB)
     return hermitian_part(rho4.reshape(ext.shape[:-2] + (dimA * dimB, dimA * dimB)))
 
@@ -244,14 +244,14 @@ def to_single_coords(rho, dim):
     each matrix of a stack (..., dim, dim), checked as `to_coords` checks."""
     dim = integer(dim, "dim", 1)
     rho = _hermitian_matrices(rho, dim, f"dim {dim}")
-    lam = build_structure_tensors(dim).lam_ext
+    lam = tensors.build_structure_tensors(dim).lam_ext
     return contract('...ij,aji->...a', rho, lam).real / _norms(dim)
 
 
 def from_single_coords(coords, dim):
     """The Hermitian matrix of single-system coordinates, or of each vector
     of a stack (..., dim^2)."""
-    lam = build_structure_tensors(dim).lam_ext
+    lam = tensors.build_structure_tensors(dim).lam_ext
     return hermitian_part(contract('...a,aij->...ij', np.asarray(coords, dtype=float), lam))
 
 
@@ -370,7 +370,7 @@ def coordinate_action(X, Y, dim):
     coordinate basis of one subsystem: X l_a Y^dag = sum_b m[b, a] l_b, with
     index 0 the identity direction.  It is real up to rounding when Y = X,
     and for sums such as the generator action X rho + rho X^dag."""
-    lam = build_structure_tensors(dim).lam_ext
+    lam = tensors.build_structure_tensors(dim).lam_ext
     m = contract('ij,ajk,lk,bli->ba', np.asarray(X, dtype=complex), lam,
                  np.conj(np.asarray(Y, dtype=complex)), lam)
     return m / _norms(dim)[:, None]

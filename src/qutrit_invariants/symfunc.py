@@ -158,10 +158,6 @@ class SchurExpr:
     def coefficient(self, parts):
         return self.terms.get(as_partition(parts), 0)
 
-    def weight_part(self, n):
-        n = integer(n, "weight", 0)
-        return SchurExpr._of({lam: c for lam, c in self.terms.items() if sum(lam) == n})
-
     def __bool__(self):
         return bool(self.terms)
 

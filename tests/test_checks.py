@@ -102,7 +102,6 @@ TABLE = [
     Row(SchurExpr, "coefficient", 2, lambda v: SchurExpr({(2, 1): v}), "coefficient",
         bounded=False),
     Row(SchurExpr, "scalar", 2, lambda v: S(2, 1) * v, "scalar", bounded=False),
-    Row(SchurExpr, "weight", 3, lambda v: (S(2, 1) + S(2)).weight_part(v), "weight"),
     Row(as_partition, "parts", 2, lambda v: as_partition((v, 1)), "partition part"),
     Row(plethysm, "max_len", 2, lambda v: plethysm(S(2), S(2), v), "max_len",
         optional=True),

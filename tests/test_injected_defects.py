@@ -1,6 +1,17 @@
 """Each certificate against an injected defect: a row gives the certificate,
 the defect (a monkeypatch) and the outcome the certificate must give.  A
-certificate that cannot fail certifies nothing."""
+certificate that cannot fail certifies nothing.
+
+Every kernel reads f, d and d-tilde through `tensors.build_structure_tensors`
+at call time, so a defect in them is one monkeypatch of that function.  The
+cached tensors are read-only: a defect is a copy.
+
+`verify expansion` does not see a 1e-7 defect in d or in d-tilde: over
+200 states its cubic residual reads 7.6e-11 under the d defect below and
+6.9e-11 under the d-tilde defect (9.1e-11 and 6.9e-11 over the default
+1000), against its bound 1e-10, and the run exits 0.  Its row here is a
+defect in the expansion's constant term.
+"""
 
 import dataclasses
 import json
@@ -11,20 +22,34 @@ import pytest
 from qutrit_invariants import cli, lsl_qutrit, tensors
 
 
-def _raise_dtilde_123(monkeypatch):
-    """d-tilde with its six (1, 2, 3) entries raised by 1e-7, wherever the
-    suites read it.  The cached tensor is read-only: the defect is a copy."""
-    t3 = tensors.build_structure_tensors(3)
-    dt = t3.dtilde.copy()
-    for index in permutations((1, 2, 3)):
-        dt[index] += 1e-7
+def _raise_entries(monkeypatch, name, index):
+    """The qutrit tensor ``name`` with the six permutations of ``index``
+    raised by 1e-7, through the one patch point."""
     build = tensors.build_structure_tensors
-    wrong = dataclasses.replace(t3, dtilde=dt)
+    t3 = build(3)
+    raised = getattr(t3, name).copy()
+    for entry in permutations(index):
+        raised[entry] += 1e-7
+    wrong = dataclasses.replace(t3, **{name: raised})
     monkeypatch.setattr(tensors, "build_structure_tensors",
                         lambda dim: wrong if dim == 3 else build(dim))
-    for name, value in (("_DT", dt), ("_DT_FLAT", dt.reshape(-1)),
-                        ("_DT_1_2", dt.reshape(9, 81)), ("_DT_2_1", dt.reshape(81, 9))):
-        monkeypatch.setattr(lsl_qutrit, name, value)
+
+
+def _raise_dtilde_123(monkeypatch):
+    """d-tilde with its six (1, 2, 3) entries raised by 1e-7."""
+    _raise_entries(monkeypatch, "dtilde", (1, 2, 3))
+
+
+def _raise_d_146(monkeypatch):
+    """d with its six 0-based (0, 3, 5) entries, d_146 = 1/2, raised by 1e-7;
+    d-tilde keeps its clean copy of d."""
+    _raise_entries(monkeypatch, "d", (0, 3, 5))
+
+
+def _raise_cubic_constant_term(monkeypatch):
+    """The constant term of the cubic expansion times (1 + 1e-6)."""
+    monkeypatch.setattr(lsl_qutrit, "CUBIC_CONSTANT_TERM",
+                        lsl_qutrit.CUBIC_CONSTANT_TERM * (1 + 1e-6))
 
 
 # certificate (a verify command line), defect, exit code, the certificate
@@ -35,6 +60,14 @@ ROWS = [
     (["verify", "algebra", "--trials", "5"], _raise_dtilde_123, cli.EXIT_VIOLATION,
      {"linearized_preservation_residual": cli.ALGEBRA_TIGHT_TOL,
       "dtilde_preservation_residual": cli.ALGEBRA_LOOSE_TOL}),
+    (["verify", "tensors", "--trials", "20"], _raise_d_146, cli.EXIT_VIOLATION,
+     {"df": cli.VERIFY_TOL, "dd_minus_deltadelta": cli.VERIFY_TOL}),
+    (["verify", "algebra", "--trials", "5"], _raise_d_146, cli.EXIT_VIOLATION,
+     {"linearized_preservation_residual": cli.ALGEBRA_TIGHT_TOL,
+      "commutator_residual_9x9": cli.ALGEBRA_TIGHT_TOL,
+      "derivative_match_residual": cli.ALGEBRA_TIGHT_TOL}),
+    (["verify", "expansion", "--trials", "20"], _raise_cubic_constant_term, cli.EXIT_VIOLATION,
+     {"max_cubic_expansion_residual": cli.VERIFY_TOL}),
 ]
 
 

@@ -6,8 +6,6 @@ import pytest
 from qutrit_invariants import lsl_qutrit
 from qutrit_invariants.contract import STACK, contract
 from qutrit_invariants.lsl_qutrit import (
-    _DT_2_1,
-    _DT_FLAT,
     ALGEBRA_MIN_TRIALS,
     _build_generators,
     _dressed,
@@ -285,9 +283,10 @@ def test_stacked_cubic_and_sextic_match_per_state():
 
 def _unsliced(ext):
     """C3 and C6 of a stack from one ``_dressed`` call on the whole stack."""
+    dt = build_structure_tensors(3).dtilde
     a = _dressed(ext)
-    b = a.reshape(ext.shape[:-2] + (9, 81)) @ _DT_2_1
-    return (a.reshape(ext.shape[:-2] + (729,)) @ _DT_FLAT,
+    b = a.reshape(ext.shape[:-2] + (9, 81)) @ dt.reshape(81, 9)
+    return (a.reshape(ext.shape[:-2] + (729,)) @ dt.reshape(-1),
             contract('...xw,...wx->...', b, b))
 
 

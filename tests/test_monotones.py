@@ -349,6 +349,18 @@ def test_assemble_measurement_refuses_non_finite_factors(which, bad):
         assemble_measurement(*factors, [0.5, 0.5, 0.5])
 
 
+@pytest.mark.parametrize("dims,pair_dim", [((2, 3), 2), ((3, 2), 3), ((2, 2), 3), ((3, 3), 2)])
+def test_measurement_refuses_a_pair_of_another_dimension(dims, pair_dim):
+    state, pair = random_state(*dims, 0), sample_measurement(pair_dim, 0)
+    message = (rf"pair of dimension {pair_dim} needs a state of local dimensions "
+               rf"\({pair_dim}, {pair_dim}\), got \({dims[0]}, {dims[1]}\)")
+    for side in ("A", "B"):
+        with pytest.raises(ValueError, match=message):
+            apply_measurement(state, pair, side)
+        with pytest.raises(ValueError, match=message):
+            concavity_trial(state, pair, lambda ext: np.zeros(ext.shape[:-2]), side)
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: run_trials("C3", 3, 0, tol=float("nan")), id="tol-nan"),
     pytest.param(lambda: run_trials("C3", 3, 0, tol=float("inf")), id="tol-inf"),

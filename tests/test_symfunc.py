@@ -213,9 +213,9 @@ def test_series_truncations():
     assert plethysm_series(3, 6) == parse_expr("{0} + {3} + {6} + {4,2}")
     with pytest.raises(ValueError, match="k must be an integer"):
         plethysm_series(2.0, 6.0)
-    w12 = plethysm_series(3, 12).weight_part(12)
-    assert len(w12.terms) == 12
-    assert set(w12.terms.values()) == {1}
+    w12 = {lam: c for lam, c in plethysm_series(3, 12).terms.items() if sum(lam) == 12}
+    assert len(w12) == 12
+    assert set(w12.values()) == {1}
     with pytest.raises(ValueError):
         plethysm_series(3, 13)
 

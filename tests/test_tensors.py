@@ -1,9 +1,13 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from qutrit_invariants.states import to_single_coords
+from qutrit_invariants import tensors
+from qutrit_invariants.lsl_qutrit import cubic_invariant, sextic_invariant
+from qutrit_invariants.lu_invariants import low_degree_invariants
+from qutrit_invariants.states import random_state, to_single_coords
 from qutrit_invariants.tensors import (
     GELL_MANN,
     PAULI,
@@ -199,3 +203,24 @@ def test_det_from_dtilde_refuses_non_finite_coordinates(bad):
     for c in (coords, coords[1]):
         with pytest.raises(ValueError, match="coordinates must be finite"):
             det_from_dtilde(c)
+
+
+def test_kernels_read_the_tensors_at_call_time(monkeypatch):
+    """One substitution of `tensors.build_structure_tensors` reaches the
+    low-degree, cubic and sextic kernels: with d and d-tilde doubled, K300
+    doubles and C3 and C6 scale by 2^2 and 2^4, exactly (a power of two
+    scales without rounding)."""
+    coords = [random_state(3, 3, 0).coords, random_state(3, 3, 1, size=40).coords]
+
+    def values():
+        return [(low_degree_invariants(c)["K300"], cubic_invariant(c.ext),
+                 sextic_invariant(c.ext)) for c in coords]
+
+    clean = values()
+    doubled = dataclasses.replace(T3, d=2 * T3.d, dtilde=2 * T3.dtilde)
+    monkeypatch.setattr(tensors, "build_structure_tensors",
+                        lambda dim: doubled if dim == 3 else T2)
+    for (k300, c3, c6), (k300_2, c3_2, c6_2) in zip(clean, values()):
+        assert np.array_equal(k300_2, 2 * k300)
+        assert np.array_equal(c3_2, 4 * c3)
+        assert np.array_equal(c6_2, 16 * c6)
