@@ -4,15 +4,20 @@ Every invariant is a complete contraction written in index notation.  An
 operand whose term starts with ``...`` may carry leading batch axes (a
 stack of states or of stencil points); the structure tensors never do.  The
 pairwise order of each subscript string and core shapes is searched once.
-Each call's full operand shapes, batch axes included, are compiled once
-from that order into a transpose and a reshape of both operands, one matrix
-product and the product's reshape and transpose per pair, kept in a table
-of COMPILED_CALLS entries (opt_einsum's contraction expressions: Smith &
-Gray, JOSS 3(26):753, 2018).  A call looks up its shapes and runs only
-those.  A batch of both operands stays a stack of matrix products; a batch
-of one is fused into its rows or columns, placed among them by size as
-numpy places it.  The products are the ones ``np.einsum`` makes along that
-order: with at most one batch axis, the results are bit-for-bit equal.
+A table of terms, each a subscript string over named operands, is compiled
+once per full operand shapes, batch axes included: each term's order
+becomes a transpose and a reshape of both operands, one matrix product and
+the product's reshape and transpose per pair (opt_einsum's contraction
+expressions: Smith & Gray, JOSS 3(26):753, 2018).  The terms' steps form
+one program, in which a step that repeats an earlier one runs once and each
+intermediate is dropped right after its last use; COMPILED_CALLS programs
+are kept.  ``contract_all`` runs a table, ``contract`` the table of its one
+term; a call looks up its shapes and runs only those steps.  A batch of
+both operands stays a stack of matrix products; a batch of one is fused
+into its rows or columns, placed among them by size as numpy places it.
+The products are the ones ``np.einsum`` makes along that order: with at
+most one batch axis and contiguous operands, the results are bit-for-bit
+equal.
 """
 
 import sys
@@ -35,7 +40,8 @@ PLAN_BATCH = 64
 # pages on every call.
 STACK = 32
 
-# Compiled calls kept, one per subscript string and full operand shapes.
+# Compiled tables kept, one per table of terms (a subscript string for one
+# term) and full operand shapes.
 COMPILED_CALLS = 1024
 
 _shape = attrgetter("shape")
@@ -86,10 +92,9 @@ def _plan(spec, core_shapes):
     return tuple(steps), tuple(map(cores[0].index, out.lstrip(".")))
 
 
-@lru_cache(maxsize=COMPILED_CALLS)
 def _compiled(spec, shapes):
-    """The call ``contract(spec, *operands)`` for operands of these full
-    shapes: per step the pair it takes, each operand's transpose and
+    """The steps of ``np.einsum(spec, *operands)`` for operands of these
+    full shapes: per step the pair it takes, each operand's transpose and
     reshape into a matrix (or a stack of them), the product, the product's
     reshape and the transpose that brings its batch axes to the front; then
     the final transpose into the output order."""
@@ -129,15 +134,62 @@ def _batch_at(perm, n, at):
     return (*core[:at], *range(n), *core[at:])
 
 
+@lru_cache(maxsize=COMPILED_CALLS)
+def _table(terms, shapes, names=None):
+    """The program of ``terms``, each (label, spec, operand names), on
+    operands of these names and full shapes; a bare spec is the one term on
+    the operands in order.  Registers hold the operands, then each step's
+    result.  Each term's compiled steps are taken in turn, and a step that
+    repeats an earlier one (the same registers, transposes, reshapes and
+    product) is not added again.  Each step lists the registers whose last
+    use it is, unless they are operands or results; each term ends in its
+    result register and final transpose."""
+    if names is None:
+        names = tuple(range(len(shapes)))
+        terms = ((None, terms, names),)
+    steps, outputs = {}, []
+    for _, spec, ops in terms:
+        compiled, final = _compiled(spec, tuple(shapes[names.index(n)] for n in ops))
+        regs = [names.index(n) for n in ops]
+        for i, j, *step in compiled:  # i > j: popping i leaves j in place
+            step = (regs.pop(i), regs.pop(j), *step)
+            regs.append(steps.setdefault(step, len(names) + len(steps)))
+        outputs.append((regs[0], final))
+    kept = {r for r, _ in outputs}
+    last = {r: n for n, step in enumerate(steps) for r in step[:2]
+            if r >= len(names) and r not in kept}
+    return (tuple((*step, tuple(r for r in step[:2] if last.get(r) == n))
+                  for n, step in enumerate(steps)), tuple(outputs))
+
+
+def _run(program, operands):
+    """The value of each term of a compiled table on these operands."""
+    steps, outputs = program
+    regs = [*operands]
+    for a, b, ta, sa, tb, sb, product, sc, tc, dead in steps:
+        c = product(regs[a].transpose(ta).reshape(sa), regs[b].transpose(tb).reshape(sb))
+        regs.append(c.reshape(sc).transpose(tc))
+        for r in dead:  # an intermediate is dropped right after its last use
+            regs[r] = None
+    values = []
+    for r, final in outputs:
+        values.append(regs[r].transpose(final))
+    return values
+
+
+def contract_all(terms, **operands):
+    """``{label: np.einsum(spec, *(operands[n] for n in names))}`` for each
+    (label, spec, names) of the tuple ``terms``, along the compiled plans of
+    the terms; a step that two terms share runs once."""
+    values = _run(_table(terms, tuple(map(_shape, operands.values())), tuple(operands)),
+                  operands.values())
+    return {label: v for (label, _, _), v in zip(terms, values)}
+
+
 def contract(spec, *operands):
-    """``np.einsum(spec, *operands)`` along the compiled contraction plan."""
-    steps, final = _compiled(spec, tuple(map(_shape, operands)))
-    operands = list(operands)
-    for i, j, ta, sa, tb, sb, product, sc, tc in steps:  # i > j: popping i leaves j in place
-        c = product(operands.pop(i).transpose(ta).reshape(sa),
-                    operands.pop(j).transpose(tb).reshape(sb))
-        operands.append(c.reshape(sc).transpose(tc))
-    return operands[0].transpose(final)
+    """``np.einsum(spec, *operands)`` along the compiled contraction plan:
+    the table of this one term."""
+    return _run(_table(spec, tuple(map(_shape, operands))), operands)[0]
 
 
 def per_state(value, operand):

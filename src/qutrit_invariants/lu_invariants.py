@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensors
 from .checks import integer
-from .contract import contract, per_state
+from .contract import contract, contract_all, per_state
 from .numdiff import numerical_rank
 from .numdiff import poly_jacobian  # noqa: F401  (the benchmark traces it here)
 from .states import StateCoords, jacobian_rank, require_dims
@@ -38,6 +38,21 @@ ALL_QUARTIC_LABELS = [l for l in LABELS if sum(GRADINGS[l]) == 4]
 # bar-side 2-cycles closed by one plain-side 4-cycle).  K004_32 is still
 # evaluated and reported.
 QUARTIC_LABELS = [l for l in ALL_QUARTIC_LABELS if l != "K004_32"]
+
+
+# The pure-R quartics as one contraction table over the embedded T: the
+# twelve pair products of T with T in their plans are five distinct ones.
+# Label (m, n): the superscript of factor 1 closes on the subscript of
+# factor m, its subscript on the superscript of factor n; the bar-side
+# indices always run in one cycle.
+_CHAINS = tuple((label, spec, ("T",) * 4) for label, spec in (
+    ("K004_33", '...ipjq,...kqlr,...jris,...lskp->...'),
+    ("K004_24", '...ipjq,...kqir,...mrks,...jsmp->...'),
+    ("K004_42", '...ipjq,...jqkr,...krls,...lsip->...'),
+    ("K004_22", '...ipjq,...jqir,...krls,...lskp->...'),
+    ("K004_32", '...ipjq,...jqnr,...mris,...nsmp->...'),
+    ("K004_x22", '...ipjq,...jqlp,...lrns,...nsir->...'),
+))
 
 
 def _result(vals, R):
@@ -102,19 +117,7 @@ def quartic_blocks(r, rbar, R):
         "K211": contract('abc,...a,...b,...C,...cC->...', d, r, r, rbar, R),
     }
     T = _embedded(R)
-    chains = {
-        # label (m, n): superscript of factor 1 closes on the subscript of
-        # factor m, its subscript on the superscript of factor n; the
-        # bar-side indices always run in one cycle
-        "K004_33": '...ipjq,...kqlr,...jris,...lskp->...',
-        "K004_24": '...ipjq,...kqir,...mrks,...jsmp->...',
-        "K004_42": '...ipjq,...jqkr,...krls,...lsip->...',
-        "K004_22": '...ipjq,...jqir,...krls,...lskp->...',
-        "K004_32": '...ipjq,...jqnr,...mris,...nsmp->...',
-        "K004_x22": '...ipjq,...jqlp,...lrns,...nsir->...',
-    }
-    for k, spec in chains.items():
-        vals[k] = contract(spec, T, T, T, T).real
+    vals.update((k, v.real) for k, v in contract_all(_CHAINS, T=T).items())
     return _result(vals, R)
 
 
@@ -158,7 +161,8 @@ def independence_test(states, labels, jacobian_points=2):
     Jacobian rank of the invariant map at the first ``jacobian_points``
     sampled states (``states.jacobian_rank``: stencil differentiation along
     a fixed sketch of directions, exact for these degree <= 4 polynomials).
-    Degenerate samples are reported, not silently accepted.
+    More Jacobian points than states are refused.  Degenerate samples are
+    reported, not silently accepted.
     """
     states = list(states)
     labels = list(labels)
@@ -168,6 +172,9 @@ def independence_test(states, labels, jacobian_points=2):
     if unknown:
         raise ValueError(f"unknown invariant labels: {unknown}")
     jacobian_points = integer(jacobian_points, "jacobian_points", 0)
+    if jacobian_points > len(states):
+        raise ValueError(f"jacobian_points must be at most the {len(states)} states, "
+                         f"got {jacobian_points}")
     if len(states) < len(labels) + 5:
         raise ValueError("sample must exceed the label count by at least 5")
     for st in states:

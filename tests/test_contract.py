@@ -12,7 +12,8 @@ import pytest
 
 import qutrit_invariants
 from qutrit_invariants import contract as contract_module
-from qutrit_invariants.contract import contract
+from qutrit_invariants import lu_invariants, states
+from qutrit_invariants.contract import contract, contract_all
 
 SOURCES = sorted(Path(qutrit_invariants.__file__).parent.glob("*.py"))
 # every subscript string written in the package
@@ -166,7 +167,95 @@ def test_alternating_batch_sizes_compile_each_placement():
 
 
 def test_compiled_calls_are_bounded():
-    assert contract_module._compiled.cache_info().maxsize == contract_module.COMPILED_CALLS
+    # the compiled tables are the one cache of compiled calls; a one-term
+    # call is the table of its subscript string
+    assert contract_module._table.cache_info().maxsize == contract_module.COMPILED_CALLS
+    assert not hasattr(contract_module._compiled, "cache_info")
+
+
+# A table over several named operands, its terms on strided or contiguous
+# blocks: the second K200 repeats the first, and no other step is shared.
+LOW_DEGREE_TABLE = (
+    ("K200", '...a,...a->...', ("r", "r")),
+    ("K002", '...ab,...ab->...', ("R", "R")),
+    ("K111", '...a,...ab,...b->...', ("r", "R", "rbar")),
+    ("K102", 'abc,...a,...bd,...cd->...', ("d", "r", "R", "R")),
+    ("K003d", 'abc,xyz,...ax,...by,...cz->...', ("d", "d", "R", "R", "R")),
+    ("K200 again", '...a,...a->...', ("r", "r")),
+)
+
+
+def _table_operands(batch, contiguous):
+    """The embedded T and the blocks r, rbar, R of ``batch`` random states,
+    as the ext views or as contiguous copies."""
+    ext = states.random_state(3, 3, np.random.default_rng(batch), size=batch).coords.ext
+    blocks = {"r": ext[:, 1:, 0], "rbar": ext[:, 0, 1:], "R": ext[:, 1:, 1:]}
+    if contiguous:
+        blocks = {k: np.ascontiguousarray(v) for k, v in blocks.items()}
+    d = np.random.default_rng(0).random((8, 8, 8))
+    return {"T": lu_invariants._embedded(blocks["R"]), "d": d, **blocks}
+
+
+@pytest.mark.parametrize("contiguous", [True, False], ids=["copies", "ext_views"])
+@pytest.mark.parametrize("batch", [0, 1, 15, 32, 64])
+def test_table_terms_bit_equal_contract_and_einsum(batch, contiguous):
+    # einsum is compared on the contiguous copies only: on the ext views at
+    # a batch of one, contract's last product (a strided r against a row)
+    # already rounds differently from np.einsum, table or not
+    ops = _table_operands(batch, contiguous)
+    if batch and not contiguous:
+        assert not ops["r"].flags.c_contiguous
+    for table, sizes in ((lu_invariants._CHAINS, (3, 3, 3)), (LOW_DEGREE_TABLE, (8, 8, 8))):
+        names = {n for _, _, term in table for n in term}
+        got = contract_all(table, **{n: ops[n] for n in sorted(names)})
+        assert list(got) == [label for label, _, _ in table]
+        for label, spec, term in table:
+            args = [ops[n] for n in term]
+            assert got[label].dtype == contract(spec, *args).dtype
+            assert np.array_equal(got[label], contract(spec, *args)), label
+            if contiguous:
+                want = np.einsum(spec, *args, optimize=_einsum_path(spec, sizes))
+                assert np.array_equal(got[label], want), label
+
+
+def test_table_terms_bit_equal_contract_with_two_batch_axes():
+    ops = _table_operands(15, False)
+    R = np.stack([ops["R"], ops["R"][::-1]])
+    T = lu_invariants._embedded(R)
+    got = contract_all(lu_invariants._CHAINS, T=T)
+    for label, spec, _ in lu_invariants._CHAINS:
+        assert np.array_equal(got[label], contract(spec, T, T, T, T)), label
+
+
+def test_chain_table_shares_its_pair_products():
+    # the six K004 chains compile to 18 steps, 12 of them pair products of
+    # T with T; the table keeps the 5 distinct ones and the 6 final products
+    for batch in [(), (1,), (32,)]:
+        shapes = (batch + (3, 3, 3, 3),)
+        per_term = sum(len(contract_module._compiled(spec, shapes * 4)[0])
+                       for _, spec, _ in lu_invariants._CHAINS)
+        steps, outputs = contract_module._table(lu_invariants._CHAINS, shapes, ("T",))
+        assert (per_term, len(steps)) == (18, 11)
+        assert sum(step[:2] == (0, 0) for step in steps) == 5
+        assert len({r for r, _ in outputs}) == 6
+
+
+def test_table_drops_each_intermediate_at_its_last_use():
+    # a register is dropped at the step that last reads it, unless it is an
+    # operand or a term's result; a result that a later term reads is kept
+    table = LOW_DEGREE_TABLE + (("K200 K002", '...a,...a,...bc,...bc->...', ("r", "r", "R", "R")),)
+    names = ("r", "rbar", "R", "d")
+    ops = _table_operands(5, True)
+    steps, outputs = contract_module._table(table, tuple(ops[n].shape for n in names), names)
+    results = {r for r, _ in outputs}
+    last = {r: n for n, step in enumerate(steps) for r in step[:2]}
+    for n, step in enumerate(steps):
+        assert set(step[-1]) == {r for r in step[:2] if r >= len(names) and r not in results
+                                 and last[r] == n}
+    assert results & set(last), "no result is read by a later step"
+    got = contract_all(table, **{n: ops[n] for n in names})
+    for label, spec, term in table:
+        assert np.array_equal(got[label], contract(spec, *(ops[n] for n in term))), label
 
 
 def test_one_path_search_per_spec_and_shapes(monkeypatch):
@@ -179,7 +268,7 @@ def test_one_path_search_per_spec_and_shapes(monkeypatch):
 
     monkeypatch.setattr(np, "einsum_path", counting)
     contract_module._plan.cache_clear()
-    contract_module._compiled.cache_clear()
+    contract_module._table.cache_clear()
     spec = 'abc,...a,...b,...C,...cC->...'
     rng = np.random.default_rng(5)
     d = rng.standard_normal((6, 7, 5))

@@ -301,6 +301,15 @@ def test_independence_test_rejects_negative_jacobian_points(points):
         independence_test(STATES, QUARTIC_LABELS, jacobian_points=points)
 
 
+@pytest.mark.parametrize("points", [16, 40])
+def test_independence_test_refuses_more_jacobian_points_than_states(points):
+    # 15 states gave 15 Jacobian ranks for any larger count
+    with pytest.raises(ValueError, match="jacobian_points must be at most the 15 states"):
+        independence_test(STATES[:15], ["K200", "K020"], jacobian_points=points)
+    rep = independence_test(STATES[:15], ["K200", "K020"], jacobian_points=15)
+    assert len(rep["jacobian_ranks"]) == 15
+
+
 # The hand-written gradings that the labels now carry, kept as the reference
 # for the derived tables.
 HAND_WRITTEN_GRADINGS = {
