@@ -59,7 +59,6 @@ from .symfunc import (
     parse_expr,
     plethysm,
     plethysm_series,
-    skew,
     sun_modify,
 )
 from .tensors import (

@@ -21,11 +21,52 @@ from .states import StateCoords, jacobian_rank, require_dims
 
 # Every label is K<pqs>: its (p, q, s) multidegree, with a suffix for the
 # variant contractions at one grading.  The exact scaling law under
-# r -> t r, rbar -> u rbar, R -> v R is t^p u^q v^s.
-LABELS = ("K000", "K200", "K020", "K002", "K300", "K030", "K111", "K102", "K012",
-          "K003d", "K003f", "K103", "K103p", "K013", "K013p", "K202a", "K202b",
-          "K022a", "K022b", "K112d", "K112f", "K121", "K211", "K004_33",
-          "K004_24", "K004_42", "K004_22", "K004_32", "K004_x22")
+# r -> t r, rbar -> u rbar, R -> v R is t^p u^q v^s.  Each contraction is a
+# row (label, subscripts, operand names) over r, rbar, R, the products
+# RtR = R^T R (bar-bar) and RRt = R R^T (plain-plain), the embedded T and
+# the structure tensors d and f.
+_TERMS = tuple((label, spec, tuple(names.split())) for label, spec, names in (
+    ("K200", '...a,...a->...', "r r"),
+    ("K020", '...a,...a->...', "rbar rbar"),
+    ("K002", '...ab,...ab->...', "R R"),
+    ("K300", 'abc,...a,...b,...c->...', "d r r r"),
+    ("K030", 'abc,...a,...b,...c->...', "d rbar rbar rbar"),
+    ("K111", '...a,...ab,...b->...', "r R rbar"),
+    ("K102", 'abc,...a,...bd,...cd->...', "d r R R"),
+    ("K012", 'abc,...a,...db,...dc->...', "d rbar R R"),
+    ("K003d", 'abc,xyz,...ax,...by,...cz->...', "d d R R R"),
+    ("K003f", 'abc,xyz,...ax,...by,...cz->...', "f f R R R"),
+    # one r, three R: the delta-coupled and the f/d-coupled chain
+    ("K103", 'abc,...ab,...dc,...d->...', "d RtR R r"),
+    ("K103p", 'ABC,...aA,...bB,...cC,...d,abe,ecd->...', "f R R R r f d"),
+    ("K013", 'abc,...ab,...cd,...d->...', "d RRt R rbar"),
+    ("K013p", 'abc,...aA,...bB,...cC,...D,ABE,ECD->...', "f R R R rbar f d"),
+    # two r (or rbar), two R: delta- and d-coupled pairings
+    ("K202a", '...a,...ab,...b->...', "r RRt r"),
+    ("K202b", 'abc,...b,...c,ade,...de->...', "d r r d RRt"),
+    ("K022a", '...a,...ab,...b->...', "rbar RtR rbar"),
+    ("K022b", 'abc,...b,...c,ade,...de->...', "d rbar rbar d RtR"),
+    # one r, one rbar, two R: both sides coupled by d or both by f
+    ("K112d", 'abc,ABC,...a,...A,...bB,...cC->...', "d d r rbar R R"),
+    ("K112f", 'abc,ABC,...a,...A,...bB,...cC->...', "f f r rbar R R"),
+    # single invariants at mixed cubic-like gradings
+    ("K121", 'ABC,...A,...B,...c,...cC->...', "d rbar rbar r R"),
+    ("K211", 'abc,...a,...b,...C,...cC->...', "d r r rbar R"),
+    # The pure-R quartics as index chains of T: label (m, n) closes the
+    # superscript of factor 1 on the subscript of factor m and its
+    # subscript on the superscript of factor n; the bar-side indices always
+    # run in one cycle.  Their twelve pair products of T with T are five
+    # distinct ones.
+    ("K004_33", '...ipjq,...kqlr,...jris,...lskp->...', "T T T T"),
+    ("K004_24", '...ipjq,...kqir,...mrks,...jsmp->...', "T T T T"),
+    ("K004_42", '...ipjq,...jqkr,...krls,...lsip->...', "T T T T"),
+    ("K004_22", '...ipjq,...jqir,...krls,...lskp->...', "T T T T"),
+    ("K004_32", '...ipjq,...jqnr,...mris,...nsmp->...', "T T T T"),
+    ("K004_x22", '...ipjq,...jqlp,...lrns,...nsir->...', "T T T T"),
+))
+
+# K000 is the constant 1, the trace of the normalized state.
+LABELS = ("K000", *(label for label, _, _ in _TERMS))
 GRADINGS = {l: (int(l[1]), int(l[2]), int(l[3])) for l in LABELS}
 
 LOW_DEGREE_LABELS = [l for l in LABELS if sum(GRADINGS[l]) <= 3]
@@ -40,26 +81,6 @@ ALL_QUARTIC_LABELS = [l for l in LABELS if sum(GRADINGS[l]) == 4]
 QUARTIC_LABELS = [l for l in ALL_QUARTIC_LABELS if l != "K004_32"]
 
 
-# The pure-R quartics as one contraction table over the embedded T: the
-# twelve pair products of T with T in their plans are five distinct ones.
-# Label (m, n): the superscript of factor 1 closes on the subscript of
-# factor m, its subscript on the superscript of factor n; the bar-side
-# indices always run in one cycle.
-_CHAINS = tuple((label, spec, ("T",) * 4) for label, spec in (
-    ("K004_33", '...ipjq,...kqlr,...jris,...lskp->...'),
-    ("K004_24", '...ipjq,...kqir,...mrks,...jsmp->...'),
-    ("K004_42", '...ipjq,...jqkr,...krls,...lsip->...'),
-    ("K004_22", '...ipjq,...jqir,...krls,...lskp->...'),
-    ("K004_32", '...ipjq,...jqnr,...mris,...nsmp->...'),
-    ("K004_x22", '...ipjq,...jqlp,...lrns,...nsir->...'),
-))
-
-
-def _result(vals, R):
-    """Arrays over the batch axes, or plain floats for a single state."""
-    return {k: per_state(v, R) for k, v in vals.items()}
-
-
 def _embedded(R):
     """Correlation tensor in the defining representation, T[..., i, p, j, q]
     carrying (superscript, superscript-bar, subscript, subscript-bar)."""
@@ -67,64 +88,42 @@ def _embedded(R):
     return contract('...ab,aij,bpq->...ipjq', R, lam, lam)
 
 
+def _blocks(labels, r, rbar, R):
+    """The labelled invariants of r, rbar (..., 8) and R (..., 8, 8) with
+    shared leading batch axes, as one contraction table over only the
+    operands its rows name: a dict of arrays over the batch axes, or of
+    floats for a single state's blocks."""
+    terms = tuple(row for row in _TERMS if row[0] in labels)
+    names = {n for _, _, ops in terms for n in ops}
+    t = tensors.build_structure_tensors(3)
+    operands = {"r": r, "rbar": rbar, "R": R, "d": t.d, "f": t.f}
+    if "RtR" in names:
+        operands["RtR"] = R.swapaxes(-1, -2) @ R
+    if "RRt" in names:
+        operands["RRt"] = R @ R.swapaxes(-1, -2)
+    if "T" in names:
+        operands["T"] = _embedded(R)
+    vals = contract_all(terms, **{n: v for n, v in operands.items() if n in names})
+    vals["K000"] = np.ones(R.shape[:-2])
+    return {l: per_state(vals[l].real, R) for l in labels}
+
+
 def low_degree_blocks(r, rbar, R):
     """Degree <= 3 invariants of r, rbar (..., 8) and R (..., 8, 8) with
     shared leading batch axes: a dict of arrays over the batch axes, or of
     floats for a single state's blocks."""
-    t = tensors.build_structure_tensors(3)
-    d, f = t.d, t.f
-    vals = {
-        "K000": np.ones(R.shape[:-2]),
-        "K200": contract('...a,...a->...', r, r),
-        "K020": contract('...a,...a->...', rbar, rbar),
-        "K002": contract('...ab,...ab->...', R, R),
-        "K300": contract('abc,...a,...b,...c->...', d, r, r, r),
-        "K030": contract('abc,...a,...b,...c->...', d, rbar, rbar, rbar),
-        "K111": contract('...a,...ab,...b->...', r, R, rbar),
-        "K102": contract('abc,...a,...bd,...cd->...', d, r, R, R),
-        "K012": contract('abc,...a,...db,...dc->...', d, rbar, R, R),
-        "K003d": contract('abc,xyz,...ax,...by,...cz->...', d, d, R, R, R),
-        "K003f": contract('abc,xyz,...ax,...by,...cz->...', f, f, R, R, R),
-    }
-    return _result(vals, R)
+    return _blocks(LOW_DEGREE_LABELS, r, rbar, R)
 
 
 def quartic_blocks(r, rbar, R):
     """The connected quartics of r, rbar (..., 8) and R (..., 8, 8) with
     shared leading batch axes: a dict of arrays over the batch axes, or of
     floats for a single state's blocks."""
-    t = tensors.build_structure_tensors(3)
-    d, f = t.d, t.f
-    Rt = R.swapaxes(-1, -2)
-    RtR = Rt @ R    # bar-bar
-    RRt = R @ Rt    # plain-plain
-    vals = {
-        # one r, three R: the delta-coupled and the f/d-coupled chain
-        "K103": contract('abc,...ab,...dc,...d->...', d, RtR, R, r),
-        "K103p": contract('ABC,...aA,...bB,...cC,...d,abe,ecd->...', f, R, R, R, r, f, d),
-        "K013": contract('abc,...ab,...cd,...d->...', d, RRt, R, rbar),
-        "K013p": contract('abc,...aA,...bB,...cC,...D,ABE,ECD->...', f, R, R, R, rbar, f, d),
-        # two r (or rbar), two R: delta- and d-coupled pairings
-        "K202a": contract('...a,...ab,...b->...', r, RRt, r),
-        "K202b": contract('abc,...b,...c,ade,...de->...', d, r, r, d, RRt),
-        "K022a": contract('...a,...ab,...b->...', rbar, RtR, rbar),
-        "K022b": contract('abc,...b,...c,ade,...de->...', d, rbar, rbar, d, RtR),
-        # one r, one rbar, two R: both sides coupled by d or both by f
-        "K112d": contract('abc,ABC,...a,...A,...bB,...cC->...', d, d, r, rbar, R, R),
-        "K112f": contract('abc,ABC,...a,...A,...bB,...cC->...', f, f, r, rbar, R, R),
-        # single invariants at mixed cubic-like gradings
-        "K121": contract('ABC,...A,...B,...c,...cC->...', d, rbar, rbar, r, R),
-        "K211": contract('abc,...a,...b,...C,...cC->...', d, r, r, rbar, R),
-    }
-    T = _embedded(R)
-    vals.update((k, v.real) for k, v in contract_all(_CHAINS, T=T).items())
-    return _result(vals, R)
+    return _blocks(ALL_QUARTIC_LABELS, r, rbar, R)
 
 
 def all_blocks(r, rbar, R):
-    out = low_degree_blocks(r, rbar, R)
-    out.update(quartic_blocks(r, rbar, R))
-    return out
+    return _blocks(LABELS, r, rbar, R)
 
 
 def low_degree_invariants(coords):
@@ -143,14 +142,10 @@ def all_invariants(coords):
 
 def _label_values(labels, coords):
     """Stacked values (..., len(labels)) of the labelled invariants of a
-    coordinate stack, from only the block families the labels need."""
+    coordinate stack, from one table of exactly those labels."""
     # contiguous copies of the ext views contract a little faster
     blocks = [np.ascontiguousarray(b) for b in (coords.r, coords.rbar, coords.R)]
-    vals = {}
-    if not set(labels).isdisjoint(LOW_DEGREE_LABELS):
-        vals.update(low_degree_blocks(*blocks))
-    if not set(labels).isdisjoint(ALL_QUARTIC_LABELS):
-        vals.update(quartic_blocks(*blocks))
+    vals = _blocks(labels, *blocks)
     return np.stack([vals[l] for l in labels], axis=-1)
 
 

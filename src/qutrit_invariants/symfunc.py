@@ -1,16 +1,16 @@
 """Exact symmetric-function arithmetic in the Schur basis.
 
 Expressions are finite integer combinations of Schur functions keyed by
-integer partitions.  The outer product and skew use the
-Littlewood-Richardson rule; the inner (symmetric-group) product and
-plethysm route through the power-sum basis, where an expansion is kept as
-the integer class function X with characteristic map sum_rho X_rho
-p_rho / z_rho (Macdonald, Symmetric Functions, I.7).  Converting back is
-one exact integer class sum per Schur function against characters from
-the Murnaghan-Nakayama recursion, over the Schur functions with at most a
-given number of rows only when the caller asks for no more.  The sum of
-the squared Schur coefficients, the Hall norm, needs no characters: it is
-one class sum of X^2 (``hall_norm``).  No fractions and no floats appear.
+integer partitions.  The outer product uses the Littlewood-Richardson
+rule; the inner (symmetric-group) product and plethysm route through the
+power-sum basis, where an expansion is kept as the integer class function
+X with characteristic map sum_rho X_rho p_rho / z_rho (Macdonald,
+Symmetric Functions, I.7).  Converting back is one exact integer class sum
+per Schur function against characters from the Murnaghan-Nakayama
+recursion, over the Schur functions with at most a given number of rows
+only when the caller asks for no more.  The sum of the squared Schur
+coefficients, the Hall norm, needs no characters: it is one class sum of
+X^2 (``hall_norm``).  No fractions and no floats appear.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def S(*parts):
 
 
 # ---------------------------------------------------------------------------
-# Littlewood-Richardson product and skew
+# Littlewood-Richardson product
 
 def _strip_chains(lam, mu):
     """Grow ``lam`` by horizontal strips of sizes ``mu`` subject to the
@@ -240,14 +240,6 @@ def outer(a, b):
         (nu, ca * cb * k)
         for lam, ca in a.terms.items() for mu, cb in b.terms.items()
         for nu, k in _lr_product(lam, mu)))
-
-
-def skew(a, b):
-    """Skew {lam}/{mu} extended bilinearly: sum of C^lam_{mu,nu} {nu}."""
-    return SchurExpr._of(_collect(
-        (nu, ca * cb * dict(_lr_product(mu, nu)).get(lam, 0))
-        for lam, ca in a.terms.items() for mu, cb in b.terms.items()
-        for nu in partitions(sum(lam) - sum(mu))))
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,7 @@ def test_invariants_rejects_overflowing_diagonal(dims, index, value, tmp_path, c
 
 
 def test_invariants_evaluates_each_block_once(tmp_path, monkeypatch):
-    calls = {"low_degree_blocks": 0, "_dressed": 0, "q_invariants": 0}
+    calls = {"_blocks": 0, "_dressed": 0, "q_invariants": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -329,7 +329,7 @@ def test_invariants_evaluates_each_block_once(tmp_path, monkeypatch):
             return fn(*args)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(lu_invariants, "low_degree_blocks")
+    counted(lu_invariants, "_blocks")
     counted(lsl_qutrit, "_dressed")
     counted(qubit, "q_invariants")
     path, out = tmp_path / "state.json", tmp_path / "report.json"
@@ -337,12 +337,12 @@ def test_invariants_evaluates_each_block_once(tmp_path, monkeypatch):
     assert main(["invariants", str(path), "--out", str(out)]) == 0
     assert _strict(out.read_text())["C3_expansion_residual"] is not None
     # the K values and C3 of the report serve its expansion residual too
-    assert calls == {"low_degree_blocks": 1, "_dressed": 2, "q_invariants": 0}
+    assert calls == {"_blocks": 1, "_dressed": 2, "q_invariants": 0}
     save_state(random_state(2, 2, 0), path)
     assert main(["invariants", str(path), "--out", str(out)]) == 0
     assert _strict(out.read_text())["expansion_residuals"] is not None
     # so do the Q values of a two-qubit report
-    assert calls == {"low_degree_blocks": 1, "_dressed": 2, "q_invariants": 1}
+    assert calls == {"_blocks": 1, "_dressed": 2, "q_invariants": 1}
 
 
 def _overflow_entry_file(path):

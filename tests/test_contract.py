@@ -173,6 +173,9 @@ def test_compiled_calls_are_bounded():
     assert not hasattr(contract_module._compiled, "cache_info")
 
 
+# The six K004 chains of the invariant table, all over the embedded T.
+CHAINS = tuple(row for row in lu_invariants._TERMS if row[0].startswith("K004"))
+
 # A table over several named operands, its terms on strided or contiguous
 # blocks: the second K200 repeats the first, and no other step is shared.
 LOW_DEGREE_TABLE = (
@@ -205,7 +208,7 @@ def test_table_terms_bit_equal_contract_and_einsum(batch, contiguous):
     ops = _table_operands(batch, contiguous)
     if batch and not contiguous:
         assert not ops["r"].flags.c_contiguous
-    for table, sizes in ((lu_invariants._CHAINS, (3, 3, 3)), (LOW_DEGREE_TABLE, (8, 8, 8))):
+    for table, sizes in ((CHAINS, (3, 3, 3)), (LOW_DEGREE_TABLE, (8, 8, 8))):
         names = {n for _, _, term in table for n in term}
         got = contract_all(table, **{n: ops[n] for n in sorted(names)})
         assert list(got) == [label for label, _, _ in table]
@@ -222,8 +225,8 @@ def test_table_terms_bit_equal_contract_with_two_batch_axes():
     ops = _table_operands(15, False)
     R = np.stack([ops["R"], ops["R"][::-1]])
     T = lu_invariants._embedded(R)
-    got = contract_all(lu_invariants._CHAINS, T=T)
-    for label, spec, _ in lu_invariants._CHAINS:
+    got = contract_all(CHAINS, T=T)
+    for label, spec, _ in CHAINS:
         assert np.array_equal(got[label], contract(spec, T, T, T, T)), label
 
 
@@ -233,8 +236,8 @@ def test_chain_table_shares_its_pair_products():
     for batch in [(), (1,), (32,)]:
         shapes = (batch + (3, 3, 3, 3),)
         per_term = sum(len(contract_module._compiled(spec, shapes * 4)[0])
-                       for _, spec, _ in lu_invariants._CHAINS)
-        steps, outputs = contract_module._table(lu_invariants._CHAINS, shapes, ("T",))
+                       for _, spec, _ in CHAINS)
+        steps, outputs = contract_module._table(CHAINS, shapes, ("T",))
         assert (per_term, len(steps)) == (18, 11)
         assert sum(step[:2] == (0, 0) for step in steps) == 5
         assert len({r for r, _ in outputs}) == 6

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qutrit_invariants import contract as contract_module
 from qutrit_invariants import lu_invariants
 from qutrit_invariants.contract import STACK
 from qutrit_invariants.lu_invariants import (
@@ -13,6 +14,7 @@ from qutrit_invariants.lu_invariants import (
     QUARTIC_LABELS,
     all_blocks,
     _embedded,
+    _label_values,
     all_invariants,
     independence_test,
     low_degree_invariants,
@@ -21,6 +23,7 @@ from qutrit_invariants.numdiff import poly_jacobian
 from qutrit_invariants.states import (
     OVERSAMPLE,
     BipartiteState,
+    StateCoords,
     apply_local,
     random_local_unitary,
     random_state,
@@ -235,6 +238,56 @@ def test_stacked_blocks_match_per_state_loop():
             assert rel(stacked[k][i], v) < 1e-12, k
 
 
+def _stack_coords(batch):
+    """Coordinates of the first states as a stack of this shape, or of the
+    first state alone for the empty shape."""
+    if not batch:
+        return STATES[0].coords
+    return StateCoords(3, 3, np.stack([st.coords.ext for st in STATES[:batch[0]]]))
+
+
+# One label of each grading, the rank checks' two label sets and all 29.
+LABEL_SETS = {
+    "one_per_grading": [next(l for l in LABELS if GRADINGS[l] == g)
+                        for g in dict.fromkeys(GRADINGS.values())],
+    "quartic": QUARTIC_LABELS,
+    "low_degree": [l for l in LOW_DEGREE_LABELS if l != "K000"],
+    "all": list(LABELS),
+}
+
+
+@pytest.mark.parametrize("labels", LABEL_SETS.values(), ids=LABEL_SETS.keys())
+@pytest.mark.parametrize("batch", [(), (1,), (32,)], ids=str)
+def test_label_values_bit_equal_the_columns_of_all_blocks(batch, labels):
+    # a table of only the asked labels runs the same products as the full
+    # table, on the same contiguous copies of the blocks
+    c = _stack_coords(batch)
+    full = all_blocks(*(np.ascontiguousarray(b) for b in (c.r, c.rbar, c.R)))
+    got = _label_values(labels, c)
+    assert got.shape == batch + (len(labels),)
+    assert np.array_equal(got, np.stack([full[l] for l in labels], axis=-1))
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (32,)], ids=str)
+def test_each_block_function_runs_one_program(batch, monkeypatch):
+    # each block function runs its labels as one compiled program, in
+    # which a step that several labels share runs once
+    programs = []
+
+    def recorded(terms, **operands):
+        shapes = tuple(v.shape for v in operands.values())
+        programs.append(len(contract_module._table(terms, shapes, tuple(operands))[0]))
+        return contract_module.contract_all(terms, **operands)
+
+    monkeypatch.setattr(lu_invariants, "contract_all", recorded)
+    c = _stack_coords(batch)
+    for fn, steps in ((all_blocks, 75), (lu_invariants.low_degree_blocks, 25),
+                      (lu_invariants.quartic_blocks, 56)):
+        programs.clear()
+        fn(c.r, c.rbar, c.R)
+        assert programs == [steps], fn.__name__
+
+
 def test_single_state_values_are_floats():
     vals = all_invariants(STATES[3].coords)
     assert all(type(v) is float for v in vals.values())
@@ -276,8 +329,7 @@ def test_independence_test_block_calls_do_not_grow_with_labels(monkeypatch):
             return fn(*args)
         return wrapped
 
-    for name in ("low_degree_blocks", "quartic_blocks"):
-        monkeypatch.setattr(lu_invariants, name, counted(name))
+    monkeypatch.setattr(lu_invariants, "_blocks", counted("_blocks"))
     for labels in (QUARTIC_LABELS[:2], QUARTIC_LABELS):
         calls.clear()
         independence_test(STATES, labels, jacobian_points=1)
@@ -285,7 +337,7 @@ def test_independence_test_block_calls_do_not_grow_with_labels(monkeypatch):
         # points along each of the len(labels) + OVERSAMPLE sketch
         # directions: every block evaluates all labels at once
         m = len(labels) + OVERSAMPLE
-        assert calls == {"quartic_blocks": 1 + math.ceil(4 * m / STACK)}, labels
+        assert calls == {"_blocks": 1 + math.ceil(4 * m / STACK)}, labels
 
 
 def test_independence_test_sketch_finds_the_k004_32_relation():

@@ -22,11 +22,11 @@ from qutrit_invariants.symfunc import (
     plethysm_class,
     plethysm_series,
     product_power_plethysm,
-    skew,
     sun_modify,
 )
 
 from bruteforce import oracle_char, oracle_kron, oracle_outer, oracle_plethysm
+from skew_reference import skew
 
 
 def expr_from(d):
