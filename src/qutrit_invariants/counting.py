@@ -18,8 +18,9 @@ from .symfunc import (
     class_sum,
     hall_norm,
     partitions,
-    plethysm,
+    plethysm,  # no count calls it; the perfbench tracer wraps it here
     plethysm_class,
+    plethysms,
     sun_modify,
 )
 
@@ -93,11 +94,13 @@ def graded_table(columns):
     (p) and sigma symmetrized powers of the adjoint times those of (q) and
     sigma; it includes products of lower-degree invariants, and at total
     degree 4 the only ones, pairs of quadratics, are subtracted.  One table
-    keyed by sigma holds each power, reduced once; each power is expanded
-    on the {lam} with at most 3 rows only, since the SU(3) reduction drops
-    the others.  The adjoint is a real representation, so every
-    symmetrized power of it is self-conjugate: the singlets of a product
-    of two powers pair their coefficients at the same irreducible.
+    keyed by sigma holds each power, reduced once.  All of them come from
+    one `plethysms` call on the {lam} with at most 3 rows, since the SU(3)
+    reduction drops the others: polynomials in three variables that share
+    each p_rho[{2,1}] and need characters of S_4 at most.  The adjoint is a
+    real representation, so every symmetrized power of it is
+    self-conjugate: the singlets of a product of two powers pair their
+    coefficients at the same irreducible.
     """
     columns = [(integer(p, "p", 0), integer(q, "q", 0), integer(s, "s", 0)) for p, q, s in columns]
     if any(sum(c) > 4 for c in columns):
@@ -105,10 +108,10 @@ def graded_table(columns):
     quads = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
     split = {tuple(map(add, g1, g2)): (g1, g2) for i, g1 in enumerate(quads) for g2 in quads[i:]}
     needed = set(columns).union(*(split[c] for c in columns if c in split))
-    sigmas = {(n,) if n else () for g in needed for n in g[:2]}.union(
-        *(partitions(g[2]) for g in needed))
-    power = {sigma: sun_modify(plethysm(SchurExpr.schur(sigma), ADJOINT, 3), 3)
-             for sigma in sigmas}
+    sigmas = sorted({(n,) if n else () for g in needed for n in g[:2]}.union(
+        *(partitions(g[2]) for g in needed)))
+    expanded = plethysms([SchurExpr.schur(sigma) for sigma in sigmas], ADJOINT, 3)
+    power = {sigma: sun_modify(e, 3) for sigma, e in zip(sigmas, expanded)}
 
     def singlets(n, sigma):  # sigma's power is its own dual: pair equal irreducibles
         one, other = power[(n,) if n else ()].terms, power[sigma].terms

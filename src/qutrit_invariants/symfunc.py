@@ -7,10 +7,14 @@ power-sum basis, where an expansion is kept as the integer class function
 X with characteristic map sum_rho X_rho p_rho / z_rho (Macdonald,
 Symmetric Functions, I.7).  Converting back is one exact integer class sum
 per Schur function against characters from the Murnaghan-Nakayama
-recursion, over the Schur functions with at most a given number of rows
-only when the caller asks for no more.  The sum of the squared Schur
-coefficients, the Hall norm, needs no characters: it is one class sum of
-X^2 (``hall_norm``).  No fractions and no floats appear.
+recursion.  A plethysm a[b] capped at L rows takes a second route, with
+characters of S_|a| and of b's weights only: it evaluates a[b] as a
+symmetric polynomial in L variables, kept as its coefficients at the
+monomials x^mu of the partitions mu with at most L parts, and reads the
+coefficient of {lam} at x^(lam + delta) of a_delta times it (I.3).  The
+sum of the squared Schur coefficients, the Hall norm, needs no
+characters: it is one class sum of X^2 (``hall_norm``).  No fractions and
+no floats appear.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from collections import defaultdict
 from functools import lru_cache, reduce
 from itertools import chain, repeat
 from math import comb, factorial, prod
-from operator import mul
+from operator import mul, sub
 
 from .checks import integer, integer_cache
 
@@ -279,6 +283,15 @@ def _by_weight(p):
     return blocks
 
 
+def _exact(total, order, lam):
+    """``total`` divided by ``order``; ArithmeticError naming ``lam`` when
+    the division leaves a remainder."""
+    coeff, rest = divmod(total, order)
+    if rest:
+        raise ArithmeticError(f"non-integral coefficient at {lam}")
+    return coeff
+
+
 def _p_to_schur(p, scale=1, max_len=None):
     """Schur expansion of the p-expansion ``p`` divided by ``scale``, on the
     {lam} with at most ``max_len`` rows (the caller vouches for the rest):
@@ -291,10 +304,7 @@ def _p_to_schur(p, scale=1, max_len=None):
         weights = [x * (order // zclass(rho)) for rho, x in block.items()]
         for lam in partitions(n, max_len):
             total = sum(map(mul, weights, map(character, repeat(lam), block)))
-            coeff, rest = divmod(total, order * scale)
-            if rest:
-                raise ArithmeticError(f"non-integral Schur coefficient at {lam}")
-            if coeff:
+            if coeff := _exact(total, order * scale, lam):
                 terms[lam] = coeff
     return SchurExpr._of(terms)
 
@@ -326,6 +336,32 @@ def kronecker(a, b):
     return _p_to_schur({rho: xa * pb[rho] for rho, xa in pa.items() if rho in pb})
 
 
+def _plethysm_rows(outers, b):
+    """Row bound L = m times max len(nu) over ``b`` of the plethysms a[b],
+    m the largest weight over the ``outers`` a; ValueError past
+    PLETHYSM_WEIGHT_LIMIT."""
+    wmax = max((sum(lam) for lam in b.terms), default=0)
+    m = max((sum(lam) for a in outers for lam in a.terms), default=0)
+    if m * wmax > PLETHYSM_WEIGHT_LIMIT:
+        raise ValueError(f"plethysm supported up to output weight {PLETHYSM_WEIGHT_LIMIT}")
+    return m * max(map(len, b.terms), default=0)
+
+
+def _class_weighted(a, composed):
+    """(F, m!) with F the sum, over the terms c{lam} of ``a`` and the cycle
+    types rho, of c chi^lam_rho (m!/z_rho) composed(rho), m the largest
+    weight in ``a``: F is m! a[b] when composed(rho) is p_rho[b], since
+    s_lam = sum_rho chi^lam_rho p_rho / z_rho."""
+    order = factorial(max((sum(lam) for lam in a.terms), default=0))
+    acc = defaultdict(int)
+    for lam, c in a.terms.items():
+        for rho, chi in _schur_term_to_p(lam).items():
+            weight = c * chi * (order // zclass(rho))
+            for key, v in composed(rho).items():
+                acc[key] += weight * v
+    return {key: v for key, v in acc.items() if v}, order
+
+
 def plethysm_class(a, b):
     """Class function of the plethysm s_lam[b], extended linearly in ``a``.
 
@@ -337,23 +373,141 @@ def plethysm_class(a, b):
     through s_mu[X - Y] = sum c^mu_{alpha beta} s_alpha[X] (-1)^|beta|
     s_beta'[Y] (Macdonald, I.8).
     """
-    wmax = max((sum(lam) for lam in b.terms), default=0)
-    if any(sum(lam) * wmax > PLETHYSM_WEIGHT_LIMIT for lam in a.terms):
-        raise ValueError(f"plethysm supported up to output weight {PLETHYSM_WEIGHT_LIMIT}")
+    rows = _plethysm_rows([a], b)
     bp = _expr_to_p(b)
 
     def composed(rho):  # p_rho[b]: the product of p_k[b] over the parts k of rho
         return reduce(_p_mul, (_p_scale_parts(bp, k) for k in rho), {(): 1})
 
-    # s_lam = sum_rho chi^lam_rho p_rho / z_rho, taken over the common
-    # denominator m! of the largest weight m in ``a``
-    m = max((sum(lam) for lam in a.terms), default=0)
-    order = factorial(m)
-    return (_collect((key, c * chi * (order // zclass(rho)) * v)
-                     for lam, c in a.terms.items()
-                     for rho, chi in _schur_term_to_p(lam).items()
-                     for key, v in composed(rho).items()),
-            order, m * max(map(len, b.terms), default=0))
+    return (*_class_weighted(a, composed), rows)
+
+
+# ---------------------------------------------------------------------------
+# Symmetric polynomials in L variables, for plethysms capped at L rows.  A
+# polynomial f is {mu: f_mu} over the partitions mu with at most L parts,
+# f_mu its coefficient at x^mu; symmetry gives the other monomials, so this
+# is the expansion of f in the monomial symmetric functions m_mu.
+
+def _arrangements(parts, r):
+    """The distinct vectors of length r whose nonzero entries are a
+    rearrangement of the partition ``parts``, len(parts) <= r."""
+    if not r:
+        return [()]
+    out = [(0,) + t for t in _arrangements(parts, r - 1)] if len(parts) < r else []
+    for i, v in enumerate(parts):
+        if not i or parts[i - 1] != v:
+            out += [(v,) + t for t in _arrangements(parts[:i] + parts[i + 1:], r - 1)]
+    return out
+
+
+def _poly_mul(g, h, L):
+    """Product of the symmetric polynomials ``g`` and ``h`` in L variables.
+
+    Its coefficient at x^mu is the sum of h_beta g_(mu - beta') over the
+    exponent vectors beta' <= mu of the monomials of h, the arrangements of
+    its partitions beta within the len(mu) rows of mu; g_(mu - beta') is
+    read at the sorted partition.
+    """
+    out, terms = {}, {}
+    degrees = {sum(mu) for mu in g}
+    for d in sorted({x + sum(beta) for beta in h for x in degrees}):
+        for mu in partitions(d, L):
+            r, total = len(mu), 0
+            if r not in terms:
+                terms[r] = [(c, vec) for beta, c in h.items() if len(beta) <= r
+                            for vec in _arrangements(beta, r)]
+            for c, vec in terms[r]:
+                rest = sorted(map(sub, mu, vec), reverse=True)
+                if not rest or rest[-1] >= 0:
+                    total += c * g.get(tuple(filter(None, rest)), 0)
+            if total:
+                out[mu] = total
+    return out
+
+
+def _power_sum_table(inner, L):
+    """p_rho[f] in L variables, for the polynomial ``inner`` of f, as a
+    function of the cycle type rho that builds each product once:
+    p_k[f] is f(x_1^k, ..., x_L^k), and p_rho the product of p_rho minus
+    its last part with p_k[f] for that part k."""
+    memo = {(): {(): 1}}
+
+    def composed(rho):
+        if rho not in memo:
+            if len(rho) == 1:
+                memo[rho] = {tuple(rho[0] * x for x in mu): c for mu, c in inner.items()}
+            else:
+                memo[rho] = _poly_mul(composed(rho[:-1]), composed(rho[-1:]), L)
+        return memo[rho]
+
+    return composed
+
+
+def _alternant(lam):
+    """{mu: sign sum} with [x^(lam + delta)] a_delta f = sum of sign sum
+    times f_mu for every symmetric f, delta = (l-1, ..., 1, 0), l = len(lam).
+
+    a_delta is the sum over pi in S_l of sgn(pi) x_i^(l-1-pi(i)), so the
+    coefficient is the signed sum of f at the exponents lam_i - i + pi(i),
+    over the pi that keep them >= 0; the rows past len(lam) of a longer
+    alphabet can only keep their own exponent, so l variables suffice.
+    The floors i - lam_i of pi(i) rise with i, so choosing pi(i) from the
+    last row up never runs out of values: every branch is a term.
+    """
+    n, out = len(lam), defaultdict(int)
+
+    def place(i, used, sign, exps):
+        if i < 0:
+            out[tuple(sorted(filter(None, exps), reverse=True))] += sign
+            return
+        for j in range(max(0, i - lam[i]), n):
+            bit = 1 << j
+            if not used & bit:  # pi(i) = j, above pi of the later rows it inverts
+                place(i - 1, used | bit, -sign if (used & (bit - 1)).bit_count() & 1 else sign,
+                      exps + (lam[i] - i + j,))
+
+    place(n - 1, 0, 1, ())
+    return out
+
+
+def _poly_to_schur(f, order, L, alternants):
+    """Schur expansion of the symmetric polynomial ``f`` in L variables,
+    divided by ``order``: the coefficient of {lam}, len(lam) <= L, is
+    [x^(lam + delta)] a_delta f (Macdonald, I.3), divided exactly
+    (ArithmeticError otherwise).  ``alternants`` memoizes `_alternant`."""
+    terms = {}
+    for n in sorted({sum(mu) for mu in f}):
+        for lam in partitions(n, L):
+            signs = alternants.get(lam)
+            if signs is None:
+                signs = alternants[lam] = _alternant(lam)
+            if coeff := _exact(sum(s * f.get(mu, 0) for mu, s in signs.items()), order, lam):
+                terms[lam] = coeff
+    return SchurExpr._of(terms)
+
+
+def plethysms(outers, b, max_len):
+    """[plethysm(a, b, max_len) for a in ``outers``], read off symmetric
+    polynomials in L = min(max_len, row bound) variables, in exact ints.
+
+    a[b](x_1..x_L) is a evaluated at the monomials of b(x_1..x_L)
+    (Macdonald, I.8), and it keeps every {lam} with at most L rows.  b is
+    evaluated once, and p_rho[b] = prod_k b(x^k) once per cycle type rho,
+    shared by every outer function; each a weights them by its class
+    function, which needs characters of S_|a| only, and the Schur
+    coefficients are read off a_delta times the sum.  The cost grows with
+    the number of monomials in L variables, so cap only where L is small.
+    """
+    cap = integer(max_len, "max_len", 0)
+    outers = list(outers)
+    L = min(cap, _plethysm_rows(outers, b))
+    # p_rho(x_1..x_L), from p_1 = x_1 + ... + x_L (zero when L = 0)
+    power_sums = _power_sum_table({(1,): 1} if L else {}, L)
+    poly, order = _class_weighted(b, power_sums)
+    inner = {mu: _exact(c, order, mu) for mu, c in poly.items()}
+    composed, alternants = _power_sum_table(inner, L), {}
+    return [_poly_to_schur(*_class_weighted(a, composed), L, alternants)
+            for a in outers]
 
 
 def plethysm(a, b, max_len=None):
@@ -362,11 +516,14 @@ def plethysm(a, b, max_len=None):
 
     plethysm(S(n), x) is the {n}-symmetrized power of x; the classical
     product notation x (x) {n} corresponds to plethysm(S(n), x).  Only the
-    {lam} within the row bound of ``plethysm_class`` are computed.
+    {lam} within the row bound of ``plethysm_class`` are computed: without a
+    cap as one Schur expansion of its class function, with one as the
+    one-element `plethysms`.
     """
-    cap = None if max_len is None else integer(max_len, "max_len", 0)
+    if max_len is not None:
+        return plethysms([a], b, max_len)[0]
     p, order, rows = plethysm_class(a, b)
-    return _p_to_schur(p, order, rows if cap is None else min(rows, cap))
+    return _p_to_schur(p, order, rows)
 
 
 def product_power_plethysm(a, b, n):

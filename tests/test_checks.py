@@ -161,7 +161,7 @@ def test_counts_refuse_before_any_symmetric_function_work(row, value, monkeypatc
     def no_work(*_):
         raise AssertionError("the count ran before checking its arguments")
     for name in ("character", "class_sum", "hall_norm", "partitions", "plethysm",
-                 "plethysm_class", "sun_modify"):
+                 "plethysm_class", "plethysms", "sun_modify"):
         monkeypatch.setattr(counting, name, no_work)
     with pytest.raises(ValueError):
         row.call(value)

@@ -84,7 +84,7 @@ def test_counts_refuse_arguments_that_are_not_ints(count, args, monkeypatch):
     def no_work(*_):
         raise AssertionError("the count ran before checking its arguments")
     for name in ("character", "class_sum", "hall_norm", "partitions", "plethysm",
-                 "plethysm_class", "sun_modify"):
+                 "plethysm_class", "plethysms", "sun_modify"):
         monkeypatch.setattr(counting, name, no_work)
     with pytest.raises(ValueError, match=r"\b[KDnpqs] must be an integer"):
         count(*args)
@@ -259,24 +259,27 @@ def _record_calls(monkeypatch, calls, name, *modules):
 
 def test_a_table_computes_each_plethysm_once(monkeypatch, capsys):
     calls = []
-    for name in ("plethysm", "sun_modify"):
+    for name in ("plethysm", "plethysms", "sun_modify"):
         _record_calls(monkeypatch, calls, name, symfunc, counting)
 
     def powers(name):
-        return sorted(repr(args[0]) for called, args in calls if called == name)
+        return sorted(repr(a) for called, args in calls if called == name
+                      for a in (args[0] if name == "plethysms" else [args[0]]))
 
-    # one symmetrized power of the adjoint per distinct sigma, each reduced
-    # once: the one-row (p), (q) and every sigma of weight s <= 4
+    # one symmetrized power of the adjoint per distinct sigma, all of them in
+    # one capped expansion that shares p_rho[{2,1}], each reduced once: the
+    # one-row (p), (q) and every sigma of weight s <= 4
     assert main(["count", "graded"]) == 0
     every = sorted(repr(S(*sigma)) for s in range(5) for sigma in partitions(s))
-    assert len(every) == 12 and powers("plethysm") == every
-    assert len(powers("sun_modify")) == 12
+    assert len(every) == 12 and powers("plethysms") == every
+    assert [args[1:] for called, args in calls if called == "plethysms"] == [(ADJOINT, 3)]
+    assert not powers("plethysm") and len(powers("sun_modify")) == 12
     calls.clear()
     # (0, 0, 4) and the (0, 0, 2) it subtracts: sigma of weight 0, 2 and 4
     assert main(["count", "graded", "--pqs", "004"]) == 0
-    assert powers("plethysm") == sorted(repr(S(*sigma)) for s in (0, 2, 4)
-                                        for sigma in partitions(s))
-    assert len(powers("plethysm")) == len(powers("sun_modify")) == 8
+    assert powers("plethysms") == sorted(repr(S(*sigma)) for s in (0, 2, 4)
+                                         for sigma in partitions(s))
+    assert len(powers("plethysms")) == len(powers("sun_modify")) == 8
     calls.clear()
     _record_calls(monkeypatch, calls, "plethysm_class", symfunc, counting)
     _record_calls(monkeypatch, calls, "_p_to_schur", symfunc)
@@ -320,15 +323,29 @@ def test_cold_tables_stay_cold(monkeypatch, capsys):
         if hasattr(table, "cache_clear"):
             table.cache_clear()
     calls = []
-    _record_calls(monkeypatch, calls, "plethysm", symfunc, counting)
-    _record_calls(monkeypatch, calls, "sun_modify", symfunc, counting)
+    for name in ("plethysm", "plethysms", "plethysm_class", "sun_modify"):
+        _record_calls(monkeypatch, calls, name, symfunc, counting)
     runs = []
     for _ in range(2):
         calls.clear()
         for argv in (["graded"], ["lsl", "--dim", "3", "--max", "12"]):
             assert main(["count", *argv]) == 0
-        runs.append(sorted(name for name, _ in calls))
-    assert runs[0] == runs[1] and "sun_modify" in runs[0]
+        runs.append(sorted(map(repr, calls)))
+    names = {name for name, _ in calls}
+    assert runs[0] == runs[1] and {"plethysms", "plethysm_class", "sun_modify"} <= names
+
+
+def test_a_cold_graded_table_evaluates_no_character_past_weight_4(monkeypatch, capsys):
+    # the powers are read off polynomials in 3 variables, which need the
+    # characters of sigma (S_4 at most) and of the adjoint (S_3) only; the
+    # class expansion of {1,1,1,1}[{2,1}] would evaluate characters of S_12
+    for table in vars(symfunc).values():
+        if hasattr(table, "cache_clear"):
+            table.cache_clear()
+    calls = []
+    _record_calls(monkeypatch, calls, "character", symfunc, counting)
+    assert main(["count", "graded"]) == 0
+    assert calls and max(sum(args[0]) for _, args in calls) == 4
 
 
 def test_graded_table_of_any_columns_matches_the_full_table():

@@ -9,6 +9,7 @@ from qutrit_invariants.symfunc import (
     SchurExpr,
     _border_strips,
     _p_to_schur,
+    _poly_to_schur,
     _schur_term_to_p,
     as_partition,
     character,
@@ -21,6 +22,7 @@ from qutrit_invariants.symfunc import (
     plethysm,
     plethysm_class,
     plethysm_series,
+    plethysms,
     product_power_plethysm,
     sun_modify,
 )
@@ -173,6 +175,11 @@ def test_plethysm_matches_bruteforce(lam, mu):
 def test_plethysm_weight_bound():
     with pytest.raises(ValueError):
         plethysm(S(5), S(3))
+    # the capped route refuses the same weights, one outer function of many too
+    with pytest.raises(ValueError):
+        plethysm(S(5), S(3), 3)
+    with pytest.raises(ValueError):
+        plethysms([S(2), S(5)], S(3), 3)
 
 
 def test_product_power_distributes():
@@ -507,3 +514,36 @@ def test_plethysm_computes_only_the_rows_it_can_have(monkeypatch):
         assert bounds.pop() == bound
         assert full and all(len(lam) <= bound for lam in full.terms), (a, b)
         assert plethysm(a, b) == full, (a, b)
+
+
+def test_capped_plethysm_is_the_class_expansion_on_at_most_that_many_rows(monkeypatch):
+    # every cap up to the row bound, read off polynomials in that many
+    # variables: the class route is not taken, and it is the reference
+    def class_route(*_):
+        raise AssertionError("a capped plethysm took the class route")
+
+    for a, b in ROW_BOUND_CASES:
+        full = plethysm(a, b)
+        bound = max(map(sum, a.terms)) * max(map(len, b.terms))
+        with monkeypatch.context() as m:
+            for name in ("plethysm_class", "_p_to_schur"):
+                m.setattr(symfunc, name, class_route)
+            capped = [plethysm(a, b, cap) for cap in range(bound + 2)]
+        for cap, expr in enumerate(capped):
+            assert expr.terms == {lam: c for lam, c in full.terms.items()
+                                  if len(lam) <= cap}, (a, b, cap)
+
+
+def test_plethysms_share_one_inner_function():
+    outers = [S(*sigma) for s in range(5) for sigma in partitions(s)] + [S(2) - S(1, 1)]
+    for b in (S(2, 1), S(1) + S(2), S() + S(2, 1) - S(3)):
+        assert plethysms(outers, b, 3) == [plethysm(a, b, 3) for a in outers], b
+    assert plethysms([], S(2, 1), 3) == []
+
+
+def test_poly_to_schur_refuses_what_is_not_a_virtual_character():
+    # m_2 = p_2 = {2} - {1,1}; m_{1,1} = {1,1}, and half of it is no virtual character
+    assert _poly_to_schur({(2,): 1}, 1, 2, {}) == S(2) - S(1, 1)
+    assert _poly_to_schur({(1, 1): 2}, 2, 2, {}) == S(1, 1)
+    with pytest.raises(ArithmeticError):
+        _poly_to_schur({(1, 1): 1}, 2, 2, {})
