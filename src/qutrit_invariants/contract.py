@@ -48,11 +48,6 @@ _shape = attrgetter("shape")
 
 
 @lru_cache(maxsize=None)
-def _core_ndims(spec):
-    return tuple(len(t.lstrip(".")) for t in spec.split("->")[0].split(","))
-
-
-@lru_cache(maxsize=None)
 def _plan(spec, core_shapes):
     inputs, out = spec.split("->")
     terms = inputs.split(",")
@@ -98,7 +93,7 @@ def _compiled(spec, shapes):
     reshape into a matrix (or a stack of them), the product, the product's
     reshape and the transpose that brings its batch axes to the front; then
     the final transpose into the output order."""
-    ndims = _core_ndims(spec)
+    ndims = [len(t.lstrip(".")) for t in spec.split("->")[0].split(",")]
     plan, final = _plan(spec, tuple(s[len(s) - n:] for n, s in zip(ndims, shapes)))
     batches = [s[:len(s) - n] for n, s in zip(ndims, shapes)]
     steps = []

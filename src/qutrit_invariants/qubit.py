@@ -29,9 +29,8 @@ def w_matrix(ext):
 
 
 def w_matrix_bar(ext):
-    """The partner acting on the other side; isospectral to w_matrix."""
-    ext = np.asarray(ext, dtype=float)
-    return ext.swapaxes(-1, -2) @ ETA @ ext @ ETA
+    """The partner acting on the other side: w_matrix of the transpose."""
+    return w_matrix(np.swapaxes(ext, -1, -2))
 
 
 def trace_invariants(ext, ks):

@@ -11,17 +11,18 @@ recursion.  A plethysm a[b] capped at L rows takes a second route, with
 characters of S_|a| and of b's weights only: it evaluates a[b] as a
 symmetric polynomial in L variables, kept as its coefficients at the
 monomials x^mu of the partitions mu with at most L parts, and reads the
-coefficient of {lam} at x^(lam + delta) of a_delta times it (I.3).  The
-sum of the squared Schur coefficients, the Hall norm, needs no
-characters: it is one class sum of X^2 (``hall_norm``).  No fractions and
-no floats appear.
+coefficient of {lam} at x^(lam + delta) of a_delta times it (I.3).  One
+table of p_rho[b] serves both rings (``_product_table``).  The sum of the
+squared Schur coefficients, the Hall norm, needs no characters: it is one
+class sum of X^2 (``hall_norm``).  No fractions and no floats appear, and
+every division is one exact division (``_exact``).
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
-from functools import lru_cache, reduce
+from functools import lru_cache, partial
 from itertools import chain, repeat
 from math import comb, factorial, prod
 from operator import mul, sub
@@ -81,6 +82,15 @@ def zclass(rho):
     return z
 
 
+def _exact(total, order, where):
+    """``total`` divided by ``order``; ArithmeticError naming ``where`` when
+    the division leaves a remainder."""
+    coeff, rest = divmod(total, order)
+    if rest:
+        raise ArithmeticError(f"non-integral quotient {total}/{order} at {where}")
+    return coeff
+
+
 def class_sum(n, fn, scale=1):
     """Exact average of the class function ``fn`` over S_n, divided by
     ``scale``: the sum over cycle types rho of fn(rho) * (n!/z_rho), divided
@@ -88,10 +98,7 @@ def class_sum(n, fn, scale=1):
     """
     order = factorial(n)
     total = sum(fn(rho) * (order // zclass(rho)) for rho in partitions(n))
-    average, rest = divmod(total, order * scale)
-    if rest:
-        raise ArithmeticError(f"class sum over S_{n} is not an integer")
-    return average
+    return _exact(total, order * scale, f"the class sum over S_{n}")
 
 
 def _collect(pairs):
@@ -275,21 +282,30 @@ def _p_scale_parts(p, k):
     return {tuple(k * x for x in rho): x * k ** len(rho) for rho, x in p.items()}
 
 
+def _product_table(adams, product):
+    """p_rho[b] as a function of the cycle type rho, in the ring with the
+    product ``product`` in which ``adams(k)`` is p_k[b]: the product of
+    p_rho[b] minus its last part with p_k[b] for that part k.  Each prefix
+    of rho is built once per table; a single part needs no product."""
+    memo = {(): {(): 1}}
+
+    def composed(rho):
+        if rho not in memo:
+            if len(rho) == 1:
+                memo[rho] = adams(rho[0])
+            else:
+                memo[rho] = product(composed(rho[:-1]), composed(rho[-1:]))
+        return memo[rho]
+
+    return composed
+
+
 def _by_weight(p):
     """Split the p-expansion ``p`` into its homogeneous parts {n: {rho: X}}."""
     blocks = {}
     for rho, x in p.items():
         blocks.setdefault(sum(rho), {})[rho] = x
     return blocks
-
-
-def _exact(total, order, lam):
-    """``total`` divided by ``order``; ArithmeticError naming ``lam`` when
-    the division leaves a remainder."""
-    coeff, rest = divmod(total, order)
-    if rest:
-        raise ArithmeticError(f"non-integral coefficient at {lam}")
-    return coeff
 
 
 def _p_to_schur(p, scale=1, max_len=None):
@@ -374,11 +390,7 @@ def plethysm_class(a, b):
     s_beta'[Y] (Macdonald, I.8).
     """
     rows = _plethysm_rows([a], b)
-    bp = _expr_to_p(b)
-
-    def composed(rho):  # p_rho[b]: the product of p_k[b] over the parts k of rho
-        return reduce(_p_mul, (_p_scale_parts(bp, k) for k in rho), {(): 1})
-
+    composed = _product_table(partial(_p_scale_parts, _expr_to_p(b)), _p_mul)
     return (*_class_weighted(a, composed), rows)
 
 
@@ -425,22 +437,9 @@ def _poly_mul(g, h, L):
     return out
 
 
-def _power_sum_table(inner, L):
-    """p_rho[f] in L variables, for the polynomial ``inner`` of f, as a
-    function of the cycle type rho that builds each product once:
-    p_k[f] is f(x_1^k, ..., x_L^k), and p_rho the product of p_rho minus
-    its last part with p_k[f] for that part k."""
-    memo = {(): {(): 1}}
-
-    def composed(rho):
-        if rho not in memo:
-            if len(rho) == 1:
-                memo[rho] = {tuple(rho[0] * x for x in mu): c for mu, c in inner.items()}
-            else:
-                memo[rho] = _poly_mul(composed(rho[:-1]), composed(rho[-1:]), L)
-        return memo[rho]
-
-    return composed
+def _poly_adams(f, k):
+    """p_k[f] for the symmetric polynomial ``f``: f(x_1^k, ..., x_L^k)."""
+    return {tuple(k * x for x in mu): c for mu, c in f.items()}
 
 
 def _alternant(lam):
@@ -501,11 +500,12 @@ def plethysms(outers, b, max_len):
     cap = integer(max_len, "max_len", 0)
     outers = list(outers)
     L = min(cap, _plethysm_rows(outers, b))
+    poly_mul = partial(_poly_mul, L=L)
     # p_rho(x_1..x_L), from p_1 = x_1 + ... + x_L (zero when L = 0)
-    power_sums = _power_sum_table({(1,): 1} if L else {}, L)
+    power_sums = _product_table(partial(_poly_adams, {(1,): 1} if L else {}), poly_mul)
     poly, order = _class_weighted(b, power_sums)
     inner = {mu: _exact(c, order, mu) for mu, c in poly.items()}
-    composed, alternants = _power_sum_table(inner, L), {}
+    composed, alternants = _product_table(partial(_poly_adams, inner), poly_mul), {}
     return [_poly_to_schur(*_class_weighted(a, composed), L, alternants)
             for a in outers]
 

@@ -11,15 +11,21 @@ cached tensors are read-only: a defect is a copy.
 6.9e-11 under the d-tilde defect (9.1e-11 and 6.9e-11 over the default
 1000), against its bound 1e-10, and the run exits 0.  Its row here is a
 defect in the expansion's constant term.
+
+The exact readers of `symfunc` (`class_sum` and through it `hall_norm`,
+`_p_to_schur`, `_poly_to_schur`) divide through the one `symfunc._exact`.
+Their defect is an input that is not a virtual character: one coefficient
+off, so that the division leaves a remainder and `_exact` raises.
 """
 
 import dataclasses
 import json
+import re
 from itertools import permutations
 
 import pytest
 
-from qutrit_invariants import cli, lsl_qutrit, tensors
+from qutrit_invariants import cli, lsl_qutrit, symfunc, tensors
 
 
 def _raise_entries(monkeypatch, name, index):
@@ -84,3 +90,29 @@ def test_certificate_fails_on_its_injected_defect(argv, defect, code, exceeded, 
     assert report["passed"] is False
     for key, bound in exceeded.items():
         assert clean[key] <= bound < report["certificate"][key], key
+
+
+# exact reader, its arguments on a virtual character and the value it reads
+# there, the same arguments with the defect, and the place the division
+# names when it fails
+EXACT_ROWS = [
+    # chi^{2,1} squared averages to 1; the identity class alone to 1/6
+    (symfunc.class_sum, (3, lambda rho: symfunc.character((2, 1), rho) ** 2), 1,
+     (3, lambda rho: rho == (1, 1, 1)), "the class sum over S_3"),
+    # p_1^2 = {2} + {1,1} has norm 2; half of it has norm 1/2
+    (symfunc.hall_norm, ({(1, 1): 2},), 2, ({(1, 1): 1},), "the class sum over S_2"),
+    (symfunc._p_to_schur, ({(1, 1): 2},), symfunc.S(2) + symfunc.S(1, 1),
+     ({(1, 1): 1},), "(2,)"),
+    # m_{1,1} = {1,1} in two variables
+    (symfunc._poly_to_schur, ({(1, 1): 2}, 2, 2, {}), symfunc.S(1, 1),
+     ({(1, 1): 1}, 2, 2, {}), "(1, 1)"),
+]
+
+
+@pytest.mark.parametrize("reader,clean,value,defect,where", EXACT_ROWS,
+                         ids=[row[0].__name__.lstrip("_") for row in EXACT_ROWS])
+def test_exact_reader_fails_on_a_non_virtual_input(reader, clean, value, defect, where):
+    assert reader(*clean) == value
+    with pytest.raises(ArithmeticError, match=re.escape(where)) as raised:
+        reader(*defect)
+    assert raised.traceback[-1].name == "_exact"

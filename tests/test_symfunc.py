@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qutrit_invariants import symfunc
+from qutrit_invariants.counting import count_lsl
 from qutrit_invariants.symfunc import (
     S,
     SchurExpr,
@@ -539,6 +540,42 @@ def test_plethysms_share_one_inner_function():
     for b in (S(2, 1), S(1) + S(2), S() + S(2, 1) - S(3)):
         assert plethysms(outers, b, 3) == [plethysm(a, b, 3) for a in outers], b
     assert plethysms([], S(2, 1), 3) == []
+
+
+def _counted(monkeypatch, name):
+    """Count the calls of ``symfunc.<name>`` into the returned list."""
+    calls, fn = [], getattr(symfunc, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(symfunc, name, counted)
+    return calls
+
+
+def _prefix_products(rhos):
+    """The products a table that builds each prefix of a cycle type once
+    makes for the cycle types ``rhos``: one per prefix of two or more parts."""
+    return len({rho[:i] for rho in rhos for i in range(2, len(rho) + 1)})
+
+
+def test_count_lsl_builds_each_power_sum_product_once(monkeypatch):
+    # the count lsl --dim 3 --max 12 table takes the class function of
+    # S(m)[{3}] for m <= 4, one table each over every rho of weight m
+    calls = _counted(monkeypatch, "_p_mul")
+    assert [count_lsl(3, n).count for n in range(13)] == [1, 0, 0, 1, 0, 0, 2, 0, 0, 5, 0, 0, 12]
+    assert len(calls) == sum(_prefix_products(partitions(m)) for m in range(5)) == 11
+
+
+def test_plethysms_build_each_power_sum_product_once(monkeypatch):
+    # one table of p_rho(x_1..x_L) over the rho where b's character is
+    # nonzero, then one of p_rho[b] over the rho of every outer weight
+    calls = _counted(monkeypatch, "_poly_mul")
+    plethysms([S(*sigma) for s in range(5) for sigma in partitions(s)], S(2, 1), 3)
+    inner = [rho for rho in partitions(3) if character((2, 1), rho)]
+    outer = [rho for s in range(5) for rho in partitions(s)]
+    assert len(calls) == _prefix_products(inner) + _prefix_products(outer) == 9
 
 
 def test_poly_to_schur_refuses_what_is_not_a_virtual_character():
