@@ -8,7 +8,7 @@ flagged as a conjecture in its report.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import add
 
 from .checks import integer
@@ -51,7 +51,8 @@ class CountReport:
     conjecture: bool = False
 
     def as_dict(self):
-        return asdict(self)
+        """``dataclasses.asdict`` without its deep copy of immutable values."""
+        return dict(vars(self))
 
 
 def count_lu_pure(K, D, n):

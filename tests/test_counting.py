@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import asdict, fields
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -10,6 +11,7 @@ from qutrit_invariants.cli import main
 from qutrit_invariants.counting import (
     ADJOINT,
     GRADED_COLUMNS,
+    CountReport,
     count_graded_quartics,
     count_lsl,
     count_lu_mixed,
@@ -242,6 +244,29 @@ def test_report_shape():
     rep = count_lsl(3, 9)
     d = rep.as_dict()
     assert d["degree"] == 9 and d["count"] == 5 and d["conjecture"]
+
+
+@pytest.mark.parametrize("family, D, n", [("lsl", 3, 9), ("lsl", 3, 4), ("lsl", 2, 6),
+                                          ("lu", 3, 4)])
+def test_report_dict_is_dataclasses_asdict(family, D, n):
+    # every field, in field order: the JSON rows of count are these dicts
+    rep = (count_lsl(D, n) if family == "lsl" else
+           CountReport(n, count_lu_mixed(D, n), "character inner squares"))
+    d, want = rep.as_dict(), asdict(rep)
+    assert d == want and list(d) == list(want) == [f.name for f in fields(CountReport)]
+    d["count"] = -1  # a copy: the report itself is unchanged
+    assert asdict(rep) == want
+
+
+def _cached(module):
+    return {name for name, obj in vars(module).items() if hasattr(obj, "cache_clear")}
+
+
+def test_the_count_tables_keep_only_the_memo_tables_a_cold_pass_clears():
+    # a count starts cold once these four are cleared, as in a fresh process
+    assert _cached(symfunc) == {"character", "_lr_product", "_schur_term_to_p", "partitions"}
+    assert {name for name in _cached(counting)
+            if getattr(counting, name) is not getattr(symfunc, name, None)} == set()
 
 
 def _record_calls(monkeypatch, calls, name, *modules):

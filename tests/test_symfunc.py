@@ -1,4 +1,6 @@
 import threading
+from math import factorial, prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -28,7 +30,8 @@ from qutrit_invariants.symfunc import (
     sun_modify,
 )
 
-from bruteforce import oracle_char, oracle_kron, oracle_outer, oracle_plethysm
+from bruteforce import _partitions as oracle_partitions, oracle_char, oracle_kron, oracle_outer, \
+    oracle_plethysm, zclass as oracle_zclass
 from skew_reference import skew
 
 
@@ -52,6 +55,47 @@ def test_characters_match_bruteforce(n):
     for lam in partitions(n):
         for rho in partitions(n):
             assert character(lam, rho) == oracle_char(lam, rho)
+
+
+def _conjugate(lam):
+    return tuple(sum(1 for x in lam if x > j) for j in range(lam[0] if lam else 0))
+
+
+def _hook_product(lam):
+    cols = _conjugate(lam)
+    return prod(x - j + cols[j] - i - 1 for i, x in enumerate(lam) for j in range(x))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_characters_satisfy_identities_free_of_murnaghan_nakayama(n):
+    # the count tables read characters of S_n up to n = 12; the checks enumerate
+    # partitions with the brute-force generator and use no border strip
+    shapes = list(oracle_partitions(n))
+    table = {lam: [character(lam, rho) for rho in shapes] for lam in shapes}
+    order = factorial(n)
+    sizes = [order // oracle_zclass(rho) for rho in shapes]  # class sizes n!/z_rho
+    for lam in shapes:
+        # hook-length formula at the identity class (1^n), the last cycle type
+        assert table[lam][-1] * _hook_product(lam) == order, lam
+        # tensoring with the sign character conjugates the shape
+        assert table[_conjugate(lam)] == [(-1) ** (n - len(rho)) * chi
+                                          for rho, chi in zip(shapes, table[lam])], lam
+        for mu in shapes:  # rows: sum_rho |C_rho| chi^lam chi^mu = n! delta
+            assert sum(map(mul, sizes, map(mul, table[lam], table[mu]))) == \
+                (order if lam == mu else 0), (lam, mu)
+    for a, rho in enumerate(shapes):  # columns: sum_lam chi^lam_rho chi^lam_sigma = z_rho delta
+        for b, sigma in enumerate(shapes):
+            assert sum(row[a] * row[b] for row in table.values()) == \
+                (oracle_zclass(rho) if a == b else 0), (rho, sigma)
+
+
+@pytest.mark.parametrize("n", range(-2, 15))
+def test_partitions_match_the_recursive_generator(n):
+    for cap in [None, *range(-1, n + 2)]:
+        want = tuple(lam for lam in oracle_partitions(n) if cap is None or len(lam) <= cap)
+        assert partitions(n, cap) == want, cap
+        if n < 0:  # no partition of a negative weight
+            assert partitions(n, cap) == (), cap
 
 
 # ---------------------------------------------------------------------------
