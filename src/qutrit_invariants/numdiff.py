@@ -54,8 +54,6 @@ def poly_jacobian(fn, x0, degree, directions):
 def numerical_rank(matrix, rel_threshold=RANK_THRESHOLD):
     """Rank by SVD with a threshold relative to the largest singular value."""
     m = np.asarray(matrix, dtype=float)
-    if m.size == 0:
-        return 0
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0

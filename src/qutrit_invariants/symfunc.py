@@ -10,16 +10,16 @@ per Schur function against characters from the Murnaghan-Nakayama
 recursion, whose border strips move the beads of a beta-set held as the
 bits of an int (``_border_strips``).  Of the ~4 ms of exact arithmetic in
 a cold pass of the five count tables (2-core Xeon, Python 3.11),
-characters take ~1.0 ms and partitions ~0.2 ms.  A plethysm a[b] capped at
-L rows takes a second route, with characters of S_|a| and of b's weights
-only: it evaluates a[b] as a symmetric polynomial in L variables, kept as
-its coefficients at the monomials x^mu of the partitions mu with at most L
-parts, and reads the coefficient of {lam} at x^(lam + delta) of a_delta
-times it (I.3).  One table of p_rho[b] serves both rings
-(``_product_table``).  The sum of the squared Schur coefficients, the Hall
-norm, needs no characters: it is one class sum of X^2 (``hall_norm``).  No
-fractions and no floats appear, and every division is one exact division
-(``_exact``).
+characters take ~1.0 ms and partitions ~0.2 ms.  Plethysms a[b] of one b
+capped at L <= 5 rows take a second route (``plethysms``), with characters
+of S_|a| and of b's weights only: it evaluates a[b] as a dense polynomial in
+L variables, each exponent vector packed into one int (Kronecker's
+substitution), and reads the coefficient of {lam} at x^(lam + delta) of
+a_delta times it (I.3).  One table of p_rho[b] serves both rings
+(``_product_table``); a single capped `plethysm` takes the class route.
+The sum of the squared Schur coefficients, the Hall norm, needs no
+characters: it is one class sum of X^2 (``hall_norm``).  No fractions and
+no floats appear, and every division is one exact division (``_exact``).
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from functools import lru_cache, partial
-from itertools import chain, repeat
+from itertools import chain, combinations, permutations, repeat
 from math import comb, factorial, prod
-from operator import mul, sub
+from operator import add, mul
 
 from .checks import integer, integer_cache
 
@@ -290,12 +290,12 @@ def _p_scale_parts(p, k):
     return {tuple(k * x for x in rho): x * k ** len(rho) for rho, x in p.items()}
 
 
-def _product_table(adams, product):
+def _product_table(adams, product, unit):
     """p_rho[b] as a function of the cycle type rho, in the ring with the
-    product ``product`` in which ``adams(k)`` is p_k[b]: the product of
-    p_rho[b] minus its last part with p_k[b] for that part k.  Each prefix
+    product ``product`` and the unit {``unit``: 1} where p_k[b] is
+    ``adams(k)``: p_rho[b] minus its last part k times p_k[b].  Each prefix
     of rho is built once per table; a single part needs no product."""
-    memo = {(): {(): 1}}
+    memo = {(): {unit: 1}}
 
     def composed(rho):
         if rho not in memo:
@@ -398,125 +398,84 @@ def plethysm_class(a, b):
     s_beta'[Y] (Macdonald, I.8).
     """
     rows = _plethysm_rows([a], b)
-    composed = _product_table(partial(_p_scale_parts, _expr_to_p(b)), _p_mul)
+    composed = _product_table(partial(_p_scale_parts, _expr_to_p(b)), _p_mul, ())
     return (*_class_weighted(a, composed), rows)
 
 
 # ---------------------------------------------------------------------------
-# Symmetric polynomials in L variables, for plethysms capped at L rows.  A
-# polynomial f is {mu: f_mu} over the partitions mu with at most L parts,
-# f_mu its coefficient at x^mu; symmetry gives the other monomials, so this
-# is the expansion of f in the monomial symmetric functions m_mu.
+# Polynomials in L variables, for plethysms capped at L <= 5 rows: {e: c},
+# c the coefficient at the monomial x^v, its exponent vector packed into the
+# int e = sum_i v_i B^(L-1-i) (Kronecker's substitution).  Vectors whose
+# entries differ by less than B pack to equal ints only when they are equal,
+# negative entries included; a product of monomials adds their ints, x -> x^k
+# multiplies them by k, and a degree sum_i v_i < B - 1 is e mod (B - 1).
 
-def _arrangements(parts, r):
-    """The distinct vectors of length r whose nonzero entries are a
-    rearrangement of the partition ``parts``, len(parts) <= r."""
-    if not r:
-        return [()]
-    out = [(0,) + t for t in _arrangements(parts, r - 1)] if len(parts) < r else []
-    for i, v in enumerate(parts):
-        if not i or parts[i - 1] != v:
-            out += [(v,) + t for t in _arrangements(parts[:i] + parts[i + 1:], r - 1)]
-    return out
+def _pack(vec, base):
+    """The int sum_i v_i base^(L-1-i) of the exponent vector ``vec``."""
+    e = 0
+    for v in vec:
+        e = e * base + v
+    return e
 
 
-def _poly_mul(g, h, L):
-    """Product of the symmetric polynomials ``g`` and ``h`` in L variables.
-
-    Its coefficient at x^mu is the sum of h_beta g_(mu - beta') over the
-    exponent vectors beta' <= mu of the monomials of h, the arrangements of
-    its partitions beta within the len(mu) rows of mu; g_(mu - beta') is
-    read at the sorted vector among the partitions of g padded with zeros
-    to len(mu) parts, where a negative entry finds nothing.
-    """
-    out, terms = {}, {}
-    degrees = {sum(mu) for mu in g}
-    for d in sorted({x + sum(beta) for beta in h for x in degrees}):
-        for mu in partitions(d, L):
-            r, total = len(mu), 0
-            if r not in terms:
-                terms[r] = ([(c, vec) for beta, c in h.items() if len(beta) <= r
-                             for vec in _arrangements(beta, r)],
-                            {nu + (0,) * (r - len(nu)): c for nu, c in g.items() if len(nu) <= r})
-            vecs, padded = terms[r]
-            for c, vec in vecs:
-                total += c * padded.get(tuple(sorted(map(sub, mu, vec), reverse=True)), 0)
-            if total:
-                out[mu] = total
-    return out
+def _poly_mul(g, h):
+    """Product of the packed polynomials ``g`` and ``h``."""
+    return _collect((e1 + e2, c1 * c2) for e1, c1 in g.items() for e2, c2 in h.items())
 
 
 def _poly_adams(f, k):
-    """p_k[f] for the symmetric polynomial ``f``: f(x_1^k, ..., x_L^k)."""
-    return {tuple(k * x for x in mu): c for mu, c in f.items()}
+    """p_k[f] for the packed polynomial ``f``: f(x_1^k, ..., x_L^k)."""
+    return {k * e: c for e, c in f.items()}
 
 
-def _alternant(lam):
-    """{mu: sign sum} with [x^(lam + delta)] a_delta f = sum of sign sum
-    times f_mu for every symmetric f, delta = (l-1, ..., 1, 0), l = len(lam).
-
-    a_delta is the sum over pi in S_l of sgn(pi) x_i^(l-1-pi(i)), so the
-    coefficient is the signed sum of f at the exponents lam_i - i + pi(i),
-    over the pi that keep them >= 0; the rows past len(lam) of a longer
-    alphabet can only keep their own exponent, so l variables suffice.
-    The floors i - lam_i of pi(i) rise with i, so choosing pi(i) from the
-    last row up never runs out of values: every branch is a term.
-    """
-    n, out = len(lam), defaultdict(int)
-
-    def place(i, used, sign, exps):
-        if i < 0:
-            out[tuple(sorted(filter(None, exps), reverse=True))] += sign
-            return
-        for j in range(max(0, i - lam[i]), n):
-            bit = 1 << j
-            if not used & bit:  # pi(i) = j, above pi of the later rows it inverts
-                place(i - 1, used | bit, -sign if (used & (bit - 1)).bit_count() & 1 else sign,
-                      exps + (lam[i] - i + j,))
-
-    place(n - 1, 0, 1, ())
-    return out
-
-
-def _poly_to_schur(f, order, L, alternants):
+def _poly_to_schur(f, order, L, base):
     """Schur expansion of the symmetric polynomial ``f`` in L variables,
-    divided by ``order``: the coefficient of {lam}, len(lam) <= L, is
-    [x^(lam + delta)] a_delta f (Macdonald, I.3), divided exactly
-    (ArithmeticError otherwise).  ``alternants`` memoizes `_alternant`."""
+    packed in ``base``, divided by ``order``: the coefficient of {lam},
+    len(lam) <= L, is [x^(lam + delta)] a_delta f (Macdonald, I.3), divided
+    exactly (ArithmeticError otherwise).  a_delta is the sum over pi in S_L
+    of sgn(pi) x^pi(delta), delta = (L-1, ..., 0), so that is the signed sum
+    of f at lam + delta - pi(delta), whose entries lie in [1 - L, deg f + L - 1]:
+    a base past deg f + L - 1 keeps them apart from the exponents of f."""
+    delta = range(L - 1, -1, -1)
+    shifts = [((-1) ** sum(x < y for x, y in combinations(pi, 2)), _pack(pi, base))
+              for pi in permutations(delta)]
     terms = {}
-    for n in sorted({sum(mu) for mu in f}):
+    for n in sorted({e % (base - 1) for e in f}):
         for lam in partitions(n, L):
-            signs = alternants.get(lam)
-            if signs is None:
-                signs = alternants[lam] = _alternant(lam)
-            if coeff := _exact(sum(s * f.get(mu, 0) for mu, s in signs.items()), order, lam):
+            top = _pack(map(add, chain(lam, repeat(0, L - len(lam))), delta), base)
+            if coeff := _exact(sum(s * f.get(top - shift, 0) for s, shift in shifts), order, lam):
                 terms[lam] = coeff
     return SchurExpr._of(terms)
 
 
 def plethysms(outers, b, max_len):
     """[plethysm(a, b, max_len) for a in ``outers``], read off symmetric
-    polynomials in L = min(max_len, row bound) variables, in exact ints.
+    polynomials in L = min(max_len, row bound) variables, in exact ints;
+    ValueError for a cap past 5 rows, where `plethysm` is the cheaper.
 
     a[b](x_1..x_L) is a evaluated at the monomials of b(x_1..x_L)
     (Macdonald, I.8), and it keeps every {lam} with at most L rows.  b is
     evaluated once, and p_rho[b] = prod_k b(x^k) once per cycle type rho,
     shared by every outer function; each a weights them by its class
     function, which needs characters of S_|a| only, and the Schur
-    coefficients are read off a_delta times the sum.  The cost grows with
-    the number of monomials in L variables, so cap only where L is small.
+    coefficients are read off a_delta times the sum.  The dense polynomials
+    have C(d + L - 1, L - 1) monomials of degree d, and a_delta has L! terms,
+    so the cost climbs steeply with L (README, "Exact counting").
     """
     cap = integer(max_len, "max_len", 0)
+    if cap > 5:
+        raise ValueError(f"plethysms reads at most 5 rows, got {cap}; plethysm reads any number")
     outers = list(outers)
     L = min(cap, _plethysm_rows(outers, b))
-    poly_mul = partial(_poly_mul, L=L)
+    # every degree is at most the output weight, so entries stay apart
+    base = PLETHYSM_WEIGHT_LIMIT + L + 2
     # p_rho(x_1..x_L), from p_1 = x_1 + ... + x_L (zero when L = 0)
-    power_sums = _product_table(partial(_poly_adams, {(1,): 1} if L else {}), poly_mul)
+    power_sums = _product_table(partial(_poly_adams, {base ** i: 1 for i in range(L)}),
+                                _poly_mul, 0)
     poly, order = _class_weighted(b, power_sums)
-    inner = {mu: _exact(c, order, mu) for mu, c in poly.items()}
-    composed, alternants = _product_table(partial(_poly_adams, inner), poly_mul), {}
-    return [_poly_to_schur(*_class_weighted(a, composed), L, alternants)
-            for a in outers]
+    inner = {e: _exact(c, order, "b in L variables") for e, c in poly.items()}
+    composed = _product_table(partial(_poly_adams, inner), _poly_mul, 0)
+    return [_poly_to_schur(*_class_weighted(a, composed), L, base) for a in outers]
 
 
 def plethysm(a, b, max_len=None):
@@ -524,15 +483,13 @@ def plethysm(a, b, max_len=None):
     {lam} with at most ``max_len`` rows (all of them when None).
 
     plethysm(S(n), x) is the {n}-symmetrized power of x; the classical
-    product notation x (x) {n} corresponds to plethysm(S(n), x).  Only the
-    {lam} within the row bound of ``plethysm_class`` are computed: without a
-    cap as one Schur expansion of its class function, with one as the
-    one-element `plethysms`.
+    product notation x (x) {n} corresponds to plethysm(S(n), x).  One Schur
+    expansion of the class function of ``plethysm_class``, within its row
+    bound and the cap; `plethysms` serves several a at a small cap.
     """
-    if max_len is not None:
-        return plethysms([a], b, max_len)[0]
+    cap = None if max_len is None else integer(max_len, "max_len", 0)
     p, order, rows = plethysm_class(a, b)
-    return _p_to_schur(p, order, rows)
+    return _p_to_schur(p, order, rows if cap is None else min(cap, rows))
 
 
 def product_power_plethysm(a, b, n):

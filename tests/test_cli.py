@@ -466,6 +466,12 @@ def test_count_rejects_pqs_that_is_not_three_digits(pqs, monkeypatch, capsys):
     assert "--pqs must be exactly three digits" in capsys.readouterr().err
 
 
+def test_count_graded_refuses_a_grading_past_total_degree_4(capsys):
+    # three digits, so only graded_table's own check refuses it
+    assert main(["count", "graded", "--pqs", "500"]) == 2
+    assert capsys.readouterr().err.strip() == "error: supported gradings have total degree <= 4"
+
+
 def test_count_accepts_zero_max(capsys):
     assert main(["count", "lu", "--max", "0"]) == 0
     assert capsys.readouterr().out.split()[:2] == ["0", "1"]

@@ -16,6 +16,11 @@ The exact readers of `symfunc` (`class_sum` and through it `hall_norm`,
 `_p_to_schur`, `_poly_to_schur`) divide through the one `symfunc._exact`.
 Their defect is an input that is not a virtual character: one coefficient
 off, so that the division leaves a remainder and `_exact` raises.
+
+The library controls (the quartet identities, the Kronecker oracle, the
+Jacobian rank and the monotone exponent) are rows of one more table: each
+check reports nothing on its clean input and names the injected defect.
+Their original tests stay where they were.
 """
 
 import dataclasses
@@ -23,9 +28,12 @@ import json
 import re
 from itertools import permutations
 
+import numpy as np
 import pytest
 
-from qutrit_invariants import cli, lsl_qutrit, symfunc, tensors
+from qutrit_invariants import cli, lsl_qutrit, monotones, states, symfunc, tensors
+
+from bruteforce import oracle_kron
 
 
 def _raise_entries(monkeypatch, name, index):
@@ -103,9 +111,9 @@ EXACT_ROWS = [
     (symfunc.hall_norm, ({(1, 1): 2},), 2, ({(1, 1): 1},), "the class sum over S_2"),
     (symfunc._p_to_schur, ({(1, 1): 2},), symfunc.S(2) + symfunc.S(1, 1),
      ({(1, 1): 1},), "(2,)"),
-    # m_{1,1} = {1,1} in two variables
-    (symfunc._poly_to_schur, ({(1, 1): 2}, 2, 2, {}), symfunc.S(1, 1),
-     ({(1, 1): 1}, 2, 2, {}), "(1, 1)"),
+    # m_{1,1} = x1 x2 = {1,1} in two variables, x^(1, 1) packed in base 6
+    (symfunc._poly_to_schur, ({7: 2}, 2, 2, 6), symfunc.S(1, 1),
+     ({7: 1}, 2, 2, 6), "(1, 1)"),
 ]
 
 
@@ -116,3 +124,67 @@ def test_exact_reader_fails_on_a_non_virtual_input(reader, clean, value, defect,
     with pytest.raises(ArithmeticError, match=re.escape(where)) as raised:
         reader(*defect)
     assert raised.traceback[-1].name == "_exact"
+
+
+def _identities_past_1e_4(structure):
+    """The quartet identities whose residual on ``structure`` exceeds 1e-4."""
+    return sorted(k for k, v in tensors.cyclic_identity_check(structure).items() if v > 1e-4)
+
+
+def _d_raised_at_0_0_7():
+    """The qutrit tensors with the one entry d[0, 0, 7] raised by 1e-3."""
+    t3 = tensors.build_structure_tensors(3)
+    d = t3.d.copy()
+    d[0, 0, 7] += 1e-3
+    return dataclasses.replace(t3, d=d)
+
+
+def _kronecker_disagreements(kron):
+    """The pairs of partitions of weight <= 6 where ``kron`` differs from the
+    brute-force oracle."""
+    return [(lam, mu) for n in range(1, 7) for lam in symfunc.partitions(n)
+            for mu in symfunc.partitions(n)
+            if kron(symfunc.S(*lam), symfunc.S(*mu)).terms != oracle_kron(lam, mu)]
+
+
+def _kronecker_one_off(a, b):
+    """`kronecker`, with g((3,2,1), (3,2,1), (3,2,1)) = 5 reported as 4."""
+    out = symfunc.kronecker(a, b)
+    if a.terms == b.terms == {(3, 2, 1): 1}:
+        out = out - symfunc.S(3, 2, 1)
+    return out
+
+
+def _dependent_outputs(outputs):
+    """The number of outputs less the Jacobian rank of the map that takes a
+    two-qubit state to ``outputs(x, y, z)`` of three entries of its ext."""
+    def fn(c):
+        return np.stack(outputs(c.ext[..., 0, 1], c.ext[..., 1, 0], c.ext[..., 2, 2]), axis=-1)
+
+    k = len(outputs(0.0, 0.0, 0.0))
+    return k - states.jacobian_rank(states.random_state(2, 2, 4).coords, fn, degree=2, k=k)
+
+
+def _control_violates(exponent):
+    """Whether the cubic functional with the ``exponent`` ("proper" or "raw")
+    violates concavity at the wrong-exponent control's state."""
+    return monotones.wrong_exponent_counterexample()[f"{exponent}_margin"] < -1e-9
+
+
+# library check, its clean input, the input with the defect, and what the
+# check reports on the defect (it reports nothing on the clean input)
+CONTROL_ROWS = [
+    (_identities_past_1e_4, tensors.build_structure_tensors(3), _d_raised_at_0_0_7(),
+     ["dd_minus_deltadelta", "df"]),
+    (_kronecker_disagreements, symfunc.kronecker, _kronecker_one_off, [((3, 2, 1), (3, 2, 1))]),
+    # x + y depends on x and y: the rank stays 3 of 4
+    (_dependent_outputs, lambda x, y, z: [x, y, x * z], lambda x, y, z: [x, y, x + y, x * z], 1),
+    (_control_violates, "proper", "raw", True),
+]
+
+
+@pytest.mark.parametrize("check,clean,defect,found", CONTROL_ROWS,
+                         ids=[row[0].__name__.lstrip("_") for row in CONTROL_ROWS])
+def test_library_control_finds_its_injected_defect(check, clean, defect, found):
+    assert not check(clean)
+    assert check(defect) == found

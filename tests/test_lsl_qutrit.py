@@ -59,6 +59,22 @@ def test_determinant_gate():
         induce_map(2.0 * np.eye(3))
 
 
+def test_induce_map_refuses_an_action_with_an_imaginary_residue(monkeypatch):
+    # the action of a unit-determinant A is real up to rounding; a residue
+    # past 1e-12 is refused, not dropped
+    monkeypatch.setattr(lsl_qutrit, "coordinate_action",
+                        lambda X, Y, dim: np.full((9, 9), 1e-9j))
+    with pytest.raises(ValueError, match="imaginary residue 1.00e-09"):
+        induce_map(np.eye(3))
+
+
+def test_apply_local_refuses_a_map_of_another_dimension():
+    st = random_state(3, 3, 6)
+    for pair in ((np.eye(2), np.eye(3)), (np.eye(3), np.eye(2))):
+        with pytest.raises(ValueError, match="local map shape does not match"):
+            apply_local(st, *pair)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_slocc_maps_refuse_non_finite_matrices(bad):

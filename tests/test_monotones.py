@@ -361,6 +361,11 @@ def test_measurement_refuses_a_pair_of_another_dimension(dims, pair_dim):
             concavity_trial(state, pair, lambda ext: np.zeros(ext.shape[:-2]), side)
 
 
+def test_apply_measurement_refuses_a_side_other_than_a_or_b():
+    with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+        apply_measurement(random_state(3, 3, 0), sample_measurement(3, 0), side="C")
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: run_trials("C3", 3, 0, tol=float("nan")), id="tol-nan"),
     pytest.param(lambda: run_trials("C3", 3, 0, tol=float("inf")), id="tol-inf"),

@@ -51,6 +51,12 @@ def test_stencil_differentiates_every_monomial_up_to_its_order(order):
         assert moment == (1 if j == 1 else 0), (order, j)
 
 
+@pytest.mark.parametrize("matrix", [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((0, 0)),
+                                    np.zeros((2, 3))], ids=["0x3", "3x0", "0x0", "zero"])
+def test_numerical_rank_of_an_empty_or_zero_matrix_is_0(matrix):
+    assert numdiff.numerical_rank(matrix) == 0
+
+
 def test_jacobian_rank_of_a_map_with_a_known_rank():
     coords = random_state(2, 2, 4).coords
 

@@ -328,8 +328,20 @@ def test_integral_float_parts_are_refused():
         as_partition((3.0, 1, 0))
 
 
+def test_as_partition_refuses_increasing_parts():
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        as_partition((1, 2))
+
+
 # ---------------------------------------------------------------------------
 # text form
+
+@pytest.mark.parametrize("text,message", [("{1} {2}", "missing sign"),
+                                          ("{1} + x", "cannot parse")])
+def test_parse_expr_refuses_what_is_no_expression(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_expr(text)
+
 
 def test_parse_format_round_trip_examples():
     e = 3 * S(4, 2) + S(2, 2, 1)
@@ -561,22 +573,36 @@ def test_plethysm_computes_only_the_rows_it_can_have(monkeypatch):
         assert plethysm(a, b) == full, (a, b)
 
 
-def test_capped_plethysm_is_the_class_expansion_on_at_most_that_many_rows(monkeypatch):
-    # every cap up to the row bound, read off polynomials in that many
-    # variables: the class route is not taken, and it is the reference
-    def class_route(*_):
-        raise AssertionError("a capped plethysm took the class route")
-
+def test_capped_plethysm_is_the_class_expansion_on_at_most_that_many_rows():
+    # every cap up to past the row bound, and the polynomial route of
+    # plethysms at every cap it reads: the uncapped expansion truncated
     for a, b in ROW_BOUND_CASES:
         full = plethysm(a, b)
         bound = max(map(sum, a.terms)) * max(map(len, b.terms))
-        with monkeypatch.context() as m:
-            for name in ("plethysm_class", "_p_to_schur"):
-                m.setattr(symfunc, name, class_route)
-            capped = [plethysm(a, b, cap) for cap in range(bound + 2)]
-        for cap, expr in enumerate(capped):
-            assert expr.terms == {lam: c for lam, c in full.terms.items()
-                                  if len(lam) <= cap}, (a, b, cap)
+        for cap in range(bound + 2):
+            truncated = {lam: c for lam, c in full.terms.items() if len(lam) <= cap}
+            assert plethysm(a, b, cap).terms == truncated, (a, b, cap)
+            if cap <= 5:
+                assert plethysms([a], b, cap)[0].terms == truncated, (a, b, cap)
+
+
+def test_plethysms_refuse_more_than_five_rows():
+    assert plethysms([S(2)], S(1), 5) == [S(2)]
+    for cap in (6, 12):
+        with pytest.raises(ValueError, match="plethysm reads any number"):
+            plethysms([S(2)], S(1), cap)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.dictionaries(st.sampled_from([lam for n in range(5) for lam in partitions(n)]),
+                       st.integers(min_value=-2, max_value=2), max_size=3),
+       st.dictionaries(st.sampled_from([lam for n in range(4) for lam in partitions(n)]),
+                       st.integers(min_value=-2, max_value=2), max_size=3),
+       st.integers(min_value=0, max_value=5))
+def test_plethysms_equal_the_class_route(a, b, cap):
+    # virtual and mixed-weight a of weight <= 4 and b of weight <= 3
+    a, b = SchurExpr(a), SchurExpr(b)
+    assert plethysms([a], b, cap) == [plethysm(a, b, cap)], (a, b, cap)
 
 
 def test_plethysms_share_one_inner_function():
@@ -623,8 +649,10 @@ def test_plethysms_build_each_power_sum_product_once(monkeypatch):
 
 
 def test_poly_to_schur_refuses_what_is_not_a_virtual_character():
-    # m_2 = p_2 = {2} - {1,1}; m_{1,1} = {1,1}, and half of it is no virtual character
-    assert _poly_to_schur({(2,): 1}, 1, 2, {}) == S(2) - S(1, 1)
-    assert _poly_to_schur({(1, 1): 2}, 2, 2, {}) == S(1, 1)
-    with pytest.raises(ArithmeticError):
-        _poly_to_schur({(1, 1): 1}, 2, 2, {})
+    # in two variables packed in base 6, x^(v1, v2) is the int 6 v1 + v2:
+    # m_2 = x1^2 + x2^2 = p_2 = {2} - {1,1}; m_{1,1} = x1 x2 = {1,1}, and half
+    # of it is no virtual character
+    assert _poly_to_schur({12: 1, 2: 1}, 1, 2, 6) == S(2) - S(1, 1)
+    assert _poly_to_schur({7: 2}, 2, 2, 6) == S(1, 1)
+    with pytest.raises(ArithmeticError, match=r"\(1, 1\)"):
+        _poly_to_schur({7: 1}, 2, 2, 6)
