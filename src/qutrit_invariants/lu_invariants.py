@@ -35,11 +35,13 @@ _TERMS = tuple((label, spec, tuple(names.split())) for label, spec, names in (
     ("K102", 'abc,...a,...bd,...cd->...', "d r R R"),
     ("K012", 'abc,...a,...db,...dc->...', "d rbar R R"),
     ("K003d", 'abc,xyz,...ax,...by,...cz->...', "d d R R R"),
-    ("K003f", 'abc,xyz,...ax,...by,...cz->...', "f f R R R"),
     # one r, three R: the delta-coupled and the f/d-coupled chain
     ("K103", 'abc,...ab,...dc,...d->...', "d RtR R r"),
     ("K103p", 'ABC,...aA,...bB,...cC,...d,abe,ecd->...', "f R R R r f d"),
     ("K013", 'abc,...ab,...cd,...d->...', "d RRt R rbar"),
+    # K003f sits just before K013p, which reuses its f.R product, so that
+    # product is not held through the rows between them
+    ("K003f", 'abc,xyz,...ax,...by,...cz->...', "f f R R R"),
     ("K013p", 'abc,...aA,...bB,...cC,...D,ABE,ECD->...', "f R R R rbar f d"),
     # two r (or rbar), two R: delta- and d-coupled pairings
     ("K202a", '...a,...ab,...b->...', "r RRt r"),

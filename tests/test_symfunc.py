@@ -57,6 +57,22 @@ def test_characters_match_bruteforce(n):
             assert character(lam, rho) == oracle_char(lam, rho)
 
 
+@pytest.mark.parametrize("n", range(15))
+def test_two_row_characters_obey_the_murnaghan_nakayama_recurrence(n):
+    # the subset-sum closed form of the shapes of at most two rows against the
+    # recurrence it replaces: with character((), ()) == 1 below, this is
+    # Murnaghan-Nakayama by induction on the length of rho
+    assert character((), ()) == 1
+    for lam in partitions(n, 2):
+        for rho in partitions(n) if n else ():  # n = 0 is the base case
+            assert character(lam, rho) == sum(
+                (-1) ** h * character(mu, rho[1:]) for mu, h in _border_strips(lam, rho[0])
+            ), (lam, rho)
+        for m in range(15):  # the character of S_n is 0 on a cycle type of another weight
+            if m != n:
+                assert all(character(lam, rho) == 0 for rho in partitions(m)), (lam, m)
+
+
 def _conjugate(lam):
     return tuple(sum(1 for x in lam if x > j) for j in range(lam[0] if lam else 0))
 
