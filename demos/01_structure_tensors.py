@@ -13,7 +13,7 @@ from qutrit_invariants.states import to_single_coords
 t = build_structure_tensors(3)
 
 print("Tr(l_a l_b) = 2 delta_ab residual:",
-      np.abs(np.einsum('aij,bji->ab', t.lambdas, t.lambdas) - 2 * np.eye(8)).max())
+      np.abs(np.einsum('aij,bji->ab', t.lam_ext[1:], t.lam_ext[1:]) - 2 * np.eye(8)).max())
 
 print("\nSome antisymmetric coefficients (1-based indices):")
 for (a, b, c) in [(1, 2, 3), (1, 4, 7), (4, 5, 8), (6, 7, 8)]:
@@ -28,7 +28,7 @@ print("  dtilde_000 =", t.dtilde[0, 0, 0])
 print("  dtilde_011 =", t.dtilde[0, 1, 1])
 
 print("\nOnce-contracted quartet identities (max residuals):")
-for name, val in cyclic_identity_check(t).items():
+for name, val in cyclic_identity_check().items():
     print(f"  {name}: {val:.2e}")
 
 # The cubic form of dtilde is proportional to the determinant; the constant

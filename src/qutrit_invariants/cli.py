@@ -6,7 +6,8 @@ an identity or property suite and writes a certificate.  Output is JSON
 (plus human-readable tables on stdout) and is byte-identical for identical
 (subcommand, seed, input); no timestamps are emitted.
 
-Exit codes: 0 success, 2 input error, 3 property violation.
+Exit codes: 0 success, 2 input error (a closed stdout included), 3 property
+violation.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def cmd_invariants(args):
     try:
         state = states.load_state(args.state)
         diag = states.physicality(state)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _error(exc)
     dims = (state.dimA, state.dimB)
     report = {
@@ -156,7 +157,7 @@ def cmd_count(args):
 
 
 def _verify_tensors(args):
-    residuals = tensors.cyclic_identity_check(tensors.build_structure_tensors(3))
+    residuals = tensors.cyclic_identity_check()
     # one generator draws the samples in blocks: memory stays flat in --trials
     rng = np.random.default_rng(args.seed)
     worst, near_singular = 0.0, 0
@@ -299,12 +300,26 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command line and return its exit code.  A stdout whose reader
+    has gone is an input error, as an unwritable ``--out`` is."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        return _error(f"cannot write the report to stdout: {exc.strerror or exc}")
+    return code
 
 
 def entry():
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the refused text stays buffered: on os.devnull, fd 1 takes it at the
+        # interpreter's last flush, which would otherwise print a warning
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

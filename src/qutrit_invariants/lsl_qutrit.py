@@ -125,7 +125,7 @@ def build_algebra(seed=0, trials=20):
     seed, trials = integer(seed, "seed", 0), integer(trials, "trials", ALGEBRA_MIN_TRIALS)
     gen = _build_generators()
     t = tensors.build_structure_tensors(3)
-    f, lam = t.f, t.lambdas
+    f, lam = t.f, t.lam_ext[1:]
 
     lin_res = float(_linearized_residual(gen.all()).max())
     span = numerical_rank(gen.all().reshape(16, 81), 1e-10)

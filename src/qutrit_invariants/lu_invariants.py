@@ -86,7 +86,7 @@ QUARTIC_LABELS = [l for l in ALL_QUARTIC_LABELS if l != "K004_32"]
 def _embedded(R):
     """Correlation tensor in the defining representation, T[..., i, p, j, q]
     carrying (superscript, superscript-bar, subscript, subscript-bar)."""
-    lam = tensors.build_structure_tensors(3).lambdas
+    lam = tensors.build_structure_tensors(3).lam_ext[1:]
     return contract('...ab,aij,bpq->...ipjq', R, lam, lam)
 
 

@@ -18,7 +18,6 @@ from .contract import contract, per_state
 from .states import jacobian_rank, require_dims, require_unit_trace
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-_EPS4 = tensors.levi_civita(4)
 
 
 def w_matrix(ext):
@@ -58,7 +57,8 @@ def q_invariants(ext):
     values are floats for one matrix and arrays over the stack otherwise.
     """
     ext = np.asarray(ext, dtype=float)
-    eps_form = contract('abcd,pqrs,...ap,...bq,...cr,...ds->...', _EPS4, _EPS4,
+    eps4 = tensors.levi_civita(4)
+    eps_form = contract('abcd,pqrs,...ap,...bq,...cr,...ds->...', eps4, eps4,
                         ext, ext, ext, ext)
     vals = dict(zip(("Q2", "Q4", "Q6", "Q8"), trace_invariants(ext, (1, 2, 3, 4))),
                 Q4t=determinant_invariant(ext), Q4t_eps=eps_form / 24.0)

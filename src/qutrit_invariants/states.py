@@ -134,13 +134,6 @@ class SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _norms(dim):
-    # Tr(l_a l_b) = 2 delta_ab on the traceless block, Tr(I I) = dim
-    n = np.full(dim * dim, 2.0)
-    n[0] = float(dim)
-    return n
-
-
 @dataclass(frozen=True)
 class StateCoords:
     """Real coordinates of a bipartite Hermitian operator.
@@ -213,11 +206,10 @@ def to_coords(rho, dimA, dimB):
     """
     dimA, dimB = integer(dimA, "dimA", 1), integer(dimB, "dimB", 1)
     rho = _hermitian_matrices(rho, dimA * dimB, f"dims ({dimA},{dimB})")
-    lamA = tensors.build_structure_tensors(dimA).lam_ext
-    lamB = tensors.build_structure_tensors(dimB).lam_ext
+    tA, tB = tensors.build_structure_tensors(dimA), tensors.build_structure_tensors(dimB)
     rho4 = rho.reshape(rho.shape[:-2] + (dimA, dimB, dimA, dimB))
-    ext = contract('...ipjq,aji,bqp->...ab', rho4, lamA, lamB)
-    ext = ext.real / np.outer(_norms(dimA), _norms(dimB))
+    ext = contract('...ipjq,aji,bqp->...ab', rho4, tA.lam_ext, tB.lam_ext)
+    ext = ext.real / np.outer(tA.norms, tB.norms)
     return StateCoords(dimA, dimB, ext)
 
 
@@ -244,8 +236,8 @@ def to_single_coords(rho, dim):
     each matrix of a stack (..., dim, dim), checked as `to_coords` checks."""
     dim = integer(dim, "dim", 1)
     rho = _hermitian_matrices(rho, dim, f"dim {dim}")
-    lam = tensors.build_structure_tensors(dim).lam_ext
-    return contract('...ij,aji->...a', rho, lam).real / _norms(dim)
+    t = tensors.build_structure_tensors(dim)
+    return contract('...ij,aji->...a', rho, t.lam_ext).real / t.norms
 
 
 def from_single_coords(coords, dim):
@@ -370,10 +362,10 @@ def coordinate_action(X, Y, dim):
     coordinate basis of one subsystem: X l_a Y^dag = sum_b m[b, a] l_b, with
     index 0 the identity direction.  It is real up to rounding when Y = X,
     and for sums such as the generator action X rho + rho X^dag."""
-    lam = tensors.build_structure_tensors(dim).lam_ext
-    m = contract('ij,ajk,lk,bli->ba', np.asarray(X, dtype=complex), lam,
-                 np.conj(np.asarray(Y, dtype=complex)), lam)
-    return m / _norms(dim)[:, None]
+    t = tensors.build_structure_tensors(dim)
+    m = contract('ij,ajk,lk,bli->ba', np.asarray(X, dtype=complex), t.lam_ext,
+                 np.conj(np.asarray(Y, dtype=complex)), t.lam_ext)
+    return m / t.norms[:, None]
 
 
 def physicality(state):

@@ -11,18 +11,16 @@ per Schur function against characters, which take one of two routes
 of two subset-sum counts over the cycle lengths, read off one int, and a
 longer shape takes the Murnaghan-Nakayama recursion, whose border strips
 move the beads of a beta-set held as the bits of an int
-(``_border_strips``).  Of the ~3 ms of exact arithmetic in a cold pass of
-the five count tables (2-core Xeon, Python 3.11), characters take
-~0.5 ms and partitions ~0.2 ms.  Plethysms a[b] of one b
-capped at L <= 5 rows take a second route (``plethysms``), with characters
-of S_|a| and of b's weights only: it evaluates a[b] as a dense polynomial in
-L variables, each exponent vector packed into one int (Kronecker's
-substitution), and reads the coefficient of {lam} at x^(lam + delta) of
-a_delta times it (I.3).  One table of p_rho[b] serves both rings
-(``_product_table``); a single capped `plethysm` takes the class route.
-The sum of the squared Schur coefficients, the Hall norm, needs no
-characters: it is one class sum of X^2 (``hall_norm``).  No fractions and
-no floats appear, and every division is one exact division (``_exact``).
+(``_border_strips``).  Plethysms a[b] of one b capped at L <= 5 rows take
+a second route (``plethysms``), with characters of S_|a| and of b's
+weights only: it evaluates a[b] as a dense polynomial in L variables, each
+exponent vector packed into one int (Kronecker's substitution), and reads
+the coefficient of {lam} at x^(lam + delta) of a_delta times it (I.3).
+One table of p_rho[b] serves both rings (``_product_table``); a single
+capped `plethysm` takes the class route.  The sum of the squared Schur
+coefficients, the Hall norm, needs no characters: it is one class sum of
+X^2 (``hall_norm``).  No fractions and no floats appear, and every
+division is one exact division (``_exact``).
 """
 
 from __future__ import annotations

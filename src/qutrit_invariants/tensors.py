@@ -40,32 +40,36 @@ GELL_MANN = np.array([
 
 @dataclass(frozen=True)
 class StructureTensors:
-    """Basis matrices plus f, d and the extended symmetric tensor.
+    """Basis matrices, their trace norms, f, d and the extended symmetric tensor.
 
-    f and d are dense (n, n, n) arrays over the traceless basis (n = dim^2 - 1,
-    0-based indices); dtilde is (n+1, n+1, n+1) with index 0 the identity
-    direction.  d and dtilde exist only for dim 3.
+    lam_ext is the extended basis with entry 0 the identity, so lam_ext[1:]
+    is the traceless basis; norms[a] = Tr(l_a l_a).  f and d are dense
+    (n, n, n) arrays over the traceless basis (n = dim^2 - 1, 0-based
+    indices); dtilde is (n+1, n+1, n+1) with index 0 the identity direction.
+    d and dtilde exist only for dim 3.
     """
 
     dim: int
-    lambdas: np.ndarray   # (n, dim, dim)
     lam_ext: np.ndarray   # (n+1, dim, dim), entry 0 is the identity
+    norms: np.ndarray     # (n+1,): dim for the identity, 2 for the others
     f: np.ndarray
     d: np.ndarray | None
     dtilde: np.ndarray | None
 
 
-def levi_civita(n):
-    """The totally antisymmetric tensor with n indices, eps[0, 1, .., n-1] = 1."""
-    eps = np.zeros((n,) * n)
-    for perm in permutations(range(n)):
-        eps[perm] = np.linalg.det(np.eye(n)[list(perm)])  # exactly +-1
-    return eps
-
-
 def _freeze(a):
     a.setflags(write=False)
     return a
+
+
+@integer_cache("n")
+def levi_civita(n):
+    """The totally antisymmetric tensor with n indices, eps[0, 1, .., n-1] = 1,
+    built once per n and shared read-only."""
+    eps = np.zeros((n,) * n)
+    for perm in permutations(range(n)):
+        eps[perm] = np.linalg.det(np.eye(n)[list(perm)])  # exactly +-1
+    return _freeze(eps)
 
 
 @integer_cache("dim")
@@ -94,32 +98,31 @@ def build_structure_tensors(dim):
     f = np.where(np.abs(f) > 1e-14, sign * f, 0.0)
     d = np.where(np.abs(d) > 1e-14, d, 0.0)
 
-    lam_ext = np.concatenate([np.eye(dim, dtype=complex)[None], lams])
+    lam_ext = _freeze(np.concatenate([np.eye(dim, dtype=complex)[None], lams]))
+    norms = np.full(dim * dim, 2.0)  # Tr(l_a l_b) = 2 delta_ab, Tr(I I) = dim
+    norms[0] = dim
     if dim == 2:
-        return StructureTensors(2, _freeze(lams.copy()), _freeze(lam_ext),
-                                _freeze(f), None, None)
+        return StructureTensors(2, lam_ext, _freeze(norms), _freeze(f), None, None)
 
     dt = np.zeros((9, 9, 9))
     dt[0, 0, 0] = 1.5
     i = np.arange(1, 9)
     dt[0, i, i] = dt[i, 0, i] = dt[i, i, 0] = -0.5
     dt[1:, 1:, 1:] = d
-    return StructureTensors(3, _freeze(lams.copy()), _freeze(lam_ext),
-                            _freeze(f), _freeze(d), _freeze(dt))
+    return StructureTensors(3, lam_ext, _freeze(norms), _freeze(f), _freeze(d), _freeze(dt))
 
 
-def cyclic_identity_check(tensors):
+def cyclic_identity_check():
     """Residuals of the once-contracted quartet identities used throughout
     the quartic analysis.
 
     Over four free octet indices (a, b, c, d), the cyclic sum in (a, b, c)
     of the pattern X_{ace} Y_{ebd} vanishes for (X, Y) = (d, f) and (f, f),
     while for (d, d) it equals one third of the matching delta-delta sum.
-    Returns the max-abs residual of each.
+    Returns the max-abs residual of each, on the qutrit tensors.
     """
-    if tensors.dim != 3:
-        raise ValueError("quartet identities require local dimension 3")
-    f, d = tensors.f, tensors.d
+    t = build_structure_tensors(3)
+    f, d = t.f, t.d
 
     def cyclic(x, y):
         return (contract('ace,ebd->abcd', x, y)

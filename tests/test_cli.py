@@ -619,3 +619,46 @@ def test_unwritable_out_is_an_input_error(argv, where, mm33, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write the report to")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "lsl", "--dim", "3", "--max", "12"],
+    ["invariants", "STATE"],
+    ["verify", "tensors", "--trials", "5"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_an_input_error(argv, unbuffered, mm33):
+    # the read end of the pipe is closed before the command starts: one error
+    # line, no traceback and no warning from the interpreter's last flush,
+    # whether the report fails at the write or at the flush after it
+    argv = [mm33 if a == "STATE" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-m", "qutrit_invariants.cli", *argv],
+                             stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert run.returncode == 2
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write the report to stdout"), \
+        run.stderr
+
+
+class _ClosedStdout:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_in_process_returns_the_input_error_and_keeps_fd_1(monkeypatch, capsys):
+    fd1 = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(["count", "lsl", "--dim", "3", "--max", "3"]) == 2
+    monkeypatch.undo()
+    assert os.fstat(1) == fd1
+    err = capsys.readouterr().err
+    assert err == "error: cannot write the report to stdout: Broken pipe\n"

@@ -68,7 +68,8 @@ def test_two_row_characters_obey_the_murnaghan_nakayama_recurrence(n):
             assert character(lam, rho) == sum(
                 (-1) ** h * character(mu, rho[1:]) for mu, h in _border_strips(lam, rho[0])
             ), (lam, rho)
-        for m in range(15):  # the character of S_n is 0 on a cycle type of another weight
+    for lam in partitions(n):  # a character of S_n, of any length, is 0 at another weight
+        for m in range(15):
             if m != n:
                 assert all(character(lam, rho) == 0 for rho in partitions(m)), (lam, m)
 

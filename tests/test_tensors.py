@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from qutrit_invariants import tensors
-from qutrit_invariants.lsl_qutrit import cubic_invariant, sextic_invariant
-from qutrit_invariants.lu_invariants import low_degree_invariants
-from qutrit_invariants.states import random_state, to_single_coords
+from qutrit_invariants.lsl_qutrit import (
+    ALGEBRA_MIN_TRIALS,
+    build_algebra,
+    cubic_invariant,
+    sextic_invariant,
+)
+from qutrit_invariants.lu_invariants import low_degree_invariants, quartic_blocks
+from qutrit_invariants.qubit import q_invariants
+from qutrit_invariants.states import random_state, to_coords, to_single_coords
 from qutrit_invariants.tensors import (
     GELL_MANN,
     PAULI,
@@ -22,9 +28,10 @@ T2 = build_structure_tensors(2)
 
 def test_basis_orthonormalization():
     for t in (T2, T3):
-        gram = np.einsum('aij,bji->ab', t.lambdas, t.lambdas)
-        n = t.dim * t.dim - 1
-        assert np.abs(gram - 2 * np.eye(n)).max() < 1e-12
+        gram = np.einsum('aij,bji->ab', t.lam_ext, t.lam_ext)
+        assert np.abs(gram - np.diag(t.norms)).max() < 1e-12
+        assert t.norms[0] == t.dim and (t.norms[1:] == 2.0).all()
+        assert not t.norms.flags.writeable
 
 
 def test_f_trace_oracle_entries():
@@ -81,7 +88,7 @@ def _loop_tables(lams):
 
 @pytest.mark.parametrize("t", [T2, T3], ids=["dim2", "dim3"])
 def test_stacked_tables_equal_the_loop_tables_bit_for_bit(t):
-    f, d = _loop_tables(t.lambdas)
+    f, d = _loop_tables(t.lam_ext[1:])
     assert np.array_equal(t.f, f) and np.array_equal(np.signbit(t.f), np.signbit(f))
     if t.dim == 3:
         assert np.array_equal(t.d, d) and np.array_equal(np.signbit(t.d), np.signbit(d))
@@ -95,7 +102,7 @@ def test_stacked_tables_equal_the_loop_tables_bit_for_bit(t):
 
 
 def test_commutator_and_anticommutator_reconstruction():
-    lam = T3.lambdas
+    lam = T3.lam_ext[1:]
     comm = np.einsum('aij,bjk->abik', lam, lam) - np.einsum('bij,ajk->abik', lam, lam)
     rec = 2j * np.einsum('abc,cik->abik', T3.f, lam)
     assert np.abs(comm - rec).max() < 1e-12
@@ -111,7 +118,7 @@ def test_pauli_structure_constants():
     eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1
     assert np.abs(T2.f - eps).max() < 1e-14
     assert T2.d is None and T2.dtilde is None
-    assert np.array_equal(T2.lambdas, PAULI)
+    assert np.array_equal(T2.lam_ext[1:], PAULI)
 
 
 def test_unsupported_dimension_rejected():
@@ -120,22 +127,17 @@ def test_unsupported_dimension_rejected():
 
 
 def test_cyclic_identities_hold():
-    res = cyclic_identity_check(T3)
+    res = cyclic_identity_check()
     assert max(res.values()) <= 1e-12
 
 
-def test_cyclic_identities_sharp_under_perturbation():
-    import dataclasses
+def test_cyclic_identities_sharp_under_perturbation(monkeypatch):
     d = T3.d.copy()
     d[0, 0, 7] += 1e-3
     perturbed = dataclasses.replace(T3, d=d)
-    res = cyclic_identity_check(perturbed)
+    monkeypatch.setattr(tensors, "build_structure_tensors", lambda dim: perturbed)
+    res = cyclic_identity_check()
     assert max(res.values()) > 1e-4
-
-
-def test_cyclic_identities_reject_dim2():
-    with pytest.raises(ValueError):
-        cyclic_identity_check(T2)
 
 
 def test_det_identity_normalization():
@@ -224,3 +226,54 @@ def test_kernels_read_the_tensors_at_call_time(monkeypatch):
         assert np.array_equal(k300_2, 2 * k300)
         assert np.array_equal(c3_2, 4 * c3)
         assert np.array_equal(c6_2, 16 * c6)
+
+
+def test_levi_civita_is_built_once_and_read_only():
+    eps = tensors.levi_civita(4)
+    assert tensors.levi_civita(np.int64(4)) is eps and not eps.flags.writeable
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        assert eps[perm] == (-1) ** inversions
+    assert np.count_nonzero(eps) == 24
+    assert np.array_equal(tensors.levi_civita(3), T2.f)  # su(2)'s f is the 3-index epsilon
+
+
+def test_one_substitution_reaches_every_reader(monkeypatch):
+    """`build_structure_tensors` and `levi_civita` own every array a kernel
+    reads: one substitution of the two moves the coordinates (the trace
+    norms), the K004 chains through the embedded correlation tensor and the
+    measured normalizations of the algebra certificate (the basis), the
+    epsilon form of Q4t (epsilon_4) and the quartet identities (f and d).
+    The basis is doubled and its norms, Tr(l_a l_a), quadrupled: powers of
+    two, which scale without rounding."""
+    state, ext22 = random_state(3, 3, 0), random_state(2, 2, 0).coords.ext
+    c = state.coords
+
+    def readers():
+        cert = build_algebra(trials=ALGEBRA_MIN_TRIALS)[1]
+        quartics = quartic_blocks(c.r, c.rbar, c.R)
+        return {"ext": to_coords(state.rho, 3, 3).ext,
+                "K004": np.array([v for k, v in quartics.items() if k.startswith("K004")]),
+                "normalization": cert["measured_normalization_D"] + cert["measured_normalization_F"],
+                "q": q_invariants(ext22),
+                "quartet": cyclic_identity_check()}
+
+    clean = readers()
+    f, d = T3.f.copy(), T3.d.copy()
+    f[0, 1, 2] += 1e-3
+    d[0, 0, 7] += 1e-3
+    altered = {dim: dataclasses.replace(t, lam_ext=2 * t.lam_ext, norms=4 * t.norms)
+               for dim, t in ((2, T2), (3, T3))}
+    altered[3] = dataclasses.replace(altered[3], f=f, d=d)
+    eps = tensors.levi_civita
+    monkeypatch.setattr(tensors, "build_structure_tensors", lambda dim: altered[dim])
+    monkeypatch.setattr(tensors, "levi_civita", lambda n: 2 * eps(n))
+    moved = readers()
+    assert np.array_equal(moved["ext"], clean["ext"] / 4)  # the doubled basis's coordinates
+    assert len(clean["K004"]) == 6 and np.array_equal(moved["K004"], 256 * clean["K004"])
+    # doubled with the basis, up to the f and d entries raised above
+    assert np.abs(np.subtract(moved["normalization"], np.multiply(2, clean["normalization"]))
+                  ).max() < 2e-3
+    assert moved["q"]["Q4t_eps"] == 4 * clean["q"]["Q4t_eps"]
+    assert moved["q"]["Q4t"] == clean["q"]["Q4t"]
+    assert max(clean["quartet"].values()) < 1e-12 < 1e-4 < min(moved["quartet"].values())
