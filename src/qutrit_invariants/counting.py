@@ -13,6 +13,7 @@ from operator import add
 
 from .checks import integer
 from .symfunc import (
+    WEIGHT_LIMIT,
     SchurExpr,
     character,
     class_sum,
@@ -61,11 +62,11 @@ def count_lu_pure(K, D, n):
 
     Vanishes unless D divides n; otherwise it is the multiplicity of the
     trivial representation in the K-fold inner product of the rectangular
-    character (r^D), r = n/D.
+    character (r^D), r = n/D: characters of S_n, so n <= WEIGHT_LIMIT.
     """
     K, D, n = integer(K, "K"), integer(D, "D"), integer(n, "n")
-    if not 1 <= K <= 4 or D not in (2, 3) or not 0 <= n <= 12:
-        raise ValueError("supported range: 1 <= K <= 4, D in {2,3}, 0 <= n <= 12")
+    if not 1 <= K <= 4 or D not in (2, 3) or not 0 <= n <= WEIGHT_LIMIT:
+        raise ValueError(f"supported range: 1 <= K <= 4, D in {{2,3}}, 0 <= n <= {WEIGHT_LIMIT}")
     if n == 0:
         return 1
     if n % D:

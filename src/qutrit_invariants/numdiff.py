@@ -52,8 +52,11 @@ def poly_jacobian(fn, x0, degree, directions):
 
 
 def numerical_rank(matrix, rel_threshold=RANK_THRESHOLD):
-    """Rank by SVD with a threshold relative to the largest singular value."""
+    """Rank by SVD with a threshold relative to the largest singular value;
+    ValueError for a matrix with a non-finite entry, which SVD cannot rank."""
     m = np.asarray(matrix, dtype=float)
+    if not np.isfinite(m).all():
+        raise ValueError("numerical_rank needs finite entries, got inf or NaN")
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0

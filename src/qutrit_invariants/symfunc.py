@@ -34,11 +34,11 @@ from operator import add, mul
 
 from .checks import integer, integer_cache
 
-# Hard caps keep the memoized tables small: nothing in this package needs
-# symmetric-group data beyond S_14.
-KRONECKER_WEIGHT_LIMIT = 12
-PLETHYSM_WEIGHT_LIMIT = 14
-SERIES_WEIGHT_LIMIT = 12
+# The one bound on symmetric-group data, which keeps the memoized tables
+# small: nothing in this package needs S_n past n = WEIGHT_LIMIT.  `kronecker`
+# refuses an input weight past it, every plethysm an output weight past it
+# (``_plethysm_rows``), and `counting.count_lu_pure` a degree past it.
+WEIGHT_LIMIT = 14
 
 
 def as_partition(parts):
@@ -368,11 +368,8 @@ def hall_norm(p, scale=1):
 def kronecker(a, b):
     """Inner product: reduction of tensor products of symmetric-group
     representations.  Terms of unequal weight annihilate."""
-    for e in (a, b):
-        for lam in e.terms:
-            if sum(lam) > KRONECKER_WEIGHT_LIMIT:
-                raise ValueError(
-                    f"inner product supported up to weight {KRONECKER_WEIGHT_LIMIT}")
+    if max((sum(lam) for e in (a, b) for lam in e.terms), default=0) > WEIGHT_LIMIT:
+        raise ValueError(f"inner product supported up to weight {WEIGHT_LIMIT}")
     # the inner product multiplies class functions pointwise
     pa, pb = _expr_to_p(a), _expr_to_p(b)
     return _p_to_schur({rho: xa * pb[rho] for rho, xa in pa.items() if rho in pb})
@@ -380,12 +377,12 @@ def kronecker(a, b):
 
 def _plethysm_rows(outers, b):
     """Row bound L = m times max len(nu) over ``b`` of the plethysms a[b],
-    m the largest weight over the ``outers`` a; ValueError past
-    PLETHYSM_WEIGHT_LIMIT."""
+    m the largest weight over the ``outers`` a; ValueError for an output
+    weight past WEIGHT_LIMIT."""
     wmax = max((sum(lam) for lam in b.terms), default=0)
     m = max((sum(lam) for a in outers for lam in a.terms), default=0)
-    if m * wmax > PLETHYSM_WEIGHT_LIMIT:
-        raise ValueError(f"plethysm supported up to output weight {PLETHYSM_WEIGHT_LIMIT}")
+    if m * wmax > WEIGHT_LIMIT:
+        raise ValueError(f"plethysm supported up to output weight {WEIGHT_LIMIT}")
     return m * max(map(len, b.terms), default=0)
 
 
@@ -486,7 +483,7 @@ def plethysms(outers, b, max_len):
     outers = list(outers)
     L = min(cap, _plethysm_rows(outers, b))
     # every degree is at most the output weight, so entries stay apart
-    base = PLETHYSM_WEIGHT_LIMIT + L + 2
+    base = WEIGHT_LIMIT + L + 2
     # p_rho(x_1..x_L), from p_1 = x_1 + ... + x_L (zero when L = 0)
     power_sums = _product_table(partial(_poly_adams, {base ** i: 1 for i in range(L)}),
                                 _poly_mul, 0)
@@ -515,15 +512,17 @@ def product_power_plethysm(a, b, n):
 
     Returns [(sigma, plethysm(S(sigma), a), plethysm(S(sigma), b))] over
     sigma of weight n; the symmetrized power of the product is the sum of
-    the pairwise products of the two columns.
+    the pairwise products of the two columns.  sigma = (n) comes first, so
+    that its plethysms refuse an output weight past WEIGHT_LIMIT before
+    partitions(n) is enumerated.
     """
-    if integer(n, "n", 0) > 6:
-        raise ValueError("product power supported up to n = 6")
-    out = []
-    for sigma in partitions(n):
+    n = integer(n, "n", 0)
+
+    def powers(sigma):
         ssig = SchurExpr.schur(sigma)
-        out.append((sigma, plethysm(ssig, a), plethysm(ssig, b)))
-    return out
+        return sigma, plethysm(ssig, a), plethysm(ssig, b)
+
+    return [powers(as_partition((n,))), *map(powers, partitions(n)[1:])]
 
 
 def sun_modify(a, N):
@@ -547,8 +546,6 @@ def plethysm_series(k, max_weight):
     Plethysm is linear in its first argument, so this is the one plethysm
     of {0} + {1} + ... + {max_weight // k}; the {0} term gives the unit."""
     k, max_weight = integer(k, "k", 1), integer(max_weight, "max_weight", 0)
-    if max_weight > SERIES_WEIGHT_LIMIT:
-        raise ValueError(f"series supported up to weight {SERIES_WEIGHT_LIMIT}")
     return plethysm(SchurExpr({(n,): 1 for n in range(max_weight // k + 1)}),
                     SchurExpr.schur((k,)))
 

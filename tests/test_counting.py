@@ -66,7 +66,7 @@ def test_lu_pure_bounds():
     with pytest.raises(ValueError):
         count_lu_pure(5, 2, 4)
     with pytest.raises(ValueError):
-        count_lu_pure(4, 2, 13)
+        count_lu_pure(4, 2, 15)
     for K in (0, -1):
         with pytest.raises(ValueError):
             count_lu_pure(K, 2, 4)

@@ -10,7 +10,9 @@ cached tensors are read-only: a defect is a copy.
 200 states its cubic residual reads 7.6e-11 under the d defect below and
 6.9e-11 under the d-tilde defect (9.1e-11 and 6.9e-11 over the default
 1000), against its bound 1e-10, and the run exits 0.  Its row here is a
-defect in the expansion's constant term.
+defect in the expansion's constant term.  The classical slice of
+`tests/test_lsl_qutrit.py`, C3 = (3/8) perm(P), reads no d-tilde and finds
+each d-tilde defect of its table, three of which `verify expansion` passes.
 
 The exact readers of `symfunc` (`class_sum` and through it `hall_norm`,
 `_p_to_schur`, `_poly_to_schur`) divide through the one `symfunc._exact`.
@@ -34,15 +36,16 @@ import pytest
 from qutrit_invariants import cli, lsl_qutrit, monotones, states, symfunc, tensors
 
 from bruteforce import oracle_kron
+from test_lsl_qutrit import CLASSICAL_C3_TOL, classical_c3_deviation
 
 
 def _raise_entries(monkeypatch, name, index):
-    """The qutrit tensor ``name`` with the six permutations of ``index``
-    raised by 1e-7, through the one patch point."""
+    """The qutrit tensor ``name`` with the entries on the symmetric orbit of
+    ``index`` (each once) raised by 1e-7, through the one patch point."""
     build = tensors.build_structure_tensors
     t3 = build(3)
     raised = getattr(t3, name).copy()
-    for entry in permutations(index):
+    for entry in set(permutations(index)):
         raised[entry] += 1e-7
     wrong = dataclasses.replace(t3, **{name: raised})
     monkeypatch.setattr(tensors, "build_structure_tensors",
@@ -98,6 +101,22 @@ def test_certificate_fails_on_its_injected_defect(argv, defect, code, exceeded, 
     assert report["passed"] is False
     for key, bound in exceeded.items():
         assert clean[key] <= bound < report["certificate"][key], key
+
+
+# a d-tilde orbit raised by 1e-7, and the exit code of `verify expansion`
+# under it: 0 (passed) for all but (0, 0, 0)
+CLASSICAL_ROWS = [((1, 2, 3), cli.EXIT_OK), ((1, 4, 6), cli.EXIT_OK), ((3, 8, 8), cli.EXIT_OK),
+                  ((0, 0, 0), cli.EXIT_VIOLATION)]
+
+
+@pytest.mark.parametrize("index,expansion_code", CLASSICAL_ROWS,
+                         ids=["dtilde_%d%d%d" % row[0] for row in CLASSICAL_ROWS])
+def test_classical_slice_fails_on_a_dtilde_defect(index, expansion_code, monkeypatch, tmp_path):
+    assert classical_c3_deviation() <= CLASSICAL_C3_TOL
+    _raise_entries(monkeypatch, "dtilde", index)
+    assert classical_c3_deviation() > CLASSICAL_C3_TOL
+    argv = ["verify", "expansion", "--trials", "20", "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == expansion_code
 
 
 # exact reader, its arguments on a virtual character and the value it reads

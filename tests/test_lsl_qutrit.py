@@ -1,3 +1,5 @@
+from fractions import Fraction
+from itertools import permutations
 from math import prod
 
 import numpy as np
@@ -225,6 +227,54 @@ def test_cubic_product_state_factorizes():
         st = BipartiteState.from_rho(np.kron(rA, rB), 3, 3)
         expected = 2.25 * np.linalg.det(rA).real * np.linalg.det(rB).real
         assert abs(cubic_invariant(st.coords.ext) - expected) < 1e-12
+
+
+# The classical slice: on rho = sum_ip P_ip |ip><ip| with P a probability
+# matrix, C3 = (3/8) perm(P), a closed form that reads no d-tilde; local
+# unitaries leave C3 unchanged.  The P are small integer weights over their
+# sum, so perm(P) is exact.  At the 51 rotated states below the deviation is
+# at most 3.5e-18; a 1e-7 defect in d-tilde on the orbit of (1,2,3), (1,4,6),
+# (3,8,8) or (0,0,0) moves it to 2.6e-11, 6.4e-11, 3.5e-11 or 4.1e-10.
+CLASSICAL_C3_TOL = 1e-14
+
+# full-rank marginals, yet perm(P) = 0: the support has no perfect matching
+NULL_CONE_WEIGHTS = np.array([[1, 1, 1], [1, 0, 0], [1, 0, 0]])
+
+
+def permanent(W):
+    return sum(prod(W[i, s] for i, s in enumerate(sigma)) for sigma in permutations(range(3)))
+
+
+def classical_states(seed=5, count=50):
+    """(3/8) perm(P) and the classical state of P under random local
+    unitaries, for ``count`` integer weight matrices with entries 0-9 and
+    the null-cone weights."""
+    rng = np.random.default_rng(seed)
+    weights = [rng.integers(0, 10, (3, 3)) for _ in range(count)] + [NULL_CONE_WEIGHTS]
+    out = []
+    for W in weights:
+        total = int(W.sum())
+        rho = np.diag(W.reshape(-1) / total).astype(complex)
+        state = apply_local(BipartiteState.from_rho(rho, 3, 3), random_local_unitary(3, rng),
+                            random_local_unitary(3, rng))
+        out.append((float(Fraction(3 * int(permanent(W)), 8 * total ** 3)), state))
+    return out
+
+
+CLASSICAL = classical_states()
+
+
+def classical_c3_deviation(pairs=CLASSICAL):
+    """The largest |C3 - (3/8) perm(P)| over the (value, state) pairs."""
+    return max(abs(cubic_invariant(state.coords.ext) - value) for value, state in pairs)
+
+
+def test_c3_on_the_classical_slice_is_three_eighths_of_the_permanent():
+    assert classical_c3_deviation() <= CLASSICAL_C3_TOL
+    # the last state is on the null cone: both marginals have full rank, yet
+    # perm(P) = 0, so C3 reads rounding there
+    assert CLASSICAL[-1][0] == 0
+    assert (NULL_CONE_WEIGHTS.sum(axis=0) > 0).all() and (NULL_CONE_WEIGHTS.sum(axis=1) > 0).all()
 
 
 def test_invariance_under_local_sl_coordinate_maps():

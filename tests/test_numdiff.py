@@ -57,6 +57,31 @@ def test_numerical_rank_of_an_empty_or_zero_matrix_is_0(matrix):
     assert numdiff.numerical_rank(matrix) == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_numerical_rank_refuses_non_finite_entries(bad):
+    matrix = np.eye(3)
+    matrix[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        numdiff.numerical_rank(matrix)
+
+
+def overflowing(dim, seed, scale):
+    # a finite Hermitian state whose invariants overflow to inf
+    rho = random_state(dim, dim, seed).rho
+    return states.BipartiteState.from_rho((rho + rho.conj().T) / 2 * scale, dim, dim)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("certificate", [
+    lambda: independence_test([overflowing(3, seed, 1e90) for seed in range(22)], QUARTIC_LABELS),
+    lambda: dependence_jacobian_rank(overflowing(2, 0, 1e50).coords),
+], ids=["independence_test", "dependence_jacobian_rank"])
+def test_rank_certificates_refuse_overflowing_states(certificate):
+    # numpy's SVD raised LinAlgError ("did not converge") on these
+    with pytest.raises(ValueError, match="finite"):
+        certificate()
+
+
 def test_jacobian_rank_of_a_map_with_a_known_rank():
     coords = random_state(2, 2, 4).coords
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qutrit_invariants import symfunc
-from qutrit_invariants.counting import count_lsl
+from qutrit_invariants.counting import count_lsl, count_lu_pure
 from qutrit_invariants.symfunc import (
     S,
     SchurExpr,
@@ -183,7 +183,7 @@ def test_kronecker_weight_mismatch_annihilates():
 
 def test_kronecker_weight_bound():
     with pytest.raises(ValueError):
-        kronecker(S(*([1] * 13)), S(*([1] * 13)))
+        kronecker(S(*([1] * 15)), S(*([1] * 15)))
 
 
 @pytest.mark.parametrize("lam,mu", [
@@ -256,6 +256,49 @@ def test_product_power_distributes():
 
 
 # ---------------------------------------------------------------------------
+# The one bound on symmetric-group data: every entry point that reads S_n
+# tables accepts weight 14 and refuses 15 with a ValueError naming it.
+
+def even_partitions(n, max_len=None):
+    # h_m[h_2] is the sum of the {lam} of weight 2m with even parts (Macdonald, I.8)
+    return SchurExpr({lam: 1 for lam in partitions(n, max_len) if all(x % 2 == 0 for x in lam)})
+
+
+BOUND_ROWS = {
+    "kronecker": (lambda: kronecker(S(14), S(*[1] * 14)) == S(*[1] * 14),
+                  lambda: kronecker(S(15), S(15))),
+    "plethysm": (lambda: plethysm(S(7), S(2)) == even_partitions(14),
+                 lambda: plethysm(S(5), S(3))),
+    "plethysms": (lambda: plethysms([S(7)], S(2), 3) == [even_partitions(14, 3)],
+                  lambda: plethysms([S(5)], S(3), 3)),
+    "plethysm_series": (lambda: plethysm_series(2, 14) == sum(
+                            map(even_partitions, range(0, 15, 2)), SchurExpr()),
+                        lambda: plethysm_series(3, 15)),
+    "product_power_plethysm": (
+        lambda: product_power_plethysm(S(7), S(1), 2) == [
+            ((2,), plethysm(S(2), S(7)), S(2)), ((1, 1), plethysm(S(1, 1), S(7)), S(1, 1))],
+        lambda: product_power_plethysm(S(5), S(1), 3)),
+    "count_lu_pure": (lambda: count_lu_pure(2, 2, 14) == 1,
+                      lambda: count_lu_pure(2, 2, 15)),
+}
+
+
+@pytest.mark.parametrize("accept, refuse", BOUND_ROWS.values(), ids=BOUND_ROWS)
+def test_one_weight_bound_accepts_14_and_refuses_15(accept, refuse):
+    assert symfunc.WEIGHT_LIMIT == 14
+    assert accept()
+    with pytest.raises(ValueError, match=r"\b14\b"):
+        refuse()
+
+
+def test_product_power_refuses_a_large_n_before_enumerating_its_partitions(monkeypatch):
+    # sigma = (n) goes first, so partitions(10**6) is never built
+    monkeypatch.setattr(symfunc, "partitions", None)
+    with pytest.raises(ValueError, match=r"\b14\b"):
+        product_power_plethysm(S(2, 1), S(2, 1), 10 ** 6)
+
+
+# ---------------------------------------------------------------------------
 # SU(N) restriction and the symmetrized-power series
 
 def test_sun_modify_column_rules():
@@ -286,13 +329,13 @@ def test_series_truncations():
     assert len(w12) == 12
     assert set(w12.values()) == {1}
     with pytest.raises(ValueError):
-        plethysm_series(3, 13)
+        plethysm_series(3, 15)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_series_is_the_unit_plus_the_symmetrized_powers(k):
     total = S()  # the running sum over n that the one linear plethysm replaces
-    for w in range(symfunc.SERIES_WEIGHT_LIMIT + 1):
+    for w in range(symfunc.WEIGHT_LIMIT + 1):
         if w and w % k == 0:
             total = total + plethysm(S(w // k), S(k))
         assert plethysm_series(k, w) == total, w
