@@ -56,5 +56,5 @@ from qutrit_invariants.states import StateCoords
 print(f"{all_invariants(StateCoords(3, 3, ext2))['K002']:.4f}")
 
 print("\ncubic expansion residual on this state:",
-      f"{cubic_expansion_residual(st):.2e}")
+      f"{cubic_expansion_residual(st.coords, c3, base):.2e}")
 print("on the maximally mixed state both sides equal 1/324.")

@@ -84,27 +84,21 @@ def cmd_invariants(args):
         values = {"C3": lsl_qutrit.cubic_invariant(state.coords.ext),
                   "C6": lsl_qutrit.sextic_invariant(state.coords.ext)}
         report.update(values)
-        # the residual of cubic_expansion_residual, from the values reported
-        try:
-            states.require_unit_trace(state.coords)
-        except ValueError as exc:  # the expansion holds on unit trace only
-            residual = None
-            report["warnings"].append(f"C3 expansion residual not evaluated: {exc}")
-        else:
-            residual = abs(values["C3"] - lsl_qutrit.cubic_expansion(k))
-        report["C3_expansion_residual"] = residual
+        key = "C3_expansion_residual"
+        rule = lambda: lsl_qutrit.cubic_expansion_residual(state.coords, values["C3"], k)
     elif dims == (2, 2):
         values = qubit.q_invariants(state.coords.ext)
         report["invariants"] = values
         report["det_rho"] = float(np.linalg.det(state.rho).real)
-        try:
-            residuals = qubit.expansion_residuals(state.coords, values)
-        except ValueError as exc:  # the expansions hold on unit trace only
-            residuals = None
-            report["warnings"].append(f"expansion residuals not evaluated: {exc}")
-        report["expansion_residuals"] = residuals
+        key = "expansion_residuals"
+        rule = lambda: qubit.expansion_residuals(state.coords, values)
     else:
         return _error(f"unsupported dimensions {dims}; expected (3,3) or (2,2)")
+    try:
+        report[key] = rule()
+    except ValueError as exc:  # the expansions hold on unit trace only
+        report[key] = None
+        report["warnings"].append(f"{key.replace('_', ' ')} not evaluated: {exc}")
     report["monotones"] = monotones.monotone_roots(values)
     return _emit(report, args.out)
 
@@ -189,8 +183,10 @@ def _verify_expansion(args):
     rng = np.random.default_rng(args.seed)
     worst3 = 0.0
     for start, stop in monotones.trial_blocks(args.trials):
-        state = states.random_state(3, 3, rng, size=stop - start)
-        worst3 = max(worst3, float(lsl_qutrit.cubic_expansion_residual(state).max()))
+        c = states.random_state(3, 3, rng, size=stop - start).coords
+        res = lsl_qutrit.cubic_expansion_residual(c, lsl_qutrit.cubic_invariant(c.ext),
+                                                  lu_invariants.low_degree_invariants(c))
+        worst3 = max(worst3, float(res.max()))
     worstq = {}
     for start, stop in monotones.trial_blocks(args.trials):
         coords = states.random_state(2, 2, rng, size=stop - start).coords
@@ -210,7 +206,10 @@ def _verify_monotone(args):
     raw, proper = monotones.control_margins()
     cert = {"trials_report": report, "scalar_scan": scan,
             "wrong_exponent_control": {"raw_margin": raw, "proper_margin": proper}}
-    ok = (report["min_margin"] is not None
+    # a monotone is homogeneous of degree one, the root of its invariant: the
+    # C3_raw control has no root degree and fails whatever its margins
+    ok = (monotones.MONOTONE_FUNCTIONALS[report["functional"]][2] is not None
+          and report["min_margin"] is not None
           and not report["violations"]
           and scan["max_violation"] <= SCAN_TOL
           and raw < -monotones.MARGIN_TOL and proper >= -args.tol)

@@ -19,7 +19,6 @@ import numpy as np
 from . import tensors
 from .checks import integer
 from .contract import STACK, contract, per_state
-from .lu_invariants import low_degree_invariants
 from .numdiff import numerical_rank
 from .states import coordinate_action, random_local_sl, require_unit_trace
 
@@ -269,10 +268,9 @@ def cubic_expansion(k):
             + CUBIC_CONSTANT_TERM)
 
 
-def cubic_expansion_residual(state):
-    """Residual of the cubic invariant against its expansion in the
-    local-unitary invariants, valid for trace-normalized states: a float,
-    or an array over a stacked state."""
-    c = state.coords
-    require_unit_trace(c)
-    return abs(cubic_invariant(c.ext) - cubic_expansion(low_degree_invariants(c)))
+def cubic_expansion_residual(coords, c3, lu):
+    """|c3 - cubic_expansion(lu)| for the cubic invariant and the degree <= 3
+    local-unitary invariants of ``coords``: a float, or an array over a stacked
+    state.  ``ValueError`` unless every state has trace 1, where it holds."""
+    require_unit_trace(coords)
+    return abs(c3 - cubic_expansion(lu))

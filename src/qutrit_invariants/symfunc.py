@@ -546,8 +546,9 @@ def plethysm_series(k, max_weight):
     Plethysm is linear in its first argument, so this is the one plethysm
     of {0} + {1} + ... + {max_weight // k}; the {0} term gives the unit."""
     k, max_weight = integer(k, "k", 1), integer(max_weight, "max_weight", 0)
-    return plethysm(SchurExpr({(n,): 1 for n in range(max_weight // k + 1)}),
-                    SchurExpr.schur((k,)))
+    inner = SchurExpr.schur((k,))
+    _plethysm_rows([SchurExpr.schur((max_weight // k,))], inner)  # refuses before the sum
+    return plethysm(SchurExpr({(n,): 1 for n in range(max_weight // k + 1)}), inner)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from qutrit_invariants.lu_invariants import (
     QUARTIC_LABELS,
     all_invariants,
     independence_test,
+    low_degree_invariants,
 )
 from qutrit_invariants.monotones import (
     run_trials,
@@ -99,7 +100,9 @@ def test_criterion_06_cubic_expansion_identity():
     rng = np.random.default_rng(606)
     worst = 0.0
     for _ in range(1000):
-        worst = max(worst, cubic_expansion_residual(random_state(3, 3, rng)))
+        c = random_state(3, 3, rng).coords
+        worst = max(worst, cubic_expansion_residual(c, cubic_invariant(c.ext),
+                                                    low_degree_invariants(c)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 30.0
     check(6, ok, f"max expansion residual {worst:.2e} over 1000 states "

@@ -10,7 +10,8 @@ import pytest
 
 from qutrit_invariants import cli, lsl_qutrit, lu_invariants, monotones, qubit
 from qutrit_invariants.cli import main
-from qutrit_invariants.lsl_qutrit import cubic_expansion_residual
+from qutrit_invariants.lsl_qutrit import cubic_expansion_residual, cubic_invariant
+from qutrit_invariants.lu_invariants import low_degree_invariants
 from qutrit_invariants.states import BipartiteState, load_state, random_state, save_state
 
 # the CPUs this process may use: the bound the command line puts on --workers
@@ -377,7 +378,9 @@ def test_invariants_residual_is_the_library_residual(rho, tmp_path):
     save_state(BipartiteState.from_rho(rho, 3, 3), path)
     assert main(["invariants", str(path), "--out", str(out)]) == 0
     report = _strict(out.read_text())
-    assert report["C3_expansion_residual"] == cubic_expansion_residual(load_state(path))
+    c = load_state(path).coords
+    assert report["C3_expansion_residual"] == cubic_expansion_residual(
+        c, cubic_invariant(c.ext), low_degree_invariants(c))
 
 
 @pytest.mark.parametrize("trace", [0.5, 2.0])
@@ -575,6 +578,18 @@ def test_verify_monotone_defaults_to_the_cubic_functional(tmp_path):
     out = tmp_path / "cert.json"
     assert main(["verify", "monotone", "--trials", "5", "--out", str(out)]) == 0
     assert _strict(out.read_text())["certificate"]["trials_report"]["functional"] == "C3"
+
+
+def test_verify_monotone_fails_the_raw_control_whatever_its_margins(tmp_path):
+    # C3_raw has no root degree, so it is not homogeneous of degree one: the
+    # suite refuses it though no trial of this sweep violates concavity
+    out = tmp_path / "cert.json"
+    assert main(["verify", "monotone", "--functional", "C3_raw", "--trials", "3",
+                 "--out", str(out)]) == cli.EXIT_VIOLATION
+    report = _strict(out.read_text())
+    assert report["passed"] is False
+    assert report["certificate"]["trials_report"]["min_margin"] >= 0
+    assert report["certificate"]["trials_report"]["violations"] == []
 
 
 def test_verify_tensors_memory_does_not_grow_with_trials(tmp_path):

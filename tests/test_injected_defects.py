@@ -12,7 +12,8 @@ cached tensors are read-only: a defect is a copy.
 1000), against its bound 1e-10, and the run exits 0.  Its row here is a
 defect in the expansion's constant term.  The classical slice of
 `tests/test_lsl_qutrit.py`, C3 = (3/8) perm(P), reads no d-tilde and finds
-each d-tilde defect of its table, three of which `verify expansion` passes.
+each d-tilde defect of its table, three of which `verify expansion` passes;
+the closed form of C6 on the same slice finds each of them too.
 
 The exact readers of `symfunc` (`class_sum` and through it `hall_norm`,
 `_p_to_schur`, `_poly_to_schur`) divide through the one `symfunc._exact`.
@@ -36,7 +37,8 @@ import pytest
 from qutrit_invariants import cli, lsl_qutrit, monotones, states, symfunc, tensors
 
 from bruteforce import oracle_kron
-from test_lsl_qutrit import CLASSICAL_C3_TOL, classical_c3_deviation
+from test_lsl_qutrit import (CLASSICAL_C3_TOL, CLASSICAL_C6_TOL, classical_c3_deviation,
+                             classical_c6_deviation)
 
 
 def _raise_entries(monkeypatch, name, index):
@@ -69,6 +71,12 @@ def _raise_cubic_constant_term(monkeypatch):
                         lsl_qutrit.CUBIC_CONSTANT_TERM * (1 + 1e-6))
 
 
+def _drop_c3_root(monkeypatch):
+    """The C3 functional without its cube root, as the C3_raw control is."""
+    dim, invariant, _ = monotones.MONOTONE_FUNCTIONALS["C3"]
+    monkeypatch.setitem(monotones.MONOTONE_FUNCTIONALS, "C3", (dim, invariant, None))
+
+
 # certificate (a verify command line), defect, exit code, the certificate
 # entries that leave their bounds
 ROWS = [
@@ -85,6 +93,8 @@ ROWS = [
       "derivative_match_residual": cli.ALGEBRA_TIGHT_TOL}),
     (["verify", "expansion", "--trials", "20"], _raise_cubic_constant_term, cli.EXIT_VIOLATION,
      {"max_cubic_expansion_residual": cli.VERIFY_TOL}),
+    # no margin leaves its bound: a functional with no root degree fails by rule
+    (["verify", "monotone", "--trials", "20"], _drop_c3_root, cli.EXIT_VIOLATION, {}),
 ]
 
 
@@ -117,6 +127,14 @@ def test_classical_slice_fails_on_a_dtilde_defect(index, expansion_code, monkeyp
     assert classical_c3_deviation() > CLASSICAL_C3_TOL
     argv = ["verify", "expansion", "--trials", "20", "--out", str(tmp_path / "report.json")]
     assert cli.main(argv) == expansion_code
+
+
+@pytest.mark.parametrize("index", [row[0] for row in CLASSICAL_ROWS],
+                         ids=["dtilde_%d%d%d" % row[0] for row in CLASSICAL_ROWS])
+def test_classical_c6_fails_on_a_dtilde_defect(index, monkeypatch):
+    assert classical_c6_deviation() <= CLASSICAL_C6_TOL
+    _raise_entries(monkeypatch, "dtilde", index)
+    assert classical_c6_deviation() > CLASSICAL_C6_TOL
 
 
 # exact reader, its arguments on a virtual character and the value it reads

@@ -241,12 +241,37 @@ CLASSICAL_C3_TOL = 1e-14
 NULL_CONE_WEIGHTS = np.array([[1, 1, 1], [1, 0, 0], [1, 0, 0]])
 
 
+# On the same slice C6 = (3A + 7B + 15C)/64, with m_sigma = prod_i P_{i sigma(i)}
+# over the permutations sigma: A is the sum of the m_sigma^2, and B (C) the
+# sum of m_sigma m_tau over ordered pairs sigma != tau of opposite (equal)
+# sign.  At the same 51 states the deviation is at most 2.5e-20, with
+# |C6| <= 1.4e-5; the four d-tilde defects above move it to 9.0e-14,
+# 1.3e-13, 7.4e-14 or 2.7e-12.
+CLASSICAL_C6_TOL = 1e-17
+
+
 def permanent(W):
     return sum(prod(W[i, s] for i, s in enumerate(sigma)) for sigma in permutations(range(3)))
 
 
-def classical_states(seed=5, count=50):
-    """(3/8) perm(P) and the classical state of P under random local
+def c3_closed_form(W):
+    """(3/8) perm(P) for P = W / sum(W), exactly."""
+    return Fraction(3 * int(permanent(W)), 8 * int(W.sum()) ** 3)
+
+
+def c6_closed_form(W):
+    """(3A + 7B + 15C)/64 for P = W / sum(W), exactly."""
+    sign = {sigma: (-1) ** sum(sigma[j] > sigma[i] for i in range(3) for j in range(i))
+            for sigma in permutations(range(3))}
+    m = {sigma: prod(int(W[i, s]) for i, s in enumerate(sigma)) for sigma in sign}
+    A = sum(v * v for v in m.values())
+    B = sum(m[s] * m[t] for s in m for t in m if sign[s] != sign[t])
+    C = sum(m[s] * m[t] for s in m for t in m if s != t and sign[s] == sign[t])
+    return Fraction(3 * A + 7 * B + 15 * C, 64 * int(W.sum()) ** 6)
+
+
+def classical_states(seed=5, count=50, closed_form=c3_closed_form):
+    """``closed_form`` of P and the classical state of P under random local
     unitaries, for ``count`` integer weight matrices with entries 0-9 and
     the null-cone weights."""
     rng = np.random.default_rng(seed)
@@ -257,16 +282,22 @@ def classical_states(seed=5, count=50):
         rho = np.diag(W.reshape(-1) / total).astype(complex)
         state = apply_local(BipartiteState.from_rho(rho, 3, 3), random_local_unitary(3, rng),
                             random_local_unitary(3, rng))
-        out.append((float(Fraction(3 * int(permanent(W)), 8 * total ** 3)), state))
+        out.append((float(closed_form(W)), state))
     return out
 
 
 CLASSICAL = classical_states()
+CLASSICAL_C6 = classical_states(closed_form=c6_closed_form)
 
 
 def classical_c3_deviation(pairs=CLASSICAL):
     """The largest |C3 - (3/8) perm(P)| over the (value, state) pairs."""
     return max(abs(cubic_invariant(state.coords.ext) - value) for value, state in pairs)
+
+
+def classical_c6_deviation(pairs=CLASSICAL_C6):
+    """The largest |C6 - (3A + 7B + 15C)/64| over the (value, state) pairs."""
+    return max(abs(sextic_invariant(state.coords.ext) - value) for value, state in pairs)
 
 
 def test_c3_on_the_classical_slice_is_three_eighths_of_the_permanent():
@@ -275,6 +306,13 @@ def test_c3_on_the_classical_slice_is_three_eighths_of_the_permanent():
     # perm(P) = 0, so C3 reads rounding there
     assert CLASSICAL[-1][0] == 0
     assert (NULL_CONE_WEIGHTS.sum(axis=0) > 0).all() and (NULL_CONE_WEIGHTS.sum(axis=1) > 0).all()
+
+
+def test_c6_on_the_classical_slice_is_its_closed_form():
+    assert classical_c6_deviation() <= CLASSICAL_C6_TOL
+    # the states of the C3 slice; the closed form vanishes on the null cone
+    assert all(np.array_equal(a.rho, b.rho) for (_, a), (_, b) in zip(CLASSICAL, CLASSICAL_C6))
+    assert CLASSICAL_C6[-1][0] == 0
 
 
 def test_invariance_under_local_sl_coordinate_maps():
@@ -299,20 +337,27 @@ def test_homogeneity_degrees():
     assert abs(sextic_invariant(t * ext) - t ** 6 * c6) / abs(c6) < 1e-12
 
 
+def expansion_residual(state):
+    """`cubic_expansion_residual` of a state or stack, handed its C3 and its
+    degree <= 3 K values."""
+    c = state.coords
+    return cubic_expansion_residual(c, cubic_invariant(c.ext), low_degree_invariants(c))
+
+
 def test_cubic_expansion_identity():
     rng = np.random.default_rng(13)
-    worst = max(cubic_expansion_residual(random_state(3, 3, rng))
+    worst = max(expansion_residual(random_state(3, 3, rng))
                 for _ in range(200))
     assert worst < 1e-12
     mm = BipartiteState.from_rho(np.eye(9) / 9, 3, 3)
-    assert cubic_expansion_residual(mm) < 1e-16
+    assert expansion_residual(mm) < 1e-16
 
 
 def test_expansion_requires_normalization():
     st = random_state(3, 3, 1)
     doubled = BipartiteState.from_rho(2 * st.rho, 3, 3)
     with pytest.raises(ValueError):
-        cubic_expansion_residual(doubled)
+        expansion_residual(doubled)
 
 
 def test_sextic_matchings_collapse_to_one_form():
@@ -378,9 +423,9 @@ def test_sliced_cubic_and_sextic_equal_the_unsliced_formula_bit_for_bit(shape, m
 
 def test_stacked_cubic_expansion_residual():
     st = random_state(3, 3, 41, size=10)
-    res = cubic_expansion_residual(st)
+    res = expansion_residual(st)
     assert res.shape == (10,) and res.max() <= 1e-10
-    assert abs(res[3] - cubic_expansion_residual(st[3])) <= 1e-15
+    assert abs(res[3] - expansion_residual(st[3])) <= 1e-15
 
 
 def _nonphysical_unit_trace():
@@ -407,5 +452,5 @@ def test_cubic_expansion_is_the_written_out_polynomial(make):
                    + 1.0 / 324.0)
     # exact equality: the same floating-point operations in the same order
     assert np.array_equal(cubic_expansion(k), written_out)
-    assert np.array_equal(cubic_expansion_residual(state),
+    assert np.array_equal(cubic_expansion_residual(c, cubic_invariant(c.ext), k),
                           abs(cubic_invariant(c.ext) - written_out))

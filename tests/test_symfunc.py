@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from math import factorial, prod
 from operator import mul
 
@@ -339,6 +340,18 @@ def test_series_is_the_unit_plus_the_symmetrized_powers(k):
         if w and w % k == 0:
             total = total + plethysm(S(w // k), S(k))
         assert plethysm_series(k, w) == total, w
+
+
+def test_series_refuses_an_output_weight_past_the_limit_before_building_its_sum():
+    # the outer sum {0} + ... + {10**6} would hold a million partitions
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="plethysm supported up to output weight 14"):
+            plethysm_series(1, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
 
 
 @pytest.mark.parametrize("k", [0, -1])
